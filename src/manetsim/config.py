@@ -123,6 +123,9 @@ class SimConfig:
             raise ConfigError("source_fraction must be within [0, 1]")
         if self.session_packets < 1:
             raise ConfigError("session_packets must be at least 1")
+        if self.hello_window < 2:
+            # pairwise mobility needs two samples; one would silently drop it
+            raise ConfigError("hello_window must be at least 2")
         if self.accusation_threshold < 1:
             raise ConfigError("accusation_threshold must be at least 1")
         if self.positions is not None and len(self.positions) != self.node_count:

@@ -10,18 +10,20 @@ comparisons meaningful on the same seed.
 
 import hashlib
 import heapq
+import math
 import random
 
 from . import adversary, clustering, detection, metrics, packets, protocol, radio, trust
 from .clustering import Cluster, ElectionMetrics
 from .config import SimConfig
-from .errors import InsufficientSamples, NoRoute, RejectedBlacklisted, RejectedUntrusted, UnknownLink
+from .errors import (InsufficientSamples, NoEvidence, NoRoute, RejectedBlacklisted,
+                     RejectedUntrusted, UnknownLink)
 from .radio import Position, WaypointState
 
 
 class Node:
     __slots__ = ("node_id", "pos", "waypoint", "tx_power", "rx_power",
-                 "energy_total", "energy_expended", "consumed_check",
+                 "energy_total", "energy_expended", "tx_bytes", "rx_bytes",
                  "policy", "cluster", "hello", "neighbor_res", "depleted_logged")
 
     def __init__(self, node_id, pos, waypoint, tx_power, rx_power, energy_total,
@@ -33,7 +35,8 @@ class Node:
         self.rx_power = rx_power    # mW
         self.energy_total = energy_total
         self.energy_expended = 0.0
-        self.consumed_check = 0.0   # independent tally for the conservation audit
+        self.tx_bytes = 0           # bytes billed per role, for the energy audit
+        self.rx_bytes = 0
         self.policy = policy
         self.cluster = None
         self.hello = {}             # claimed neighbor id -> HelloHistory
@@ -63,20 +66,32 @@ class ChState:
         self.selfish_applied = set()
 
 
+def energy_bill(node: Node, role: str, nbytes: int, cfg: SimConfig) -> float:
+    """Joules one send or receive of nbytes costs.
+
+    power (mW) * airtime (s); airtime is nbytes * 8 / channel capacity.
+    """
+    power_mw = node.tx_power if role == "tx" else node.rx_power
+    return power_mw / 1000.0 * (nbytes * 8 / cfg.channel_capacity)
+
+
+def _charge(node: Node, role: str, nbytes: int, bill: float) -> float:
+    if role == "tx":
+        node.tx_bytes += nbytes
+    else:
+        node.rx_bytes += nbytes
+    spent = min(bill, node.energy_total - node.energy_expended)
+    node.energy_expended += spent
+    return spent
+
+
 def consume_energy(node: Node, role: str, nbytes: int, cfg: SimConfig) -> float:
     """Deduct the energy one send or receive of nbytes costs.
 
-    power (mW) * airtime (s); airtime is nbytes * 8 / channel capacity.
     Returns the joules actually deducted, which is less than the bill
     only when the battery runs dry mid-operation.
     """
-    power_mw = node.tx_power if role == "tx" else node.rx_power
-    joules = power_mw / 1000.0 * (nbytes * 8 / cfg.channel_capacity)
-    remaining = node.energy_total - node.energy_expended
-    spent = min(joules, remaining)
-    node.energy_expended += spent
-    node.consumed_check += spent
-    return spent
+    return _charge(node, role, nbytes, energy_bill(node, role, nbytes, cfg))
 
 
 class World:
@@ -109,6 +124,7 @@ class World:
         self.sessions = {}
         self.adjacency = {}
         self._pairs = []
+        self._beacon_links = None    # built by the first HELLO round after a rebuild
         self._dirty_topology = True
         self._score_cache = {}
 
@@ -156,14 +172,13 @@ class World:
         """Charge the radio bill; False when the battery could not cover it."""
         if not node.alive:
             return False
-        need = (node.tx_power if role == "tx" else node.rx_power) / 1000.0 \
-            * (nbytes * 8 / self.cfg.channel_capacity)
-        spent = consume_energy(node, role, nbytes, self.cfg)
+        bill = energy_bill(node, role, nbytes, self.cfg)
+        spent = _charge(node, role, nbytes, bill)
         if not node.alive and not node.depleted_logged:
             node.depleted_logged = True
             self._dirty_topology = True
             self.log("node_depleted", node=node.node_id)
-        return spent >= need - 1e-18
+        return spent >= bill - 1e-18
 
     # ---- init ----
 
@@ -268,6 +283,7 @@ class World:
                         pairs.append((a, b))
         self.adjacency = adj
         self._pairs = pairs
+        self._beacon_links = None
 
     def node_metrics(self, nid, incumbent=None) -> ElectionMetrics:
         n = self.nodes[nid]
@@ -458,54 +474,96 @@ class World:
         if nxt <= self.cfg.sim_duration:
             self.schedule(nxt, "topo")
 
+    def _build_beacon_links(self):
+        """What every HELLO round until the next adjacency rebuild reuses.
+
+        Positions move only right before a rebuild, so the link geometry is
+        fixed in between. Returns (senders, links): senders is every node
+        with its HELLO transmit bill, in id order; links holds both
+        directions of every pair in `_pairs` order, each as (receiver,
+        sender, distance estimate, the receiver's HELLO samples of the id
+        the sender claims, the receiver's residual-energy table, the
+        receiver's HELLO receive bill, the claimed id when spoofed or None,
+        whether the entry opens its pair). Both directions passed the link
+        rule at the rebuild, so every one is above the sensitivity floor.
+        """
+        cfg, params, nodes = self.cfg, self.radio, self.nodes
+        size = cfg.hello_size
+        senders = [(n, energy_bill(n, "tx", size, cfg))
+                   for _, n in sorted(nodes.items())]
+        rx_bill = {nid: energy_bill(n, "rx", size, cfg) for nid, n in nodes.items()}
+        links = []
+        for a, b in self._pairs:
+            na, nb = nodes[a], nodes[b]
+            d = max(self.distance(na, nb), radio.MIN_DISTANCE_M)
+            for sender, receiver in ((na, nb), (nb, na)):
+                rp = radio.friis_recv_power(sender.tx_power, d, params)
+                est = radio.estimate_distance(sender.tx_power, rp, params)
+                claimed = sender.node_id
+                if sender.policy.kind == adversary.SPOOF and sender.policy.victim is not None:
+                    claimed = sender.policy.victim
+                hist = receiver.hello.get(claimed)
+                if hist is None:
+                    hist = radio.HelloHistory(claimed, cfg.hello_window)
+                    receiver.hello[claimed] = hist
+                links.append((receiver, sender, est, hist.dists, receiver.neighbor_res,
+                              rx_bill[receiver.node_id],
+                              claimed if claimed != sender.node_id else None,
+                              sender is na))
+        return senders, links
+
     def _hello_round(self):
         """One beacon exchange: every live node transmits once, every live
-        in-range pair hears each other (both directions)."""
+        in-range pair hears each other (both directions).
+
+        Bills that leave the battery above empty are added in place; any
+        other charge goes through `consume`, which clamps it and logs the
+        depletion, so the floats and the log match per-call charging.
+        """
         cfg = self.cfg
-        for nid in sorted(self.nodes):
-            n = self.nodes[nid]
-            if n.alive:
-                self.consume(n, "tx", cfg.hello_size)
+        if self._beacon_links is None:
+            self._beacon_links = self._build_beacon_links()
+        senders, links = self._beacon_links
+        size, window = cfg.hello_size, cfg.hello_window
+        for n, bill in senders:
+            e = n.energy_expended
+            if bill <= n.energy_total - e and e + bill < n.energy_total:
+                n.energy_expended = e + bill
+                n.tx_bytes += size
+            else:
+                self.consume(n, "tx", size)
         heard = 0
-        for a, b in self._pairs:
-            na, nb = self.nodes[a], self.nodes[b]
-            if not (na.alive and nb.alive):
+        live = False
+        for receiver, sender, est, dists, res, bill, spoofed, opens_pair in links:
+            if opens_pair:
+                live = (sender.energy_expended < sender.energy_total
+                        and receiver.energy_expended < receiver.energy_total)
+            if not live:
                 continue
-            d = max(self.distance(na, nb), radio.MIN_DISTANCE_M)
-            heard += self._hear_hello(na, nb, d)
-            heard += self._hear_hello(nb, na, d)
+            e = receiver.energy_expended
+            if bill <= receiver.energy_total - e and e + bill < receiver.energy_total:
+                receiver.energy_expended = e + bill
+                receiver.rx_bytes += size
+            elif not self.consume(receiver, "rx", size):
+                continue
+            dists.append(est)
+            if len(dists) > window:
+                del dists[0]
+            # residual energy rides in the beacon and is tracked per physical link
+            res[sender.node_id] = 1.0 - sender.energy_expended / sender.energy_total
+            heard += 1
+            if spoofed is not None and receiver.node_id in self.clusters:
+                if sender.node_id in self.ch_state[receiver.node_id].registry:
+                    self.log("spoof_flagged", owner=sender.node_id, claimed=spoofed,
+                             at=receiver.node_id, packet_kind=packets.HELLO)
+                    self.punish_verdict(
+                        detection.Verdict(detection.MALICIOUS, sender.node_id,
+                                          (spoofed,), "spoofed_identity"),
+                        receiver.node_id)
         self.log("hello_round", receptions=heard)
         nxt = self.now + cfg.hello_interval
         if nxt <= cfg.sim_duration:
             self.schedule(nxt, "hello")
-
-    def _hear_hello(self, sender: Node, receiver: Node, d: float) -> int:
-        rp = radio.friis_recv_power(sender.tx_power, d, self.radio)
-        if rp < self.radio.recv_power_floor:
-            return 0
-        if not self.consume(receiver, "rx", self.cfg.hello_size):
-            return 0
-        claimed = sender.node_id
-        if sender.policy.kind == adversary.SPOOF and sender.policy.victim is not None:
-            claimed = sender.policy.victim
-        est = radio.estimate_distance(sender.tx_power, rp, self.radio)
-        hist = receiver.hello.get(claimed)
-        if hist is None:
-            hist = radio.HelloHistory(claimed, self.cfg.hello_window)
-            receiver.hello[claimed] = hist
-        radio.record_hello(hist, est)
-        # residual energy rides in the beacon and is tracked per physical link
-        receiver.neighbor_res[sender.node_id] = sender.res_eng
-        if claimed != sender.node_id and receiver.node_id in self.clusters:
-            st = self.ch_state[receiver.node_id]
-            if sender.node_id in st.registry:
-                self.log("spoof_flagged", owner=sender.node_id, claimed=claimed,
-                         at=receiver.node_id, packet_kind=packets.HELLO)
-                self.punish_verdict(
-                    detection.Verdict(detection.MALICIOUS, sender.node_id,
-                                      (claimed,), "spoofed_identity"),
-                    receiver.node_id)
-        return 1
 
     # -- session admission --
 
@@ -995,8 +1053,12 @@ class World:
         dropped_total = sum(self.dropped.values())
         assert self.delivered + dropped_total <= self.generated
         for n in self.nodes.values():
-            assert abs(n.consumed_check - n.energy_expended) < 1e-9
-            assert n.energy_expended <= n.energy_total + 1e-9
+            # energy audit: what the battery lost must match the bytes the
+            # node sent and received, billed at its drawn powers
+            billed = (energy_bill(n, "tx", n.tx_bytes, cfg)
+                      + energy_bill(n, "rx", n.rx_bytes, cfg))
+            assert math.isclose(n.energy_expended, min(n.energy_total, billed),
+                                rel_tol=1e-9), (n.node_id, n.energy_expended, billed)
         planted = tuple(sorted(n for n, nd in self.nodes.items()
                                if nd.policy.kind != adversary.HONEST))
         kinds = tuple(sorted({self.nodes[n].policy.kind for n in planted}))

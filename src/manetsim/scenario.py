@@ -179,8 +179,11 @@ def run_scenario(sc: Scenario, write_logs: bool = False):
     table = ResultsTable()
     digests = []
     event_logs = {}
-    for n, seed, frac in sc.cells():
-        cfg = sc.config_for(n, seed, frac)
+    # a cell config that fails validation is a usage error, reported as
+    # such before any cell runs
+    cells = [(n, seed, frac, sc.config_for(n, seed, frac).validate())
+             for n, seed, frac in sc.cells()]
+    for n, seed, frac, cfg in cells:
         log.info("cell nodes=%d seed=%d malicious=%g", n, seed, frac)
         try:
             result, events = engine.run(cfg)

@@ -1,0 +1,56 @@
+"""Reference HELLO round: the per-reception form the engine's cached beacon
+loop replaced, kept as the oracle for the differential test.
+
+Every reception recomputes the signal from the positions and is charged
+through `World.consume`, one call at a time.
+"""
+
+from manetsim import adversary, detection, packets, radio
+
+
+def reference_hello_round(world):
+    cfg = world.cfg
+    for nid in sorted(world.nodes):
+        n = world.nodes[nid]
+        if n.alive:
+            world.consume(n, "tx", cfg.hello_size)
+    heard = 0
+    for a, b in world._pairs:
+        na, nb = world.nodes[a], world.nodes[b]
+        if not (na.alive and nb.alive):
+            continue
+        d = max(world.distance(na, nb), radio.MIN_DISTANCE_M)
+        heard += _hear_hello(world, na, nb, d)
+        heard += _hear_hello(world, nb, na, d)
+    world.log("hello_round", receptions=heard)
+    nxt = world.now + cfg.hello_interval
+    if nxt <= cfg.sim_duration:
+        world.schedule(nxt, "hello")
+
+
+def _hear_hello(world, sender, receiver, d):
+    rp = radio.friis_recv_power(sender.tx_power, d, world.radio)
+    if rp < world.radio.recv_power_floor:
+        return 0
+    if not world.consume(receiver, "rx", world.cfg.hello_size):
+        return 0
+    claimed = sender.node_id
+    if sender.policy.kind == adversary.SPOOF and sender.policy.victim is not None:
+        claimed = sender.policy.victim
+    est = radio.estimate_distance(sender.tx_power, rp, world.radio)
+    hist = receiver.hello.get(claimed)
+    if hist is None:
+        hist = radio.HelloHistory(claimed, world.cfg.hello_window)
+        receiver.hello[claimed] = hist
+    radio.record_hello(hist, est)
+    receiver.neighbor_res[sender.node_id] = sender.res_eng
+    if claimed != sender.node_id and receiver.node_id in world.clusters:
+        st = world.ch_state[receiver.node_id]
+        if sender.node_id in st.registry:
+            world.log("spoof_flagged", owner=sender.node_id, claimed=claimed,
+                      at=receiver.node_id, packet_kind=packets.HELLO)
+            world.punish_verdict(
+                detection.Verdict(detection.MALICIOUS, sender.node_id,
+                                  (claimed,), "spoofed_identity"),
+                receiver.node_id)
+    return 1

@@ -154,6 +154,12 @@ def test_cli_rejects_unknown_key_naming_it(tmp_path, capsys):
     assert "nodez" in capsys.readouterr().err
 
 
+def test_cli_rejects_single_sample_hello_window(tmp_path, capsys):
+    cfg = write_scenario(tmp_path, text=TINY + "hello_window: 1\n")
+    assert main([cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "hello_window" in capsys.readouterr().err
+
+
 def test_cli_rejects_malformed_yaml(tmp_path, capsys):
     cfg = write_scenario(tmp_path, text="node_counts: [10\n")
     assert main([cfg]) == 2

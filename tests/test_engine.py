@@ -2,9 +2,9 @@ import pytest
 
 from helpers import (BRIDGES, HEADS, desk_config, desk_positions, events_of,
                      run_world)
-from manetsim import adversary
+from manetsim import adversary, detection
 from manetsim.config import SimConfig
-from manetsim.engine import Node, World, consume_energy, run
+from manetsim.engine import Node, World, consume_energy, energy_bill, run
 from manetsim.metrics import metrics_from_log
 from manetsim.radio import Position, WaypointState
 
@@ -22,6 +22,7 @@ def test_tx_cost_anchor():
     # 300 mW for 2.048 ms
     assert spent == pytest.approx(0.3 * 0.002048)
     assert node.energy_expended == spent
+    assert (node.tx_bytes, node.rx_bytes) == (512, 0)
 
 
 def test_rx_cost_anchor():
@@ -104,9 +105,22 @@ def test_ch_source_sessions_admit_without_rreq():
 
 
 def test_energy_conservation_audited_in_collect():
-    # collect() asserts sum of per-packet deductions equals expended
+    # collect() asserts each battery lost what its byte counters bill
     _, m = run_world(desk_config())
     assert all(v >= 0 for v in m.energy_remaining.values())
+
+
+@pytest.mark.parametrize("corrupt", ["counted_not_charged", "charged_not_counted"])
+def test_energy_audit_catches_a_wrong_bill(corrupt):
+    world, _ = run_world(desk_config(sim_duration=1.0))
+    world.collect()
+    node, size = world.nodes[5], world.cfg.hello_size
+    if corrupt == "counted_not_charged":
+        node.rx_bytes += size
+    else:
+        node.energy_expended += energy_bill(node, "rx", size, world.cfg)
+    with pytest.raises(AssertionError):
+        world.collect()
 
 
 def test_session_accounting():
@@ -172,6 +186,18 @@ def test_acted_only_counts_misdeeds():
     assert m.planted == (28,)
     assert m.acted == ()
     assert m.detection_rate is None
+
+
+def test_judge_without_resolved_evidence_returns_quietly():
+    world = World(desk_config())
+    world.populate()
+    world._sweep_topology()
+    head, gateway = HEADS[1], BRIDGES[0]
+    ledger = world.ch_state[head].ledger
+    ledger.open_entry(1, gateway, world.now, res_eng=1.0, rel_mobility=None)
+    assert ledger.resolved_for(gateway) == []   # still pending
+    assert world._judge(head, gateway) is None
+    assert world.ch_state[head].ledger.by_packet[1].ack_status == detection.PENDING
 
 
 # ---- log-derived metrics ----

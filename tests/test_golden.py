@@ -1,0 +1,118 @@
+"""Golden event-log digests: the behaviour oracle for refactors.
+
+A change meant to leave behaviour alone (a speed-up, a clean-up) must keep
+every digest below byte-identical. A deliberate model change re-pins them
+once, and says so in CHANGES.md.
+
+The matrix covers the desk bench from helpers.py with each adversary kind,
+short 40-node mobile cells with each attack, and a cell whose batteries
+run dry. The spoof cells (110 and 805 `spoof_flagged` events) and the
+depletion cell (40 `node_depleted` events) reach the beacon round's
+spoof-flag and battery-clamp branches, which no benchmark workload does.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from helpers import desk_config, events_of, run_world
+from manetsim import adversary
+from manetsim.config import SimConfig
+
+DESK_ADVERSARIES = {
+    adversary.HONEST: [],
+    adversary.BLACK_HOLE: [{"node": 28, "kind": adversary.BLACK_HOLE}],
+    adversary.GREY_HOLE: [{"node": 28, "kind": adversary.GREY_HOLE}],
+    adversary.WORMHOLE: [{"node": 28, "kind": adversary.WORMHOLE, "peer": 25},
+                         {"node": 25, "kind": adversary.WORMHOLE, "peer": 28}],
+    adversary.SPOOF: [{"node": 10, "kind": adversary.SPOOF, "victim": 11}],
+    adversary.SLANDER: [{"node": 8, "kind": adversary.SLANDER,
+                         "targets": (27, 1)}],
+    adversary.TABLE_OVERFLOW: [{"node": 9, "kind": adversary.TABLE_OVERFLOW}],
+}
+
+DESK_DIGESTS = {
+    adversary.HONEST:
+        "2958d48598c44787ef9efe8f7bd0e45adc4e82ae2c217832278c50a5d2c7e6a5",
+    adversary.BLACK_HOLE:
+        "2bb1c5eb488c91bbee62362f0ea698de7127f89152b9692b018847adf6109a09",
+    adversary.GREY_HOLE:
+        "c2f6beb5801d2f5bb684ce6c775d7dfd8eb9d3201059b899d283bb6eab33d4cd",
+    adversary.WORMHOLE:
+        "a162defb9bb21124c5b03f6373a2077e98ce7be8c29f565410824d7e62b23a50",
+    adversary.SPOOF:
+        "279ccc250c8166153907391a668f7d8f162d506b14af8e55dd2151758a5ccd9d",
+    adversary.SLANDER:
+        "8259384f614656360a45d0b0becd934bb1a179c82b96f005b5515d2d0e25528b",
+    adversary.TABLE_OVERFLOW:
+        "6bfed7183a04cab4488377efa490722bc11da3845ee602b56a7cb8055f47f9d8",
+}
+
+MOBILE_DIGESTS = {
+    adversary.BLACK_HOLE:
+        "a6113ca3eed70ce0c72ec22f484b696a4dab9bb8a3f2428a67214639744f2759",
+    adversary.GREY_HOLE:
+        "75c7df07b94ac7225fa463b86da3f7662f6226b5213d0ca869abd28781e9be2d",
+    adversary.WORMHOLE:
+        "61b1ba99541c6738d8a6ad510d495c659e87b4d9a089acc86de507d4be5d0cf0",
+    adversary.SPOOF:
+        "0b9e6b26d1b95392f39bf97d4ec7b7243fa3c1e0342f053f019f2b35e1757864",
+    adversary.SLANDER:
+        "22a6f53e03f59410325c14f243012ed021feef4d04cdc30b3fdd426223df4b34",
+    adversary.TABLE_OVERFLOW:
+        "b582aad76f48474a77a387af00f8922fed2b70f966b7f631c430d3da8634213f",
+}
+
+DEPLETION_DIGEST = \
+    "8798aa2206a3fb6366be3b734538cf171cef2557d3bb2991ee33c48a38838dfe"
+
+
+def mobile_config(attack):
+    return SimConfig(node_count=40, area=(300.0, 300.0), sim_duration=3.0,
+                     seed=3, malicious_fraction=0.1, attack=attack)
+
+
+def depletion_config():
+    return SimConfig(node_count=40, area=(200.0, 200.0), sim_duration=3.0,
+                     seed=5, initial_energy_range=(0.0005, 0.004))
+
+
+@pytest.mark.parametrize("kind", adversary.KINDS)
+def test_desk_digest(kind):
+    world, m = run_world(desk_config(adversaries=DESK_ADVERSARIES[kind]))
+    assert m.digest == DESK_DIGESTS[kind]
+    if kind == adversary.SPOOF:
+        assert len(events_of(world.events_log, "spoof_flagged")) == 110
+
+
+@pytest.mark.parametrize("attack", [k for k in adversary.KINDS
+                                    if k != adversary.HONEST])
+def test_mobile_digest(attack):
+    world, m = run_world(mobile_config(attack))
+    assert m.digest == MOBILE_DIGESTS[attack]
+    if attack == adversary.SPOOF:
+        assert len(events_of(world.events_log, "spoof_flagged")) == 805
+
+
+def test_depletion_digest():
+    world, m = run_world(depletion_config())
+    assert len(events_of(world.events_log, "node_depleted")) == 40
+    assert m.digest == DEPLETION_DIGEST
+
+
+def test_digest_independent_of_hash_seed():
+    """A run is a pure function of its config, in any interpreter."""
+    here = Path(__file__).resolve().parent
+    script = (
+        "from test_golden import mobile_config\n"
+        "from manetsim.engine import run\n"
+        "print(run(mobile_config('spoof'))[0].digest)\n")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(
+                   [str(here), str(here.parent / "src")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == MOBILE_DIGESTS[adversary.SPOOF]
