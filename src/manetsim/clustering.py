@@ -53,7 +53,7 @@ class Cluster:
     ch_id: int
     members: set = field(default_factory=set)   # excludes the head itself
     gateways: set = field(default_factory=set)  # subset of members
-    routes: dict = field(default_factory=dict)  # dest CH -> (next hop CH, gateways)
+    routes: dict = field(default_factory=dict)  # dest CH -> (previous CH, gateways into dest)
 
     def nodes(self):
         return {self.ch_id} | self.members
@@ -206,32 +206,45 @@ def designate_gateways(clusters, adjacency, score_fn, excluded):
     {(ch_a, ch_b): (gateways...)} with ch_a < ch_b and the gateway tuple
     ordered from ch_a's side.  Also rewrites each cluster's gateway set.
     """
-    edges = {}
     for cl in clusters.values():
         cl.gateways = set()
 
-    heads = sorted(clusters)
-    for i, a in enumerate(heads):
-        for b in heads[i + 1:]:
-            ca, cb = clusters[a], clusters[b]
-            pool_a = sorted(m for m in ca.members if m not in excluded)
-            pool_b = sorted(m for m in cb.members if m not in excluded)
-            single = [m for m in pool_a + pool_b
-                      if a in adjacency.get(m, ()) and b in adjacency.get(m, ())]
-            if single:
-                best = max(single, key=lambda m: (score_fn(m), -m))
-                edges[(a, b)] = (best,)
-                continue
-            best_pair, best_key = None, None
-            for ma in pool_a:
-                for mb in pool_b:
-                    if mb not in adjacency.get(ma, ()):
-                        continue
-                    key = (score_fn(ma) + score_fn(mb), -ma, -mb)
-                    if best_key is None or key > best_key:
-                        best_pair, best_key = (ma, mb), key
-            if best_pair:
-                edges[(a, b)] = best_pair
+    # Candidates come from member links, so only head pairs that have one
+    # are visited.  A member may serve more than one head.
+    heads_of = {}
+    for c in sorted(clusters):
+        for m in clusters[c].members:
+            if m not in excluded:
+                heads_of.setdefault(m, []).append(c)
+    singles = {}   # (a, b) -> members of a or b in range of both heads
+    for m, own in heads_of.items():
+        links = adjacency.get(m, ())
+        for c in own:
+            if c in links:
+                for h in links:
+                    if h != c and h in clusters:
+                        singles.setdefault((c, h) if c < h else (h, c), []).append(m)
+    relays = {}    # (a, b) without a single -> linked (member of a, member of b)
+    for m, own in heads_of.items():
+        links = adjacency.get(m, ())
+        for c in own:
+            for n in links:
+                for h in heads_of.get(n, ()):
+                    if h > c and (c, h) not in singles:
+                        relays.setdefault((c, h), []).append((m, n))
+
+    edges = {}
+    for pair in sorted(singles.keys() | relays.keys()):
+        single = singles.get(pair)
+        if single:
+            edges[pair] = (max(single, key=lambda m: (score_fn(m), -m)),)
+            continue
+        best_pair, best_key = None, None
+        for ma, mb in relays[pair]:
+            key = (score_fn(ma) + score_fn(mb), -ma, -mb)
+            if best_key is None or key > best_key:
+                best_pair, best_key = (ma, mb), key
+        edges[pair] = best_pair
 
     for (a, b), gws in edges.items():
         for g in gws:

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass, field, fields
 
+from . import adversary
 from .clustering import ElectionWeights
 from .detection import DetectionThresholds
 from .errors import ConfigError
@@ -134,7 +135,45 @@ class SimConfig:
             self.weights()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        self._validate_references()
         return self
+
+    def _validate_references(self):
+        """Attack kinds and every node id the config names must exist."""
+        n = self.node_count
+        kinds = ", ".join(adversary.KINDS)
+
+        def node_id(key, value):
+            if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n:
+                raise ConfigError(f"{key} {value!r} is not a node id in [0, {n})")
+
+        if self.attack not in adversary.KINDS:
+            raise ConfigError(f"attack {self.attack!r} is not one of {kinds}")
+        for i, spec in enumerate(self.adversaries):
+            where = f"adversaries[{i}]"
+            if not isinstance(spec, dict):
+                raise ConfigError(f"{where} must be a mapping")
+            kind = spec.get("kind")
+            if kind not in adversary.KINDS:
+                raise ConfigError(f"{where}.kind {kind!r} is not one of {kinds}")
+            node_id(f"{where}.node", spec.get("node"))
+            for key in ("peer", "victim"):
+                if spec.get(key) is not None:
+                    node_id(f"{where}.{key}", spec[key])
+            for target in spec.get("targets", ()):
+                node_id(f"{where}.targets", target)
+            needs = {adversary.WORMHOLE: "peer", adversary.SPOOF: "victim"}.get(kind)
+            if needs is not None and spec.get(needs) is None:
+                raise ConfigError(f"{where}.{needs} is required for kind {kind!r}")
+        for i, pair in enumerate(self.traffic or ()):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(f"traffic[{i}] must be a [src, dst] pair")
+            node_id(f"traffic[{i}] src", pair[0])
+            node_id(f"traffic[{i}] dst", pair[1])
+            if pair[0] == pair[1]:
+                raise ConfigError(f"traffic[{i}] sends from node {pair[0]} to itself")
+        for key in self.energy_overrides:
+            node_id("energy_overrides key", key)
 
 
 CONFIG_FIELDS = tuple(f.name for f in fields(SimConfig))

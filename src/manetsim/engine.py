@@ -16,7 +16,7 @@ import random
 from . import adversary, clustering, detection, metrics, packets, protocol, radio, trust
 from .clustering import Cluster, ElectionMetrics
 from .config import SimConfig
-from .errors import (InsufficientSamples, NoEvidence, NoRoute, RejectedBlacklisted,
+from .errors import (NoEvidence, NoRoute, RejectedBlacklisted,
                      RejectedUntrusted, UnknownLink)
 from .radio import Position, WaypointState
 
@@ -123,6 +123,7 @@ class World:
         self.blacklisted = {}        # node id -> BlacklistEntry
         self.sessions = {}
         self.adjacency = {}
+        self._neighbors = {}         # node id -> its adjacency, in id order
         self._pairs = []
         self._beacon_links = None    # built by the first HELLO round after a rebuild
         self._dirty_topology = True
@@ -139,6 +140,12 @@ class World:
         self._sessions_left = {}
 
     # ---- plumbing ----
+
+    def _head_state(self, ch):
+        st = self.ch_state.get(ch)
+        if st is None:
+            st = self.ch_state[ch] = ChState(ch)
+        return st
 
     def schedule(self, at, tag, *payload):
         heapq.heappush(self._heap, (at, self._seq, tag, payload))
@@ -282,25 +289,28 @@ class World:
                         adj[b].add(a)
                         pairs.append((a, b))
         self.adjacency = adj
+        self._neighbors = {nid: sorted(nbs) for nid, nbs in adj.items()}
         self._pairs = pairs
         self._beacon_links = None
 
     def node_metrics(self, nid, incumbent=None) -> ElectionMetrics:
         n = self.nodes[nid]
         cfg = self.cfg
-        vals = []
-        for nb in sorted(self.adjacency.get(nid, ())):
-            hist = n.hello.get(nb)
-            if hist is not None and len(hist.dists) >= 2:
-                try:
-                    vals.append(radio.pairwise_mobility(hist, cfg.hello_interval))
-                except InsufficientSamples:
-                    pass
         v_max = cfg.speed_range[1]
-        if vals and v_max > 0:
-            mob = clustering.mobility_membership(radio.avg_mobility(vals), v_max)
-        else:
-            mob = 1.0
+        mob = 1.0
+        if v_max > 0:
+            t = cfg.hello_interval
+            hello = n.hello
+            vals = []
+            for nb in self._neighbors.get(nid, ()):
+                hist = hello.get(nb)
+                if hist is not None:
+                    dists = hist.dists
+                    if len(dists) >= 2:
+                        # radio.pairwise_mobility's expression, so the floats match
+                        vals.append((dists[-1] - dists[0]) / (len(dists) * t))
+            if vals:
+                mob = clustering.mobility_membership(radio.avg_mobility(vals), v_max)
         ch = incumbent if incumbent is not None else n.cluster
         ndnb_ch = len(self.adjacency.get(ch, ())) if ch is not None else 0
         if ch is not None and ch != nid and ndnb_ch >= 1:
@@ -322,27 +332,9 @@ class World:
 
         self.edges = clustering.designate_gateways(
             self.clusters, self.adjacency, score_fn, self.blacklisted)
-        adj_ch = protocol.ch_adjacency(self.edges)
+        tables = protocol.route_tables(self.clusters, self.edges, self.blacklisted)
         for ch, cl in self.clusters.items():
-            cl.routes = {}
-            parent = {ch: None}
-            frontier = [ch]
-            while frontier:
-                nxt = []
-                for cur in frontier:
-                    for other in sorted(adj_ch.get(cur, ())):
-                        if other not in parent:
-                            parent[other] = cur
-                            nxt.append(other)
-                frontier = nxt
-            for dest in parent:
-                if dest == ch:
-                    continue
-                hop = dest
-                while parent[hop] != ch:
-                    hop = parent[hop]
-                pair = (ch, hop) if ch < hop else (hop, ch)
-                cl.routes[dest] = (hop, self.edges.get(pair, ()))
+            cl.routes = tables[ch]
 
     def _sweep_topology(self):
         moved = self._step_mobility()
@@ -366,7 +358,7 @@ class World:
         for nid in self.nodes:
             self.nodes[nid].cluster = None
         for ch, cl in self.clusters.items():
-            state = self.ch_state.setdefault(ch, ChState(ch))
+            state = self._head_state(ch)
             state.registry.update(cl.members)
             state.registry.add(ch)
             for n in cl.nodes():
@@ -741,7 +733,7 @@ class World:
                 # handover off the upstream head: open the watch and start
                 # the ack clock, snapshotting what the head knew just now
                 ch_node = self.nodes[up_ch]
-                st = self.ch_state.setdefault(up_ch, ChState(up_ch))
+                st = self._head_state(up_ch)
                 st.ledger.open_entry(
                     packet.packet_id, to, self.now,
                     res_eng=ch_node.neighbor_res.get(to, tn.res_eng),
@@ -947,7 +939,7 @@ class World:
             self.acted.add(nid)
             self.consume(node, "tx", self.cfg.control_size)
             self.consume(self.nodes[ch], "rx", self.cfg.control_size)
-            st = self.ch_state.setdefault(ch, ChState(ch))
+            st = self._head_state(ch)
             try:
                 verdict = detection.verify_identity(st.registry, nid, rreq.src)
             except UnknownLink:
@@ -988,7 +980,7 @@ class World:
     def _blacklist_rx(self, nid, from_ch, to_ch, reason):
         if to_ch not in self.clusters:
             return
-        st = self.ch_state.setdefault(to_ch, ChState(to_ch))
+        st = self._head_state(to_ch)
         if nid in st.blacklist:
             return
         self.consume(self.nodes[to_ch], "rx", self.cfg.control_size)

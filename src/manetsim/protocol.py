@@ -2,12 +2,12 @@
 
 All traffic is relayed through heads: a member hands its packet to its
 head, the head forwards it across designated gateways to the next head,
-and the destination's head delivers the final hop.  Routes are computed
-over the head adjacency graph by breadth-first search, so they minimize
-head-to-head hops; blacklisted nodes never appear on them.
+and the destination's head delivers the final hop.  Every topology
+refresh runs one breadth-first search per head over the head graph and
+keeps its parent tree as that head's route table; forwarding reads each
+path back from the table, so routes minimize head-to-head hops, and
+blacklisted nodes never appear on them.
 """
-
-from collections import deque
 
 from . import trust
 from .errors import NoRoute, RejectedBlacklisted, RejectedUntrusted
@@ -36,21 +36,49 @@ def drain_order(pending):
     return sorted(pending, key=lambda r: (-r[0], r[1], r[2]))
 
 
-def ch_adjacency(edges):
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return adj
+def route_tables(heads, edges, blacklisted):
+    """One breadth-first search per head over the head graph.
+
+    heads        head ids to build a table for
+    edges        {(ch_a, ch_b): gateways ordered from ch_a's side}
+    blacklisted  ids that may not carry traffic; an edge with one of them
+                 among its gateways is left out
+
+    Returns {head: {dest: (previous head, gateways into dest)}}, the BFS
+    parent tree rooted at the head in discovery order, with neighbours
+    visited in ascending id order.  The root has no entry.
+    """
+    out = {}
+    for (a, b), gws in edges.items():
+        if any(g in blacklisted for g in gws):
+            continue
+        out.setdefault(a, []).append((b, gws))
+        out.setdefault(b, []).append((a, tuple(reversed(gws))))
+    for links in out.values():
+        links.sort()
+    tables = {}
+    for ch in heads:
+        routes = {}
+        frontier = [ch]
+        while frontier:
+            nxt = []
+            for cur in frontier:
+                for other, gws in out.get(cur, ()):
+                    if other != ch and other not in routes:
+                        routes[other] = (cur, gws)
+                        nxt.append(other)
+            frontier = nxt
+        tables[ch] = routes
+    return tables
 
 
 def discover_route(world, src: int, dst: int):
     """Minimum head-hop path src's head -> dst's head, with gateways.
 
     Returns [(ch, gateways_traversed_into_it)], first entry the source
-    head with no gateways.  Edges whose gateways are blacklisted have
-    already been dropped from the designation map, but re-check anyway so
-    a stale map can never route through an outlaw.
+    head with no gateways.  The path is read back from the source head's
+    route table (see `route_tables`), which already leaves out every edge
+    with a blacklisted gateway.
     """
     ch_s = world.nodes[src].cluster
     ch_d = world.nodes[dst].cluster
@@ -60,32 +88,17 @@ def discover_route(world, src: int, dst: int):
         raise NoRoute(f"destination {dst} unclustered")
     if ch_s == ch_d:
         return [(ch_s, ())]
-
-    usable = {pair: gws for pair, gws in world.edges.items()
-              if not any(g in world.blacklisted for g in gws)}
-    adj = ch_adjacency(usable)
-    parent = {ch_s: None}
-    queue = deque([ch_s])
-    while queue:
-        cur = queue.popleft()
-        if cur == ch_d:
-            break
-        for nxt in sorted(adj.get(cur, ())):
-            if nxt not in parent:
-                parent[nxt] = cur
-                queue.append(nxt)
-    if ch_d not in parent:
+    routes = world.clusters[ch_s].routes
+    if ch_d not in routes:
         raise NoRoute(f"no head path {ch_s} -> {ch_d}")
-
-    order = [ch_d]
-    while parent[order[-1]] is not None:
-        order.append(parent[order[-1]])
-    order.reverse()
-
-    path = [(ch_s, ())]
-    for prev, cur in zip(order, order[1:]):
-        gws = usable[(prev, cur)] if (prev, cur) in usable else tuple(reversed(usable[(cur, prev)]))
+    path = []
+    cur = ch_d
+    while cur != ch_s:
+        prev, gws = routes[cur]
         path.append((cur, gws))
+        cur = prev
+    path.append((ch_s, ()))
+    path.reverse()
     return path
 
 

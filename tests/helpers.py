@@ -7,10 +7,16 @@ lowest id in each blob wins the initial all-equal election, so the heads
 are 0, 7, 14 and 21, and the bridges 27/28/29 are the only possible
 gateways on the backbone. Traffic from blob A to blob D must cross all
 three bridges.
+
+`StubWorld` is a hand-built head graph without an engine, for the
+admission and routing tests.
 """
 
+from manetsim import trust
+from manetsim.clustering import Cluster
 from manetsim.config import SimConfig
 from manetsim.engine import World
+from manetsim.protocol import route_tables
 
 BLOB_CENTERS = ((60.0, 250.0), (180.0, 250.0), (300.0, 250.0), (420.0, 250.0))
 BLOB_OFFSETS = ((0, 0), (6, 0), (-6, 0), (0, 6), (0, -6), (4, 4), (-4, -4))
@@ -57,3 +63,28 @@ def run_world(cfg):
 
 def events_of(log, kind):
     return [(t, dict(d)) for t, k, d in log if k == kind]
+
+
+class StubNode:
+    def __init__(self, cluster):
+        self.cluster = cluster
+
+
+class StubWorld:
+    """Just enough state for admission and route discovery: the head route
+    tables are built from `edges` the way the engine builds them."""
+
+    def __init__(self, clusters, edges, blacklisted=(), records=None):
+        # clusters: head -> member ids
+        self.nodes = {}
+        for ch, members in clusters.items():
+            self.nodes[ch] = StubNode(ch)
+            for m in members:
+                self.nodes[m] = StubNode(ch)
+        self.edges = dict(edges)
+        self.blacklisted = {b: None for b in blacklisted}
+        self.trust_registry = records or {n: trust.init_trust(n) for n in self.nodes}
+        self.clusters = {ch: Cluster(ch, set(members)) for ch, members in clusters.items()}
+        tables = route_tables(self.clusters, self.edges, self.blacklisted)
+        for ch, cl in self.clusters.items():
+            cl.routes = tables[ch]

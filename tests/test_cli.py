@@ -160,6 +160,27 @@ def test_cli_rejects_single_sample_hello_window(tmp_path, capsys):
     assert "hello_window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, flags, key", [
+    ("", ["--attack", "nonsense", "--malicious", "0.1"], "attack"),
+    ("adversaries: [{node: 1, kind: nonsense}]\n", [], "kind"),
+    ("adversaries: [{node: 99, kind: black_hole}]\n", [], "node"),
+    ("adversaries: [{node: 1, kind: wormhole, peer: 10}]\n", [], "peer"),
+    ("adversaries: [{node: 1, kind: wormhole}]\n", [], "peer"),
+    ("adversaries: [{node: 1, kind: spoof, victim: -1}]\n", [], "victim"),
+    ("adversaries: [{node: 1, kind: slander, targets: [2, 12]}]\n", [], "targets"),
+    ("traffic: [[0, 50]]\n", [], "traffic"),
+    ("traffic: [[3, 3]]\n", [], "traffic"),
+    ("traffic: [[3]]\n", [], "traffic"),
+    ("energy_overrides: {77: 1.0}\n", [], "energy_overrides"),
+], ids=["attack", "kind", "node", "peer", "peer_missing", "victim", "targets",
+        "traffic_range", "traffic_self", "traffic_shape", "energy_overrides"])
+def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
+    cfg = write_scenario(tmp_path, text=TINY + extra)
+    assert main([cfg, "--out", str(tmp_path / "x")] + flags) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_rejects_malformed_yaml(tmp_path, capsys):
     cfg = write_scenario(tmp_path, text="node_counts: [10\n")
     assert main([cfg]) == 2

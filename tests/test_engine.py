@@ -2,7 +2,7 @@ import pytest
 
 from helpers import (BRIDGES, HEADS, desk_config, desk_positions, events_of,
                      run_world)
-from manetsim import adversary, detection
+from manetsim import adversary, detection, engine
 from manetsim.config import SimConfig
 from manetsim.engine import Node, World, consume_energy, energy_bill, run
 from manetsim.metrics import metrics_from_log
@@ -198,6 +198,30 @@ def test_judge_without_resolved_evidence_returns_quietly():
     assert ledger.resolved_for(gateway) == []   # still pending
     assert world._judge(head, gateway) is None
     assert world.ch_state[head].ledger.by_packet[1].ack_status == detection.PENDING
+
+
+# ---- head state ----
+
+def test_head_state_built_once_per_head(monkeypatch):
+    """Topology ticks, handovers, spoof checks and blacklist notices all look
+    up a head's state; only the first lookup may build it."""
+    built = []
+    init = engine.ChState.__init__
+
+    def counting_init(self, ch_id):
+        built.append(ch_id)
+        init(self, ch_id)
+
+    monkeypatch.setattr(engine.ChState, "__init__", counting_init)
+    world, _ = run_world(SimConfig(
+        node_count=40, area=(300.0, 300.0), sim_duration=3.0, seed=3,
+        source_fraction=0.5, cbr_interval=0.05, grey_drop_rate=0.5,
+        adversaries=[{"node": 5, "kind": adversary.GREY_HOLE},
+                     {"node": 9, "kind": adversary.GREY_HOLE},
+                     {"node": 12, "kind": adversary.SPOOF, "victim": 3}]))
+    assert events_of(world.events_log, "spoof_attempt")
+    assert events_of(world.events_log, "blacklist_rx")
+    assert len(built) == len(world.ch_state)
 
 
 # ---- log-derived metrics ----

@@ -1,29 +1,10 @@
 import pytest
 
-from manetsim import protocol, trust
+from helpers import StubWorld
+from manetsim import trust
 from manetsim.errors import NoRoute, RejectedBlacklisted, RejectedUntrusted
 from manetsim.protocol import (ack_plan, ack_timeout, build_plan, discover_route,
                                drain_order, originate_request, tx_time)
-
-
-class StubNode:
-    def __init__(self, cluster):
-        self.cluster = cluster
-
-
-class StubWorld:
-    """Just enough state for admission and route discovery."""
-
-    def __init__(self, clusters, edges, blacklisted=(), records=None):
-        # clusters: head -> member ids
-        self.nodes = {}
-        for ch, members in clusters.items():
-            self.nodes[ch] = StubNode(ch)
-            for m in members:
-                self.nodes[m] = StubNode(ch)
-        self.edges = dict(edges)
-        self.blacklisted = {b: None for b in blacklisted}
-        self.trust_registry = records or {n: trust.init_trust(n) for n in self.nodes}
 
 
 DESK = StubWorld(
