@@ -149,6 +149,11 @@ class SimConfig:
 
         if self.attack not in adversary.KINDS:
             raise ConfigError(f"attack {self.attack!r} is not one of {kinds}")
+        if (self.attack == adversary.SPOOF and not self.adversaries
+                and int(round(self.malicious_fraction * n)) >= n):
+            # fraction placement picks each spoofer's victim among the rest
+            raise ConfigError(f"malicious_fraction {self.malicious_fraction} plants "
+                              f"all {n} nodes, leaving attack 'spoof' no victim")
         for i, spec in enumerate(self.adversaries):
             where = f"adversaries[{i}]"
             if not isinstance(spec, dict):

@@ -52,6 +52,7 @@ class LedgerEntry:
     downstream_ch: int | None = None
     retransmitted: bool = False  # head overheard the custodian pass it on
     delivered_downstream: bool = False
+    seq: int = 0                # open order within the ledger
 
 
 @dataclass
@@ -64,15 +65,25 @@ class Verdict:
 
 @dataclass
 class SurveillanceLedger:
+    """One head's watched handovers, indexed by packet and by gateway.
+
+    `resolve` files each entry under the gateway holding custody at that
+    moment: `resolved` counts them and `timeouts` keeps the TIMEOUT ones,
+    in resolve order. An entry's gateway and context change only while it
+    is PENDING, so the index stays what a scan of every entry would find.
+    """
     ch_id: int
-    entries: list = field(default_factory=list)
+    opened: int = 0                                # entries opened so far
     by_packet: dict = field(default_factory=dict)
+    resolved: dict = field(default_factory=dict)   # gateway -> resolved entries
+    timeouts: dict = field(default_factory=dict)   # gateway -> its TIMEOUT entries
 
     def open_entry(self, packet_id, gateway, now, res_eng, rel_mobility,
                    downstream_ch=None) -> LedgerEntry:
         entry = LedgerEntry(packet_id, gateway, now, res_eng=res_eng,
-                            rel_mobility=rel_mobility, downstream_ch=downstream_ch)
-        self.entries.append(entry)
+                            rel_mobility=rel_mobility, downstream_ch=downstream_ch,
+                            seq=self.opened)
+        self.opened += 1
         self.by_packet[packet_id] = entry
         return entry
 
@@ -83,19 +94,23 @@ class SurveillanceLedger:
         entry.ack_status = status
         if context is not None:
             entry.context = context
+        gw = entry.gateway
+        self.resolved[gw] = self.resolved.get(gw, 0) + 1
+        if status == TIMEOUT:
+            self.timeouts.setdefault(gw, []).append(entry)
         return entry
-
-    def resolved_for(self, gateway):
-        return [e for e in self.entries
-                if e.gateway == gateway and e.ack_status != PENDING]
 
 
 def _culpable(e, th: DetectionThresholds) -> bool:
-    return (e.ack_status == TIMEOUT
-            and e.context == LINK_OK
+    """A timeout nothing exonerates: link up, battery high, not speeding."""
+    return (e.context == LINK_OK
             and e.res_eng >= th.energy_high_threshold
             and e.rel_mobility is not None
             and abs(e.rel_mobility) <= th.velocity_low_threshold)
+
+
+def _in_open_order(entries) -> tuple:
+    return tuple(e.packet_id for e in sorted(entries, key=lambda e: e.seq))
 
 
 def judge_forwarding(ledger: SurveillanceLedger, gateway: int,
@@ -106,21 +121,21 @@ def judge_forwarding(ledger: SurveillanceLedger, gateway: int,
     culpable; enough of them is malice.  Timeouts in the battery band just
     under "high" read as selfishness when recurring.  Anything else that
     timed out stays inconclusive, and a clean ACKed record is normal.
+    Only the gateway's timeouts can be culpable or stingy, so only they are
+    classified; evidence lists packets in the order their entries opened.
     """
-    entries = ledger.resolved_for(gateway)
-    if not entries:
+    if not ledger.resolved.get(gateway):
         raise NoEvidence(f"no resolved entries for node {gateway}")
-    culpable = [e for e in entries if _culpable(e, th)]
+    timeouts = ledger.timeouts.get(gateway, ())
+    culpable = [e for e in timeouts if _culpable(e, th)]
     if len(culpable) >= th.accusation_threshold:
-        return Verdict(MALICIOUS, gateway,
-                       tuple(e.packet_id for e in culpable), "culpable_drops")
-    stingy = [e for e in entries
-              if e.ack_status == TIMEOUT and e.context == LINK_OK
+        return Verdict(MALICIOUS, gateway, _in_open_order(culpable), "culpable_drops")
+    stingy = [e for e in timeouts
+              if e.context == LINK_OK
               and SELFISH_ENERGY_FLOOR <= e.res_eng < th.energy_high_threshold]
     if len(stingy) >= th.accusation_threshold:
-        return Verdict(SELFISH, gateway,
-                       tuple(e.packet_id for e in stingy), "recurring_refusal")
-    if any(e.ack_status == TIMEOUT for e in entries):
+        return Verdict(SELFISH, gateway, _in_open_order(stingy), "recurring_refusal")
+    if timeouts:
         return Verdict(INCONCLUSIVE, gateway, reason="exonerated_timeouts")
     return Verdict(NORMAL, gateway)
 

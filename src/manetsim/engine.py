@@ -167,14 +167,6 @@ class World:
     def distance(self, a: Node, b: Node) -> float:
         return a.pos.distance_to(b.pos)
 
-    def connected(self, a: Node, b: Node) -> bool:
-        """Link rule: in range and above the receiver sensitivity floor."""
-        d = self.distance(a, b)
-        if d > self.radio.radio_range:
-            return False
-        rp = radio.friis_recv_power(a.tx_power, max(d, radio.MIN_DISTANCE_M), self.radio)
-        return rp >= self.radio.recv_power_floor
-
     def consume(self, node: Node, role, nbytes) -> bool:
         """Charge the radio bill; False when the battery could not cover it."""
         if not node.alive:
@@ -272,22 +264,60 @@ class World:
         return True
 
     def _rebuild_adjacency(self):
-        rng_r = self.radio.radio_range
-        nodes = self.nodes
+        """The link rule, applied to every pair of live nodes.
+
+        Two live nodes are linked when they are within `radio_range` and
+        each hears the other above the sensitivity floor (the Friis power
+        at the distance, clamped to `MIN_DISTANCE_M`). This is the only
+        place the rule is evaluated: positions move only right before a
+        rebuild, so the data plane reads links from `adjacency`.
+
+        Candidates come from a uniform grid (the cell-list method): in-range
+        pairs lie in the same or adjacent cells. Cells are `radio_range`
+        wide plus a part in 1e9, so float rounding at a border cannot put
+        an in-range pair two cells apart. `_pairs` is sorted, which makes
+        it, the adjacency sets' insertion order and `_neighbors` those of
+        an all-pairs scan in id order.
+        """
+        params, nodes = self.radio, self.nodes
+        rng_r, floor, k, q = (params.radio_range, params.recv_power_floor,
+                              params.k, params.q)
+        rng_r2 = rng_r * rng_r
+        width = rng_r * (1 + 1e-9)
         adj = {nid: set() for nid in nodes if nodes[nid].alive}
-        ids = sorted(adj)
+        cells = {}
+        for nid in adj:
+            pos = nodes[nid].pos
+            cells.setdefault((int(pos.x // width), int(pos.y // width)), []).append(nid)
         pairs = []
-        for i, a in enumerate(ids):
-            na = nodes[a]
-            ax, ay = na.pos.x, na.pos.y
-            for b in ids[i + 1:]:
-                nb = nodes[b]
-                dx, dy = ax - nb.pos.x, ay - nb.pos.y
-                if dx * dx + dy * dy <= rng_r * rng_r:
-                    if self.connected(na, nb) and self.connected(nb, na):
-                        adj[a].add(b)
-                        adj[b].add(a)
-                        pairs.append((a, b))
+        for (cx, cy), here in cells.items():
+            # this cell with itself, then the four neighbours that come
+            # after it, so each pair of cells is visited once
+            near = [(here, True)]
+            for key in ((cx, cy + 1), (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1)):
+                there = cells.get(key)
+                if there is not None:
+                    near.append((there, False))
+            for i, a in enumerate(here):
+                na = nodes[a]
+                ax, ay, ta = na.pos.x, na.pos.y, na.tx_power
+                for there, same in near:
+                    for b in (there[i + 1:] if same else there):
+                        nb = nodes[b]
+                        dx, dy = ax - nb.pos.x, ay - nb.pos.y
+                        if dx * dx + dy * dy > rng_r2:
+                            continue
+                        d = math.hypot(dx, dy)   # Position.distance_to
+                        if d > rng_r:
+                            continue
+                        dq = max(d, radio.MIN_DISTANCE_M) ** q
+                        # radio.friis_recv_power's expression, both ways
+                        if k * ta / dq >= floor and k * nb.tx_power / dq >= floor:
+                            pairs.append((a, b) if a < b else (b, a))
+        pairs.sort()
+        for a, b in pairs:
+            adj[a].add(b)
+            adj[b].add(a)
         self.adjacency = adj
         self._neighbors = {nid: sorted(nbs) for nid, nbs in adj.items()}
         self._pairs = pairs
@@ -476,8 +506,9 @@ class World:
         sender, distance estimate, the receiver's HELLO samples of the id
         the sender claims, the receiver's residual-energy table, the
         receiver's HELLO receive bill, the claimed id when spoofed or None,
-        whether the entry opens its pair). Both directions passed the link
-        rule at the rebuild, so every one is above the sensitivity floor.
+        whether the entry opens its pair). `_rebuild_adjacency` put the pair in
+        `_pairs` only if both directions pass the link rule, so every one is
+        above the sensitivity floor.
         """
         cfg, params, nodes = self.cfg, self.radio, self.nodes
         size = cfg.hello_size
@@ -713,7 +744,7 @@ class World:
                     entry = cand
 
         ok = fn.alive and self.consume(fn, "tx", packet.size)
-        live = ok and tn.alive and self.connected(fn, tn) and self.connected(tn, fn)
+        live = ok and tn.alive and to in self.adjacency.get(frm, ())
         if live:
             live = self.consume(tn, "rx", packet.size)
         if not live:
@@ -806,7 +837,7 @@ class World:
         frm, to = aplan[idx], aplan[idx + 1]
         fn, tn = self.nodes[frm], self.nodes[to]
         ok = fn.alive and self.consume(fn, "tx", ack.size)
-        live = ok and tn.alive and self.connected(fn, tn) and self.connected(tn, fn)
+        live = ok and tn.alive and to in self.adjacency.get(frm, ())
         if live:
             live = self.consume(tn, "rx", ack.size)
         if not live:
@@ -871,7 +902,8 @@ class World:
                 # heads; the destination only takes data from its own head
                 self.consume(pn, "tx", packet.size)
                 dn = self.nodes[packet.dst]
-                if dn.alive and self.connected(pn, dn) and self.connected(dn, pn):
+                # a peer that is itself the destination needs no link
+                if dn.alive and (dn is pn or packet.dst in self.adjacency.get(peer, ())):
                     self.consume(dn, "rx", packet.size)
                     self.log("tunnel_delivery_rejected", dst=packet.dst,
                              packet=packet.packet_id)

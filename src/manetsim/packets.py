@@ -9,11 +9,8 @@ RREQ = "RREQ"
 RREP = "RREP"
 ROUTE_ADVERT = "ROUTE_ADVERT"
 TRUST_REPORT = "TRUST_REPORT"
-BLACKLIST = "BLACKLIST"
 
-KINDS = (DATA, ACK, HELLO, RREQ, RREP, ROUTE_ADVERT, TRUST_REPORT, BLACKLIST)
-
-CONTROL_KINDS = frozenset(KINDS) - {DATA}
+KINDS = (DATA, ACK, HELLO, RREQ, RREP, ROUTE_ADVERT, TRUST_REPORT)
 
 
 @dataclass

@@ -63,15 +63,10 @@ def on_malicious(rec: TrustRecord) -> TrustRecord:
     return rec
 
 
-def on_service_charge(rec: TrustRecord) -> TrustRecord:
-    """Debit the per-session charge for the node's own completed transfer."""
-    rec.loose_trust = min(rec.loose_trust + 1, rec.earn_trust)
-    return rec
-
-
-def is_eligible(rec: TrustRecord) -> bool:
-    """Only nodes with strictly positive trust may request transfers."""
-    return trust_value(rec) > 0
+# The per-session charge for a node's own completed transfer is the same
+# one-unit debit as a selfishness hit; it keeps its own name so callers and
+# tracers can tell the two apart.
+on_service_charge = on_selfish
 
 
 def is_blacklisted(rec: TrustRecord, limit: float = DEFAULT_BLACKLIST_LIMIT) -> bool:

@@ -172,8 +172,10 @@ def test_cli_rejects_single_sample_hello_window(tmp_path, capsys):
     ("traffic: [[3, 3]]\n", [], "traffic"),
     ("traffic: [[3]]\n", [], "traffic"),
     ("energy_overrides: {77: 1.0}\n", [], "energy_overrides"),
+    ("", ["--attack", "spoof", "--malicious", "1.0"], "malicious_fraction"),
 ], ids=["attack", "kind", "node", "peer", "peer_missing", "victim", "targets",
-        "traffic_range", "traffic_self", "traffic_shape", "energy_overrides"])
+        "traffic_range", "traffic_self", "traffic_shape", "energy_overrides",
+        "spoof_no_victim"])
 def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     cfg = write_scenario(tmp_path, text=TINY + extra)
     assert main([cfg, "--out", str(tmp_path / "x")] + flags) == 2

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detection_reference import reference_judge_forwarding
 from manetsim import packets, trust
 from manetsim.detection import (ACKED, INCONCLUSIVE, LINK_BROKEN, LINK_OK,
                                 MALICIOUS, NORMAL, PENDING, SELFISH, TIMEOUT,
@@ -42,9 +45,11 @@ def test_resolve_unknown_packet_is_none():
     assert SurveillanceLedger(ch_id=0).resolve(99, ACKED) is None
 
 
-def test_resolved_for_excludes_pending():
-    led = ledger_with(27, [(ACKED, LINK_OK, 0.9, 0.0), (PENDING, LINK_OK, 0.9, 0.0)])
-    assert len(led.resolved_for(27)) == 1
+def test_resolved_index_excludes_pending():
+    led = ledger_with(27, [(ACKED, LINK_OK, 0.9, 0.0), (PENDING, LINK_OK, 0.9, 0.0),
+                           (TIMEOUT, LINK_OK, 0.9, 0.0)])
+    assert led.resolved[27] == 2
+    assert [e.packet_id for e in led.timeouts[27]] == [2]
 
 
 # ---- forwarding judgment ----
@@ -113,6 +118,82 @@ def test_conviction_counts_per_gateway():
     led.resolve(50, TIMEOUT)
     assert judge_forwarding(led, 29, TH).label == INCONCLUSIVE
     assert judge_forwarding(led, 28, TH).label == MALICIOUS
+
+
+# ---- indexed judgment against the full scan (detection_reference.py) ----
+
+GATEWAYS = (3, 4)
+# values on and around the drawn battery and speed thresholds, weighted
+# towards culpable timeouts so that verdicts carry several packets
+RES_ENG = (0.05, 0.4, 0.45, 0.5, 0.9, 0.9)
+MOBILITY = (None, -5.0, 0.0, 0.0, 5.0, 12.0)
+RESOLUTIONS = (None, (TIMEOUT, None), (TIMEOUT, None), (TIMEOUT, LINK_BROKEN),
+               (ACKED, None), (ACKED, LINK_BROKEN))
+
+thresholds = st.builds(DetectionThresholds,
+                       accusation_threshold=st.integers(1, 3),
+                       energy_high_threshold=st.sampled_from((0.45, 0.5, 0.7)),
+                       velocity_low_threshold=st.sampled_from((0.0, 5.0)))
+custody = st.tuples(st.sampled_from(GATEWAYS), st.sampled_from(RES_ENG),
+                    st.sampled_from(MOBILITY))
+
+
+@st.composite
+def ledger_histories(draw):
+    """Per entry: its custody at open; a custody move, a broken link or
+    nothing while pending; and its resolution, or none.  `order` lists each
+    entry index three times and is shuffled: an entry's first appearance
+    opens it, the second applies the pending change and the third resolves
+    it, so opens, moves and resolves of different entries interleave and
+    timeouts resolve out of open order."""
+    n = draw(st.integers(1, 16))
+    plans = draw(st.lists(st.tuples(
+        custody,
+        st.one_of(st.sampled_from((None, None, "break")), custody),
+        st.sampled_from(RESOLUTIONS)),
+        min_size=n, max_size=n))
+    order = draw(st.permutations([i for i in range(n) for _ in range(3)]))
+    return plans, order
+
+
+def outcome(judge, *args):
+    try:
+        return judge(*args)
+    except NoEvidence:
+        return "no evidence"
+
+
+@settings(max_examples=200, deadline=None)
+@given(ledger_histories(), thresholds, thresholds)
+def test_indexed_judgment_matches_full_scan(history, th, final_th):
+    """Every judgment, evidence order and NoEvidence included, equals the
+    scan over all entries in open order: after each resolve, as the engine
+    judges, and at the end for every gateway and one never seen."""
+    plans, order = history
+    led = SurveillanceLedger(ch_id=0)
+    entries = {}           # plan index -> entry, in open order
+    for i in order:
+        (gw, res, mob), pending_change, resolution = plans[i]
+        e = entries.get(i)
+        if e is None:
+            # packet ids fall as entries open, so sorting by id is not open order
+            entries[i] = led.open_entry(1000 - len(entries), gw, float(len(entries)),
+                                        res_eng=res, rel_mobility=mob)
+        elif e.ack_status == PENDING and not e.retransmitted:
+            # what `World._hop` does to a pending entry
+            e.retransmitted = True
+            if pending_change == "break":
+                e.context = LINK_BROKEN
+            elif pending_change is not None:
+                e.gateway, e.res_eng, e.rel_mobility = pending_change
+        elif resolution is not None and led.resolve(e.packet_id, *resolution):
+            assert (outcome(judge_forwarding, led, e.gateway, th)
+                    == outcome(reference_judge_forwarding, list(entries.values()),
+                               e.gateway, th))
+    for gw in GATEWAYS + (9,):
+        assert (outcome(judge_forwarding, led, gw, final_th)
+                == outcome(reference_judge_forwarding, list(entries.values()),
+                           gw, final_th))
 
 
 # ---- identity checks ----

@@ -195,7 +195,7 @@ def test_judge_without_resolved_evidence_returns_quietly():
     head, gateway = HEADS[1], BRIDGES[0]
     ledger = world.ch_state[head].ledger
     ledger.open_entry(1, gateway, world.now, res_eng=1.0, rel_mobility=None)
-    assert ledger.resolved_for(gateway) == []   # still pending
+    assert gateway not in ledger.resolved   # still pending
     assert world._judge(head, gateway) is None
     assert world.ch_state[head].ledger.by_packet[1].ack_status == detection.PENDING
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from manetsim import trust
-from manetsim.trust import (TrustRecord, init_trust, is_blacklisted, is_eligible,
+from manetsim.trust import (TrustRecord, init_trust, is_blacklisted,
                             on_forward_success, on_malicious, on_selfish,
                             on_service_charge, trust_value)
 
@@ -64,8 +64,8 @@ def test_service_charge_matches_selfish_step():
 
 
 def test_eligibility_needs_strictly_positive_value():
-    assert is_eligible(rec(100, 99))
-    assert not is_eligible(rec(100, 100))
+    assert trust_value(rec(100, 99)) > 0
+    assert trust_value(rec(100, 100)) <= 0
 
 
 def test_blacklist_boundary_is_strict():

@@ -1,11 +1,44 @@
-"""Reference topology upkeep: the all-pairs gateway scan and the per-packet
-route search that link-indexed designation and the head route tables
-replaced, kept as the oracles for the differential tests.
+"""Reference topology upkeep: the all-pairs neighbour scan, the both-way
+link check the data plane made on every hop, the all-pairs gateway scan and
+the per-packet route search that the grid, adjacency lookups, link-indexed
+designation and the head route tables replaced, kept as the oracles for the
+differential tests.
 """
 
 from collections import deque
 
 from manetsim.errors import NoRoute
+from manetsim.radio import MIN_DISTANCE_M, friis_recv_power
+
+
+def reference_link(a, b, params):
+    """The link rule from current positions: in range, and each node hears
+    the other above the sensitivity floor."""
+    d = a.pos.distance_to(b.pos)
+    if d > params.radio_range:
+        return False
+    d = max(d, MIN_DISTANCE_M)
+    return (friis_recv_power(a.tx_power, d, params) >= params.recv_power_floor
+            and friis_recv_power(b.tx_power, d, params) >= params.recv_power_floor)
+
+
+def reference_adjacency(nodes, params):
+    """Every pair of live nodes in id order: (adjacency, neighbours in id
+    order, linked pairs)."""
+    r = params.radio_range
+    adj = {nid: set() for nid in nodes if nodes[nid].alive}
+    ids = sorted(adj)
+    pairs = []
+    for i, a in enumerate(ids):
+        na = nodes[a]
+        for b in ids[i + 1:]:
+            nb = nodes[b]
+            dx, dy = na.pos.x - nb.pos.x, na.pos.y - nb.pos.y
+            if dx * dx + dy * dy <= r * r and reference_link(na, nb, params):
+                adj[a].add(b)
+                adj[b].add(a)
+                pairs.append((a, b))
+    return adj, {nid: sorted(nbs) for nid, nbs in adj.items()}, pairs
 
 
 def reference_designate_gateways(clusters, adjacency, score_fn, excluded):
