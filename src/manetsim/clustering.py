@@ -198,19 +198,18 @@ def _unclustered(clusters, alive):
     return {n for n in alive if n not in covered}
 
 
-def designate_gateways(clusters, adjacency, score_fn, excluded):
-    """Pick at most two linking members per adjacent cluster pair.
+def gateway_candidates(clusters, adjacency, excluded):
+    """Every way to link each pair of adjacent clusters, before scoring.
 
-    A single member in range of both heads beats any relay pair; among
-    equals the higher score wins, then the lower id.  Returns
-    {(ch_a, ch_b): (gateways...)} with ch_a < ch_b and the gateway tuple
-    ordered from ch_a's side.  Also rewrites each cluster's gateway set.
+    Reads only the links, each head's members and the excluded ids, so a
+    caller may keep the result until one of those changes.  Candidates come
+    from member links, so only head pairs that have one are visited; a
+    member may serve more than one head.  Returns ((ch_a, ch_b), width,
+    ids) per linked head pair, in pair order, with ch_a < ch_b.  Width 1:
+    ids are the members in range of both heads.  Width 2, only when there
+    is no such member: ids are the linked (member of ch_a, member of ch_b)
+    pairs, flattened.
     """
-    for cl in clusters.values():
-        cl.gateways = set()
-
-    # Candidates come from member links, so only head pairs that have one
-    # are visited.  A member may serve more than one head.
     heads_of = {}
     for c in sorted(clusters):
         for m in clusters[c].members:
@@ -224,24 +223,48 @@ def designate_gateways(clusters, adjacency, score_fn, excluded):
                 for h in links:
                     if h != c and h in clusters:
                         singles.setdefault((c, h) if c < h else (h, c), []).append(m)
-    relays = {}    # (a, b) without a single -> linked (member of a, member of b)
+    relays = {}    # (a, b) without a single -> linked (member of a, member of b) pairs, flat
     for m, own in heads_of.items():
         links = adjacency.get(m, ())
         for c in own:
             for n in links:
                 for h in heads_of.get(n, ()):
                     if h > c and (c, h) not in singles:
-                        relays.setdefault((c, h), []).append((m, n))
+                        relays.setdefault((c, h), []).extend((m, n))
+    return tuple((pair, 1, tuple(singles[pair])) if pair in singles
+                 else (pair, 2, tuple(relays[pair]))
+                 for pair in sorted(singles.keys() | relays.keys()))
+
+
+def designate_gateways(clusters, candidates, score_fn):
+    """Pick at most two linking members per adjacent cluster pair.
+
+    candidates is what `gateway_candidates` returned for these clusters,
+    and score_fn is called once per candidate id.  A single member in
+    range of both heads beats any relay pair; among equals the higher
+    score wins, then the lower id.  Both keys are total orders, so the
+    winner does not depend on candidate order.  Returns
+    {(ch_a, ch_b): (gateways...)} with ch_a < ch_b and the gateway tuple
+    ordered from ch_a's side.  Also rewrites each cluster's gateway set.
+    """
+    for cl in clusters.values():
+        cl.gateways = set()
+
+    score = {}
+    for _, _, ids in candidates:
+        for m in ids:
+            if m not in score:
+                score[m] = score_fn(m)
 
     edges = {}
-    for pair in sorted(singles.keys() | relays.keys()):
-        single = singles.get(pair)
-        if single:
-            edges[pair] = (max(single, key=lambda m: (score_fn(m), -m)),)
+    for pair, width, ids in candidates:
+        if width == 1:
+            edges[pair] = (max(ids, key=lambda m: (score[m], -m)),)
             continue
         best_pair, best_key = None, None
-        for ma, mb in relays[pair]:
-            key = (score_fn(ma) + score_fn(mb), -ma, -mb)
+        it = iter(ids)
+        for ma, mb in zip(it, it):
+            key = (score[ma] + score[mb], -ma, -mb)
             if best_key is None or key > best_key:
                 best_pair, best_key = (ma, mb), key
         edges[pair] = best_pair

@@ -112,10 +112,13 @@ class SimConfig:
         if self.path_loss_q not in (2, 3, 4):
             raise ConfigError("path_loss_q must be 2, 3 or 4")
         for name in ("tx_power_range", "rx_power_range", "speed_range",
-                     "initial_energy_range", "area"):
+                     "initial_energy_range"):
             lo, hi = getattr(self, name)
             if lo > hi or hi < 0:
                 raise ConfigError(f"{name} must be an ordered non-negative range")
+        width, height = self.area
+        if width < 0 or height < 0:
+            raise ConfigError("area must be a non-negative [width, height]")
         if self.initial_energy_range[1] <= 0:
             raise ConfigError("initial_energy_range must allow positive energy")
         if not 0 <= self.malicious_fraction <= 1:

@@ -126,15 +126,15 @@ class World:
         self._neighbors = {}         # node id -> its adjacency, in id order
         self._pairs = []
         self._beacon_links = None    # built by the first HELLO round after a rebuild
+        self._gateway_candidates = None  # see _refresh_backbone
+        self._route_tables = None    # (edges, head route tables built from them)
         self._dirty_topology = True
-        self._score_cache = {}
 
         self.generated = 0
         self.delivered = 0
         self.dropped = {}
         self.delays = []
         self.acted = set()
-        self.adverts_dropped = 0
         self._flood_seq = {}
         self._source_plan = []
         self._sessions_left = {}
@@ -322,6 +322,7 @@ class World:
         self._neighbors = {nid: sorted(nbs) for nid, nbs in adj.items()}
         self._pairs = pairs
         self._beacon_links = None
+        self._gateway_candidates = None
 
     def node_metrics(self, nid, incumbent=None) -> ElectionMetrics:
         n = self.nodes[nid]
@@ -352,17 +353,29 @@ class World:
                                mob, cov)
 
     def _refresh_backbone(self):
-        score = self._score_cache
-        score.clear()
+        """Designate gateways and hand every head its route table.
 
+        Gateway candidates read only the links, the members and the
+        blacklist, so they are kept until `_rebuild_adjacency`, a membership
+        change or `eject_node` drops them. Scores move with energy and
+        trust, so the winners are picked on every refresh. Route tables
+        read only the heads, the edges and the blacklist: they are rebuilt
+        when the edges differ or a membership change or `eject_node`
+        dropped them, and handed out again every time, because a
+        re-elected head gets a fresh `Cluster`.
+        """
         def score_fn(nid):
-            if nid not in score:
-                score[nid] = clustering.composite_score(self.node_metrics(nid), self.weights)
-            return score[nid]
+            return clustering.composite_score(self.node_metrics(nid), self.weights)
 
-        self.edges = clustering.designate_gateways(
-            self.clusters, self.adjacency, score_fn, self.blacklisted)
-        tables = protocol.route_tables(self.clusters, self.edges, self.blacklisted)
+        if self._gateway_candidates is None:
+            self._gateway_candidates = clustering.gateway_candidates(
+                self.clusters, self.adjacency, self.blacklisted)
+        edges = clustering.designate_gateways(
+            self.clusters, self._gateway_candidates, score_fn)
+        if self._route_tables is None or self._route_tables[0] != edges:
+            self._route_tables = (edges, protocol.route_tables(
+                self.clusters, edges, self.blacklisted))
+        self.edges, tables = self._route_tables
         for ch, cl in self.clusters.items():
             cl.routes = tables[ch]
 
@@ -383,6 +396,10 @@ class World:
         events = clustering.maintain_membership(
             self.clusters, alive, self.adjacency, self.node_metrics,
             self.weights, may_head, may_join)
+        if events:
+            # every membership change is reported, except dropping dead
+            # members, which follows the rebuild above
+            self._gateway_candidates = self._route_tables = None
         for ev in events:
             self.log("topology", change=ev[0], detail=tuple(ev[1:]))
         for nid in self.nodes:
@@ -410,6 +427,7 @@ class World:
         for cl in self.clusters.values():
             cl.members.discard(nid)
             cl.gateways.discard(nid)
+        self._gateway_candidates = self._route_tables = None
         self._refresh_backbone()
 
     def flood_blacklist(self, nid, issuing_ch, reason):
@@ -712,7 +730,6 @@ class World:
             self.log("data_emit", packet=pid, session=sid, plan=())
             self.drop_data(packet, "no_route", sid)
         else:
-            s.ch_path = route
             plan, segments = protocol.build_plan(route, s.src, s.dst)
             timeout_s = protocol.ack_timeout(
                 self.cfg.packet_size, self.cfg.channel_capacity,
@@ -1002,7 +1019,6 @@ class World:
             for adv in adverts:
                 if detection.handle_route_advert(adv, from_member=True):
                     kept += 1
-            self.adverts_dropped += len(adverts) - kept
             self.log("advert_burst", node=nid, at=ch, count=len(adverts),
                      accepted=kept, table_size=len(self.clusters[ch].routes))
         nxt = self.now + self.cfg.flood_interval

@@ -35,7 +35,6 @@ class Session:
     started_at: float
     packets_total: int
     requester_trust: float
-    ch_path: list = field(default_factory=list)  # [(ch_id, gateways_into_it)]
     sent: int = 0
     delivered: int = 0
     failed: int = 0

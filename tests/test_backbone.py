@@ -1,0 +1,106 @@
+"""The gateway candidates and route tables a World keeps between refreshes
+against a fresh designation on the same state.
+
+`World._refresh_backbone` keeps its gateway candidates until the links
+are rebuilt, the membership changes or a node is ejected, and its route
+tables until the edges differ or the membership or blacklist changes.
+After every refresh, the edges, each cluster's gateways and each head's
+routes must equal what the all-pairs scan of `topology_reference.py` and
+`protocol.route_tables` give from scratch. The worlds are small, static
+or mobile, with batteries small enough that heads fall under the energy
+floor and nodes run dry, a black or grey hole for `eject_node` to expel,
+and a HELLO spoofer.
+"""
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from manetsim import adversary
+from manetsim.clustering import Cluster, composite_score
+from manetsim.config import SimConfig
+from manetsim.engine import World
+from manetsim.protocol import route_tables
+from test_golden import static_reform_config
+from topology_reference import reference_designate_gateways
+
+
+class CheckedWorld(World):
+    """Checks every refresh against a fresh designation and counts how
+    often the kept candidates and tables were reused."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.reuse = Counter()
+
+    def _refresh_backbone(self):
+        self.reuse["refreshes"] += 1
+        self.reuse["candidates_kept"] += self._gateway_candidates is not None
+        tables_before = self._route_tables
+        super()._refresh_backbone()
+        self.reuse["tables_kept"] += (tables_before is not None
+                                      and self._route_tables is tables_before)
+        check_backbone(self)
+
+    def eject_node(self, nid):
+        self.reuse["ejections"] += 1
+        super().eject_node(nid)
+
+
+def check_backbone(world):
+    clusters = {ch: Cluster(ch, set(cl.members)) for ch, cl in world.clusters.items()}
+
+    def score_fn(nid):
+        return composite_score(world.node_metrics(nid), world.weights)
+
+    edges = reference_designate_gateways(clusters, world.adjacency, score_fn,
+                                         world.blacklisted)
+    assert list(world.edges.items()) == list(edges.items())
+    assert ({ch: cl.gateways for ch, cl in world.clusters.items()}
+            == {ch: cl.gateways for ch, cl in clusters.items()})
+    tables = route_tables(clusters, edges, world.blacklisted)
+    for ch, cl in world.clusters.items():
+        assert list(cl.routes.items()) == list(tables[ch].items())
+
+
+@st.composite
+def small_worlds(draw):
+    n = draw(st.integers(10, 24))
+    hole, spoofer, victim = draw(st.permutations(range(n)))[:3]
+    energy = draw(st.sampled_from((0.002, 0.005, 0.02)))
+    return SimConfig(
+        node_count=n,
+        area=draw(st.sampled_from(((150.0, 150.0), (250.0, 150.0), (250.0, 250.0)))),
+        seed=draw(st.integers(1, 10 ** 6)),
+        sim_duration=2.0,
+        speed_range=draw(st.sampled_from(((0.0, 0.0), (1.0, 5.0), (10.0, 30.0)))),
+        hello_interval=0.05,
+        initial_energy_range=(energy, 4 * energy),
+        traffic_start=0.2,
+        source_fraction=0.5,
+        cbr_interval=0.05,
+        accusation_threshold=draw(st.integers(1, 3)),
+        velocity_low_threshold=1000.0,
+        adversaries=[
+            {"node": hole,
+             "kind": draw(st.sampled_from((adversary.BLACK_HOLE, adversary.GREY_HOLE)))},
+            {"node": spoofer, "kind": adversary.SPOOF, "victim": victim},
+        ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_worlds())
+def test_kept_backbone_matches_fresh_designation(cfg):
+    CheckedWorld(cfg).run()
+
+
+def test_static_reform_cell_reuses_and_rebuilds():
+    """The pinned re-forming cell takes every path: candidates and tables
+    kept, dropped by membership changes and by ejections."""
+    world = CheckedWorld(static_reform_config())
+    world.run()
+    reuse = world.reuse
+    assert 0 < reuse["candidates_kept"] < reuse["refreshes"]
+    assert 0 < reuse["tables_kept"] < reuse["refreshes"]
+    assert reuse["ejections"] > 0

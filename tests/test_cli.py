@@ -183,6 +183,20 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_runs_a_field_wider_than_tall(tmp_path):
+    cfg = write_scenario(tmp_path, text=TINY + "area: [500, 300]\n")
+    out = tmp_path / "wide"
+    assert main([cfg, "--out", str(out)]) == 0
+    assert len((out / "results.csv").read_text().splitlines()) == 3
+
+
+def test_cli_rejects_negative_area(tmp_path, capsys):
+    cfg = write_scenario(tmp_path, text=TINY + "area: [-5, 300]\n")
+    assert main([cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "area" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_rejects_malformed_yaml(tmp_path, capsys):
     cfg = write_scenario(tmp_path, text="node_counts: [10\n")
     assert main([cfg]) == 2

@@ -3,8 +3,9 @@ from hypothesis import given, strategies as st
 
 from manetsim.clustering import (Cluster, ElectionMetrics, ElectionWeights,
                                  composite_score, designate_gateways, dnc,
-                                 elect_ch, maintain_membership,
-                                 mobility_membership, res_eng)
+                                 elect_ch, gateway_candidates,
+                                 maintain_membership, mobility_membership,
+                                 res_eng)
 from manetsim.errors import InvalidClusterHead, InvalidEnergy, NoCandidates
 
 W = ElectionWeights()
@@ -159,11 +160,16 @@ def adjacency_from(edges):
     return adj
 
 
+def designate(clusters, adj, score_fn, excluded):
+    return designate_gateways(
+        clusters, gateway_candidates(clusters, adj, excluded), score_fn)
+
+
 def test_single_node_bridge_beats_relay_pair():
     clusters = {0: Cluster(0, {1, 2}), 5: Cluster(5, {6, 7})}
     # node 2 hears both heads; 1-6 would also work as a pair
     adj = adjacency_from([(0, 1), (0, 2), (2, 5), (5, 6), (5, 7), (1, 6)])
-    edges = designate_gateways(clusters, adj, score_fn=lambda n: 0.5, excluded=set())
+    edges = designate(clusters, adj, lambda n: 0.5, set())
     assert edges == {(0, 5): (2,)}
     # the bridge is a member of cluster 0 only, so only 0 records it
     assert clusters[0].gateways == {2}
@@ -173,7 +179,7 @@ def test_single_node_bridge_beats_relay_pair():
 def test_relay_pair_when_no_single_bridge():
     clusters = {0: Cluster(0, {1}), 5: Cluster(5, {6})}
     adj = adjacency_from([(0, 1), (1, 6), (6, 5)])
-    edges = designate_gateways(clusters, adj, score_fn=lambda n: 0.5, excluded=set())
+    edges = designate(clusters, adj, lambda n: 0.5, set())
     assert edges == {(0, 5): (1, 6)}
     assert clusters[0].gateways == {1}
     assert clusters[5].gateways == {6}
@@ -183,21 +189,20 @@ def test_gateway_choice_prefers_higher_score_then_lower_id():
     clusters = {0: Cluster(0, {1, 2}), 5: Cluster(5, {6})}
     adj = adjacency_from([(0, 1), (0, 2), (1, 5), (2, 5), (5, 6)])
     score = {1: 0.2, 2: 0.9}
-    edges = designate_gateways(clusters, adj, score_fn=score.get, excluded=set())
+    edges = designate(clusters, adj, score.get, set())
     assert edges == {(0, 5): (2,)}
-    tied = designate_gateways(clusters, adj, score_fn=lambda n: 0.5, excluded=set())
+    tied = designate(clusters, adj, lambda n: 0.5, set())
     assert tied == {(0, 5): (1,)}
 
 
 def test_excluded_members_never_serve_as_gateways():
     clusters = {0: Cluster(0, {1, 2}), 5: Cluster(5, {6})}
     adj = adjacency_from([(0, 1), (0, 2), (1, 5), (2, 5), (5, 6)])
-    edges = designate_gateways(clusters, adj, score_fn=lambda n: 0.5, excluded={1})
+    edges = designate(clusters, adj, lambda n: 0.5, {1})
     assert edges == {(0, 5): (2,)}
 
 
 def test_unreachable_pair_gets_no_edge():
     clusters = {0: Cluster(0, {1}), 5: Cluster(5, {6})}
     adj = adjacency_from([(0, 1), (5, 6)])
-    assert designate_gateways(clusters, adj, score_fn=lambda n: 0.5,
-                              excluded=set()) == {}
+    assert designate(clusters, adj, lambda n: 0.5, set()) == {}

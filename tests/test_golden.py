@@ -5,10 +5,14 @@ every digest below byte-identical. A deliberate model change re-pins them
 once, and says so in CHANGES.md.
 
 The matrix covers the desk bench from helpers.py with each adversary kind,
-short 40-node mobile cells with each attack, and a cell whose batteries
-run dry. The spoof cells (110 and 805 `spoof_flagged` events) and the
-depletion cell (40 `node_depleted` events) reach the beacon round's
-spoof-flag and battery-clamp branches, which no benchmark workload does.
+short 40-node mobile cells with each attack, a cell whose batteries run
+dry, and a static field that re-forms: its heads fall under the energy
+floor, nodes run dry and grey holes are blacklisted, so the backbone is
+re-derived on a fixed field, where the gateway candidates and route tables
+are kept between refreshes. The spoof cells (110 and 805 `spoof_flagged`
+events) and the depletion cell (40 `node_depleted` events) reach the beacon
+round's spoof-flag and battery-clamp branches, which no benchmark workload
+does.
 """
 
 import os
@@ -69,6 +73,9 @@ MOBILE_DIGESTS = {
 DEPLETION_DIGEST = \
     "8798aa2206a3fb6366be3b734538cf171cef2557d3bb2991ee33c48a38838dfe"
 
+STATIC_REFORM_DIGEST = \
+    "24bbffe5e70a6c7d94ec4b063d081da298609c452386cef2901bf4983f00419b"
+
 
 def mobile_config(attack):
     return SimConfig(node_count=40, area=(300.0, 300.0), sim_duration=3.0,
@@ -78,6 +85,15 @@ def mobile_config(attack):
 def depletion_config():
     return SimConfig(node_count=40, area=(200.0, 200.0), sim_duration=3.0,
                      seed=5, initial_energy_range=(0.0005, 0.004))
+
+
+def static_reform_config():
+    return SimConfig(node_count=60, area=(400.0, 400.0), speed_range=(0.0, 0.0),
+                     radio_range=100.0, sim_duration=5.0, seed=3,
+                     hello_interval=0.05, initial_energy_range=(0.05, 0.3),
+                     malicious_fraction=0.1, attack=adversary.GREY_HOLE,
+                     grey_drop_rate=0.5, source_fraction=0.3, cbr_interval=0.05,
+                     traffic_start=0.5)
 
 
 @pytest.mark.parametrize("kind", adversary.KINDS)
@@ -101,6 +117,16 @@ def test_depletion_digest():
     world, m = run_world(depletion_config())
     assert len(events_of(world.events_log, "node_depleted")) == 40
     assert m.digest == DEPLETION_DIGEST
+
+
+def test_static_reform_digest():
+    world, m = run_world(static_reform_config())
+    floor = [d for _, d in events_of(world.events_log, "topology")
+             if d["detail"][1:] == ("head_energy_floor",)]
+    assert len(floor) == 66
+    assert len(events_of(world.events_log, "node_depleted")) == 9
+    assert sorted(world.blacklisted) == [9, 36, 38, 53, 58, 59]
+    assert m.digest == STATIC_REFORM_DIGEST
 
 
 def test_digest_independent_of_hash_seed():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import StubNode, StubWorld
-from manetsim.clustering import Cluster, designate_gateways
+from manetsim.clustering import Cluster, designate_gateways, gateway_candidates
 from manetsim.errors import NoRoute
 from manetsim.protocol import discover_route
 from topology_reference import reference_designate_gateways, reference_discover_route
@@ -60,6 +60,11 @@ def designate(fn, members, adjacency, excluded, scores):
             scored)
 
 
+def link_indexed(clusters, adjacency, score_fn, excluded):
+    candidates = gateway_candidates(clusters, adjacency, excluded)
+    return designate_gateways(clusters, candidates, score_fn)
+
+
 # member 1 hears heads 0 and 5 but is excluded; 2 (shared by 0 and 5) and
 # 6 tie as single bridges for (0, 5); 3 hears neither its head 0 nor 4 its
 # head 5; relay pairs 3-10, 3-11 and 6-10 tie for (0, 12); head 9 hears
@@ -73,7 +78,7 @@ def designate(fn, members, adjacency, excluded, scores):
 @given(member_graphs())
 def test_designation_matches_all_pairs_scan(case):
     members, adjacency, excluded, scores = case
-    assert (designate(designate_gateways, members, adjacency, excluded, scores)
+    assert (designate(link_indexed, members, adjacency, excluded, scores)
             == designate(reference_designate_gateways, members, adjacency,
                          excluded, scores))
 
