@@ -6,10 +6,10 @@ watch their custodians, and blacklist the ones that cheat.
 """
 
 from .config import SimConfig
-from .engine import World, consume_energy, run
+from .engine import World, run
 from .metrics import Metrics, metrics_from_log
 
 __version__ = "0.1.0"
 
-__all__ = ["SimConfig", "World", "Metrics", "run", "consume_energy",
-           "metrics_from_log", "__version__"]
+__all__ = ["SimConfig", "World", "Metrics", "run", "metrics_from_log",
+           "__version__"]

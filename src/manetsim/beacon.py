@@ -1,0 +1,482 @@
+"""Batteries and HELLO beacons, at per-node cost between adjacency rebuilds.
+
+Energy.  A battery's spent energy is a closed form of its two byte
+counters: the bill of the bytes sent at the node's transmit power plus
+the bill of the bytes received at its receive power, capped at the total.
+`charge` is the only way energy is spent: it adds bytes and recomputes
+the bill.  A node is alive while the uncapped bill stays below its total,
+and a charge succeeds when the uncapped bill stays within it.
+
+Rounds.  Positions move only right before a rebuild, so until the next one
+every round adds the same bytes to each node (one HELLO sent, one received
+per live link), the same distance estimate to each HELLO history, and
+overwrites each residual-energy entry with the sender's energy part-way
+through the round.  So a round only counts itself.  What it would have
+written is brought forward ("folded") when something reads it: `fold`
+does it for one node (its battery, the histories it keeps and the
+residual energies it heard), `Beacons.fold_all` for every node.  A fold
+with no round since the last one costs O(1).
+
+A round runs link by link only when it cannot be skipped like that:
+
+- a node could run dry during it.  Each battery's remaining energy and
+  its bytes per round say how many rounds it lasts for sure, so `alive`
+  needs no fold: a node alive at its last fold is alive now;
+- a spoofed HELLO in it would convict its sender.
+
+Spoofed links, and links that feed a history a spoofed link also feeds,
+are processed in every round, in link order, because they log.  Any
+depletion folds every node and recomputes what a round adds.
+"""
+
+import math
+
+from . import adversary, detection, packets, radio
+from .radio import MIN_DISTANCE_M
+
+# Share of a battery that skipped rounds may not spend, so float rounding
+# in the per-round estimate can never hide a depletion.
+MARGIN = 1e-9
+
+
+def airtime_joules(power_mw, nbytes, capacity):
+    """Joules one send or receive of nbytes costs at power_mw.
+
+    power (mW) * airtime (s); airtime is nbytes * 8 / channel capacity.
+    """
+    return power_mw / 1000.0 * (nbytes * 8 / capacity)
+
+
+class Clock:
+    """The rounds a run's batteries fold against."""
+    __slots__ = ("rounds", "safe_until")
+
+    def __init__(self):
+        self.rounds = 0          # HELLO rounds run so far
+        self.safe_until = 0      # the last round that may be skipped
+
+
+class Battery:
+    """One node's energy as byte counters, folded against the run's clock.
+
+    `tx` and `rx` are the bytes at round `at`; every round since adds
+    `tx_rate` and `rx_rate` more.  `txj` and `rxj` are their bills and
+    `spent` their sum, the uncapped bill of the counters.
+    """
+    __slots__ = ("tx_power", "rx_power", "total", "capacity", "clock",
+                 "tx", "rx", "txj", "rxj", "spent", "at", "tx_rate", "rx_rate",
+                 "round_j", "end_at", "end_tx", "end_rx", "base_at", "base_txj",
+                 "base_rx")
+
+    def __init__(self, tx_power, rx_power, total, capacity, clock):
+        self.tx_power = tx_power    # mW
+        self.rx_power = rx_power    # mW
+        self.total = total          # J
+        self.capacity = capacity    # bits per second
+        self.clock = clock
+        self.tx = self.rx = 0
+        self.txj = self.rxj = self.spent = 0.0
+        self.at = self.end_at = clock.rounds
+        self.tx_rate = self.rx_rate = 0
+        self.round_j = 0.0          # the bill of one round's bytes
+        self.end_tx = self.end_rx = 0   # the counters as round end_at left them
+        self.base_at = -1           # see _base
+        self.base_txj = 0.0
+        self.base_rx = 0
+
+    def bill(self, tx, rx):
+        """The uncapped bill of tx bytes sent and rx bytes received."""
+        return (airtime_joules(self.tx_power, tx, self.capacity)
+                + airtime_joules(self.rx_power, rx, self.capacity))
+
+    @property
+    def expended(self):
+        settle(self)
+        return min(self.total, self.spent)
+
+
+def settle(b):
+    """Add the bytes of the rounds since the battery's last fold."""
+    k = b.clock.rounds - b.at
+    if k:
+        b.at += k
+        if b.tx_rate or b.rx_rate:
+            b.tx += k * b.tx_rate
+            b.rx += k * b.rx_rate
+            b.txj = airtime_joules(b.tx_power, b.tx, b.capacity)
+            b.rxj = airtime_joules(b.rx_power, b.rx, b.capacity)
+            b.spent = b.txj + b.rxj
+
+
+def charge(b, role, nbytes):
+    """Bill one send ("tx") or receive of nbytes; True when the battery
+    covered the whole bill."""
+    clock = b.clock
+    r = clock.rounds
+    if b.at != r:
+        settle(b)
+    if b.end_at != r:
+        # the counters as round r left them, for the residual energy the
+        # node's neighbours heard in it
+        b.end_at, b.end_tx, b.end_rx = r, b.tx, b.rx
+    # airtime_joules of the counter that moved
+    if role == "tx":
+        b.tx += nbytes
+        b.txj = b.tx_power / 1000.0 * (b.tx * 8 / b.capacity)
+    else:
+        b.rx += nbytes
+        b.rxj = b.rx_power / 1000.0 * (b.rx * 8 / b.capacity)
+    s = b.spent = b.txj + b.rxj
+    left = clock.safe_until - r
+    if left > 0 and b.round_j and s + left * b.round_j > b.total * (1 - MARGIN):
+        clock.safe_until = r + _runway(b)
+    return s <= b.total
+
+
+def _runway(b):
+    """Rounds the battery lasts for sure at its bytes per round."""
+    room = b.total * (1 - MARGIN) - b.spent
+    if room <= 0:
+        return 0
+    return int(room // b.round_j)
+
+
+def _base(b, r):
+    """What every residual energy the node sent in round r, the last round,
+    builds on: its transmit bill at the round's end and the bytes it had
+    received when the round began."""
+    if b.end_at == r:
+        tx, rx = b.end_tx, b.end_rx
+    else:
+        if b.at != r:
+            settle(b)
+        tx, rx = b.tx, b.rx
+    b.base_at = r
+    b.base_txj = airtime_joules(b.tx_power, tx, b.capacity)
+    b.base_rx = rx - b.rx_rate
+
+
+def _residual(b, r, heard):
+    """The residual energy a neighbour heard from the node in round r, the
+    last round, after the node itself had received `heard` bytes of it."""
+    if b.base_at != r:
+        _base(b, r)
+    j = b.base_txj + airtime_joules(b.rx_power, b.base_rx + heard, b.capacity)
+    return 1.0 - min(b.total, j) / b.total
+
+
+class HelloRuns:
+    """A HELLO history as runs of equal samples, oldest first.
+
+    Holds what `radio.HelloHistory` holds, the last `window` distance
+    estimates heard, as runs: `ests[i]` repeated `counts[i]` times.
+    Between two rebuilds a link adds the same estimate every round.  Its
+    readers need only the first sample, the last sample and the count `n`.
+    """
+    __slots__ = ("neighbor_id", "window", "ests", "counts", "n")
+
+    def __init__(self, neighbor_id, window):
+        self.neighbor_id = neighbor_id
+        self.window = window
+        self.ests = []
+        self.counts = []
+        self.n = 0
+
+    def extend(self, est, k):
+        """Append k samples of est, evicting the oldest past the window."""
+        ests = self.ests
+        if ests and ests[-1] == est:
+            self.counts[-1] += k
+        else:
+            ests.append(est)
+            self.counts.append(k)
+        n = self.n + k
+        if n > self.window:
+            self._evict(n - self.window)
+            n = self.window
+        self.n = n
+
+    def _evict(self, drop):
+        ests, counts = self.ests, self.counts
+        while counts[0] <= drop:
+            drop -= counts[0]
+            del ests[0], counts[0]
+        counts[0] -= drop
+
+    def mobility(self, t):
+        """`radio.pairwise_mobility`'s expression, so the floats match."""
+        return (self.ests[-1] - self.ests[0]) / (self.n * t)
+
+    @property
+    def dists(self):
+        return [est for est, k in zip(self.ests, self.counts) for _ in range(k)]
+
+
+def fold(node):
+    """Bring the node's battery, HELLO histories and heard residual
+    energies forward to the last round."""
+    b = node.battery
+    r = b.clock.rounds
+    if b.at != r:
+        settle(b)
+    k = r - node.links_at
+    if k:
+        node.links_at = r
+        res = node.neighbor_res
+        for sender, sid, est, hist, heard in node.links_in:
+            # hist.extend(est, k)
+            ests = hist.ests
+            if ests and ests[-1] == est:
+                hist.counts[-1] += k
+            else:
+                ests.append(est)
+                hist.counts.append(k)
+            n = hist.n + k
+            if n > hist.window:
+                hist._evict(n - hist.window)
+                n = hist.window
+            hist.n = n
+            # _residual(sender, r, heard)
+            if sender.base_at != r:
+                _base(sender, r)
+            j = sender.base_txj + sender.rx_power / 1000.0 * (
+                (sender.base_rx + heard) * 8 / sender.capacity)
+            total = sender.total
+            res[sid] = 1.0 - (j if j < total else total) / total
+
+
+class Beacons:
+    """The HELLO rounds of one run.
+
+    `_lay_out` reads the links of `World._pairs` once per rebuild, at the
+    first round after it; every pair there passed the link rule both
+    ways, so both directions are above the floor.  Nothing here, and
+    nothing a node holds, refers back to the World, whose methods pass it
+    in; so a finished run is freed at once.
+    """
+
+    def __init__(self, nodes, hello_size):
+        self.nodes = nodes
+        self.size = hello_size
+        self.clock = Clock()
+        self._laid_out = False   # since the last rebuild
+        self._laid_at = 0        # the round of the first lay-out since it
+        self._one_round = True   # whether the last epoch with rounds had one
+        self._explicit = ()      # links every round processes
+        self._heard = 0          # receptions in a skipped round
+        self._folded = 0         # the round every node is folded to
+        self._by_link = False    # inside a round that runs link by link
+
+    def fold_all(self):
+        r = self.clock.rounds
+        if self._folded != r:
+            self._folded = r
+            for node in self.nodes.values():
+                fold(node)
+
+    def relink(self):
+        """The adjacency was rebuilt; callers fold first."""
+        if self._laid_out:
+            self._one_round = self.clock.rounds - self._laid_at == 1
+        self._laid_out = False
+
+    def depleted(self, world):
+        """A battery ran dry outside a round: fold, then recompute what a
+        round adds."""
+        if self._laid_out and not self._by_link:
+            self.fold_all()
+            self._lay_out(world, eager=False)
+
+    def round(self, world):
+        """One beacon exchange: every live node transmits once, every live
+        in-range pair hears each other (both directions)."""
+        clock = self.clock
+        if not self._laid_out:
+            self._laid_at = clock.rounds
+            if self._lay_out(world, eager=self._one_round):
+                clock.rounds += 1
+                world.log("hello_round", receptions=self._heard)
+                return
+        r = clock.rounds + 1
+        if r > clock.safe_until or self._convicts(world):
+            self._round_by_link(world)
+            return
+        clock.rounds = r
+        for receiver, sender, est, hist, claimed, heard in self._explicit:
+            hist.extend(est, 1)
+            receiver.neighbor_res[sender.node_id] = _residual(sender.battery, r, heard)
+            if claimed is not None:
+                _flag(world, receiver, sender, claimed)
+        world.log("hello_round", receptions=self._heard)
+
+    def _lay_out(self, world, eager):
+        """What each round adds from here, every node folded: the bytes per
+        battery, the links each receiver folds (with the bytes their sender
+        received before them in the round) and the runway.
+
+        With `eager`, and when the next round surely skips (no spoofed
+        HELLO, and every battery lasts a round at one reception per link
+        of the last rebuild, at least what it will get), that round is
+        folded in on the way and True returned.  That pays when rebuilds
+        come as often as rounds: an epoch of one round then costs one pass
+        over the links.  When epochs run several rounds, the fold at the
+        next rebuild visits every link anyway, so the caller leaves the
+        round to it.
+        """
+        nodes, size, r = self.nodes, self.size, self.clock.rounds
+        claims, shared = _claims(world)
+        if eager:
+            eager = not shared and all(
+                _lasts_a_round(n.battery, size, size * len(world.adjacency.get(nid, ())))
+                for nid, n in nodes.items())
+        for node in nodes.values():
+            node.links_in = []
+            node.links_at = r + 1 if eager else r
+            b = node.battery
+            b.rx_rate = 0
+            if eager:
+                # _base(b, r + 1): every counter is at round r
+                b.base_at = r + 1
+                b.base_txj = airtime_joules(b.tx_power, b.tx + size, b.capacity)
+                b.base_rx = b.rx
+        params = world.radio
+        k, q = params.k, params.q
+        inv_q = 1.0 / q
+        window = world.cfg.hello_window
+        explicit = []
+        for a, b in world._pairs:
+            na, nb = nodes[a], nodes[b]
+            ba, bb = na.battery, nb.battery
+            if not (ba.spent < ba.total and bb.spent < bb.total):
+                continue
+            pa, pb = na.pos, nb.pos
+            d = math.hypot(pa.x - pb.x, pa.y - pb.y)   # Position.distance_to
+            dq = (d if d > MIN_DISTANCE_M else MIN_DISTANCE_M) ** q
+            for sender, receiver, sb, rb in ((na, nb, ba, bb), (nb, na, bb, ba)):
+                tx = sender.tx_power
+                # radio.friis_recv_power and radio.estimate_distance
+                rp = k * tx / dq
+                est = (k * tx / rp) ** inv_q
+                sid = sender.node_id
+                claimed = claims.get(sid, sid)
+                hist = receiver.hello.get(claimed)
+                if hist is None:
+                    hist = receiver.hello[claimed] = HelloRuns(claimed, window)
+                heard = sb.rx_rate          # so far this round
+                rb.rx_rate += size
+                if shared and (receiver.node_id, claimed) in shared:
+                    explicit.append((receiver, sender, est, hist,
+                                     claimed if claimed != sid else None, heard))
+                    continue
+                receiver.links_in.append((sb, sid, est, hist, heard))
+                if eager:
+                    # fold(receiver) for this link and one round
+                    ests = hist.ests
+                    if ests and ests[-1] == est:
+                        hist.counts[-1] += 1
+                    else:
+                        ests.append(est)
+                        hist.counts.append(1)
+                    if hist.n < hist.window:
+                        hist.n += 1
+                    else:
+                        hist._evict(1)
+                    j = sb.base_txj + sb.rx_power / 1000.0 * (
+                        (sb.base_rx + heard) * 8 / sb.capacity)
+                    total = sb.total
+                    receiver.neighbor_res[sid] = 1.0 - (j if j < total else total) / total
+        self._explicit = explicit
+        heard = 0
+        safe = 1 << 62
+        for node in nodes.values():
+            b = node.battery
+            b.tx_rate = size if b.spent < b.total else 0
+            heard += b.rx_rate
+            b.round_j = b.bill(b.tx_rate, b.rx_rate)
+            if b.round_j:
+                safe = min(safe, _runway(b))
+        self._heard = heard // size
+        self.clock.safe_until = r + safe
+        self._laid_out = True
+        return eager
+
+    def _convicts(self, world):
+        """Whether a spoofed HELLO this round would convict its sender."""
+        if not world.cfg.detection_enabled:
+            return False
+        for receiver, sender, _, _, claimed, _ in self._explicit:
+            if (claimed is not None and sender.node_id not in world.blacklisted
+                    and receiver.node_id in world.clusters
+                    and sender.node_id in world.ch_state[receiver.node_id].registry):
+                return True
+        return False
+
+    def _round_by_link(self, world):
+        """One round with every charge through `World.consume`, in order, so
+        a battery that runs dry mid-round stops hearing right there."""
+        self.fold_all()
+        self._by_link = True
+        nodes, size = self.nodes, self.size
+        for _, node in sorted(nodes.items()):
+            if node.alive:
+                world.consume(node, "tx", size)
+        claims, _ = _claims(world)
+        params = world.radio
+        heard = 0
+        for a, b in world._pairs:
+            na, nb = nodes[a], nodes[b]
+            if not (na.alive and nb.alive):
+                continue
+            d = max(na.pos.distance_to(nb.pos), MIN_DISTANCE_M)
+            for sender, receiver in ((na, nb), (nb, na)):
+                if not world.consume(receiver, "rx", size):
+                    continue
+                rp = radio.friis_recv_power(sender.tx_power, d, params)
+                est = radio.estimate_distance(sender.tx_power, rp, params)
+                sid = sender.node_id
+                claimed = claims.get(sid, sid)
+                hist = receiver.hello.get(claimed)
+                if hist is None:
+                    hist = receiver.hello[claimed] = HelloRuns(claimed, world.cfg.hello_window)
+                hist.extend(est, 1)
+                # residual energy rides in the beacon and is tracked per physical link
+                receiver.neighbor_res[sid] = sender.res_eng
+                heard += 1
+                if claimed != sid:
+                    _flag(world, receiver, sender, claimed)
+        world.log("hello_round", receptions=heard)
+        self._by_link = False
+        r = self.clock.rounds = self._folded = self.clock.rounds + 1
+        for node in nodes.values():
+            node.battery.at = r
+        self._lay_out(world, eager=False)
+
+
+def _claims(world):
+    """The id each spoofer claims in its HELLOs, and the (receiver, claimed
+    id) histories that spoofed HELLOs feed."""
+    claims = {nid: n.policy.victim for nid, n in world.nodes.items()
+              if n.policy.kind == adversary.SPOOF and n.policy.victim is not None}
+    shared = {(rid, victim) for nid, victim in claims.items()
+              for rid in world.adjacency.get(nid, ())}
+    return claims, shared
+
+
+def _lasts_a_round(b, tx, rx):
+    """Whether a live battery surely lasts a round of tx bytes sent and rx
+    received, by `_runway`'s rule; a dead one is not asked."""
+    if b.spent >= b.total:
+        return True
+    return b.total * (1 - MARGIN) - b.spent >= b.bill(tx, rx)
+
+
+def _flag(world, receiver, sender, claimed):
+    """A head that registered the sender convicts it of a spoofed HELLO."""
+    if receiver.node_id in world.clusters:
+        if sender.node_id in world.ch_state[receiver.node_id].registry:
+            world.log("spoof_flagged", owner=sender.node_id, claimed=claimed,
+                      at=receiver.node_id, packet_kind=packets.HELLO)
+            world.punish_verdict(
+                detection.Verdict(detection.MALICIOUS, sender.node_id,
+                                  (claimed,), "spoofed_identity"),
+                receiver.node_id)

@@ -109,13 +109,14 @@ def elect_ch(candidates, weights: ElectionWeights) -> int:
     return best.node_id
 
 
-def maintain_membership(clusters, alive, adjacency, metrics_fn, weights,
-                        may_head, may_join):
+def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
+                        weights, may_head, may_join):
     """One topology upkeep pass over all clusters, in place.
 
     alive        set of node ids that still have energy
     adjacency    id -> set of current link-neighbor ids
     metrics_fn   (node id, incumbent head id or None) -> ElectionMetrics
+    battery      id -> residual energy fraction, for the head energy floor
     may_head     id -> bool, False bars the node from the head role
     may_join     (node id, head id) -> bool, False bars joining that cluster
 
@@ -145,7 +146,7 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, weights,
     for ch_id in sorted(clusters):
         if ch_id not in alive:
             loose |= dissolve(ch_id, "head_dead") - {ch_id}
-        elif metrics_fn(ch_id, None).res_eng < ENERGY_FLOOR:
+        elif battery(ch_id) < ENERGY_FLOOR:
             loose |= dissolve(ch_id, "head_energy_floor")
 
     # Heads within one hop of each other merge, better head keeps the role.
@@ -168,7 +169,7 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, weights,
 
     loose = {n for n in loose if n in alive}
 
-    # Stray nodes join the nearest reachable head that will have them.
+    # Stray nodes join the lowest-id head in range that will have them.
     for n in sorted(loose | _unclustered(clusters, alive)):
         heads = [c for c in sorted(clusters)
                  if n in adjacency.get(c, ()) and may_join(n, c)]

@@ -13,7 +13,8 @@ import heapq
 import math
 import random
 
-from . import adversary, clustering, detection, metrics, packets, protocol, radio, trust
+from . import (adversary, beacon, clustering, detection, metrics, packets,
+               protocol, radio, trust)
 from .clustering import Cluster, ElectionMetrics
 from .config import SimConfig
 from .errors import (NoEvidence, NoRoute, RejectedBlacklisted,
@@ -22,34 +23,61 @@ from .radio import Position, WaypointState
 
 
 class Node:
+    """One radio: where it is, how it moves, its battery and what it heard.
+
+    `energy_expended`, `tx_bytes`, `rx_bytes` and `res_eng` fold the HELLO
+    rounds since the battery's last fold before they answer; `alive`
+    needs no fold (see `beacon`).
+    """
     __slots__ = ("node_id", "pos", "waypoint", "tx_power", "rx_power",
-                 "energy_total", "energy_expended", "tx_bytes", "rx_bytes",
-                 "policy", "cluster", "hello", "neighbor_res", "depleted_logged")
+                 "battery", "policy", "cluster", "hello", "neighbor_res",
+                 "links_in", "links_at")
 
     def __init__(self, node_id, pos, waypoint, tx_power, rx_power, energy_total,
-                 policy):
+                 policy, capacity=SimConfig.channel_capacity, clock=None):
+        if clock is None:
+            clock = beacon.Clock()
         self.node_id = node_id
         self.pos = pos
         self.waypoint = waypoint
         self.tx_power = tx_power    # mW
         self.rx_power = rx_power    # mW
-        self.energy_total = energy_total
-        self.energy_expended = 0.0
-        self.tx_bytes = 0           # bytes billed per role, for the energy audit
-        self.rx_bytes = 0
+        self.battery = beacon.Battery(tx_power, rx_power, energy_total,
+                                      capacity, clock)
         self.policy = policy
         self.cluster = None
-        self.hello = {}             # claimed neighbor id -> HelloHistory
+        self.hello = {}             # claimed neighbor id -> beacon.HelloRuns
         self.neighbor_res = {}      # link (true) id -> last advertised residual energy
-        self.depleted_logged = False
+        self.links_in = []          # links whose skipped rounds fold in here
+        self.links_at = clock.rounds
 
     @property
     def alive(self):
-        return self.energy_expended < self.energy_total
+        b = self.battery
+        return b.spent < b.total
+
+    @property
+    def energy_total(self):
+        return self.battery.total
+
+    @property
+    def energy_expended(self):
+        return self.battery.expended
+
+    @property
+    def tx_bytes(self):
+        beacon.settle(self.battery)
+        return self.battery.tx
+
+    @property
+    def rx_bytes(self):
+        beacon.settle(self.battery)
+        return self.battery.rx
 
     @property
     def res_eng(self):
-        return clustering.res_eng(self.energy_expended, self.energy_total)
+        b = self.battery
+        return clustering.res_eng(b.expended, b.total)
 
 
 class ChState:
@@ -67,31 +95,9 @@ class ChState:
 
 
 def energy_bill(node: Node, role: str, nbytes: int, cfg: SimConfig) -> float:
-    """Joules one send or receive of nbytes costs.
-
-    power (mW) * airtime (s); airtime is nbytes * 8 / channel capacity.
-    """
+    """Joules one send ("tx") or receive of nbytes costs the node."""
     power_mw = node.tx_power if role == "tx" else node.rx_power
-    return power_mw / 1000.0 * (nbytes * 8 / cfg.channel_capacity)
-
-
-def _charge(node: Node, role: str, nbytes: int, bill: float) -> float:
-    if role == "tx":
-        node.tx_bytes += nbytes
-    else:
-        node.rx_bytes += nbytes
-    spent = min(bill, node.energy_total - node.energy_expended)
-    node.energy_expended += spent
-    return spent
-
-
-def consume_energy(node: Node, role: str, nbytes: int, cfg: SimConfig) -> float:
-    """Deduct the energy one send or receive of nbytes costs.
-
-    Returns the joules actually deducted, which is less than the bill
-    only when the battery runs dry mid-operation.
-    """
-    return _charge(node, role, nbytes, energy_bill(node, role, nbytes, cfg))
+    return beacon.airtime_joules(power_mw, nbytes, cfg.channel_capacity)
 
 
 class World:
@@ -125,7 +131,7 @@ class World:
         self.adjacency = {}
         self._neighbors = {}         # node id -> its adjacency, in id order
         self._pairs = []
-        self._beacon_links = None    # built by the first HELLO round after a rebuild
+        self.beacons = beacon.Beacons(self.nodes, cfg.hello_size)
         self._gateway_candidates = None  # see _refresh_backbone
         self._route_tables = None    # (edges, head route tables built from them)
         self._dirty_topology = True
@@ -169,15 +175,15 @@ class World:
 
     def consume(self, node: Node, role, nbytes) -> bool:
         """Charge the radio bill; False when the battery could not cover it."""
-        if not node.alive:
+        b = node.battery
+        if b.spent >= b.total:
             return False
-        bill = energy_bill(node, role, nbytes, self.cfg)
-        spent = _charge(node, role, nbytes, bill)
-        if not node.alive and not node.depleted_logged:
-            node.depleted_logged = True
+        covered = beacon.charge(b, role, nbytes)
+        if b.spent >= b.total:
             self._dirty_topology = True
             self.log("node_depleted", node=node.node_id)
-        return spent >= bill - 1e-18
+            self.beacons.depleted(self)
+        return covered
 
     # ---- init ----
 
@@ -198,7 +204,8 @@ class World:
             energy = rng.uniform(*cfg.initial_energy_range)
             energy = cfg.energy_overrides.get(i, energy)
             self.nodes[i] = Node(i, pos, wp, tx, rx, energy,
-                                 adversary.BehaviorPolicy(owner=i))
+                                 adversary.BehaviorPolicy(owner=i),
+                                 cfg.channel_capacity, self.beacons.clock)
             self.trust_registry[i] = trust.init_trust(i)
         self._place_adversaries()
         self._plan_traffic()
@@ -279,6 +286,7 @@ class World:
         it, the adjacency sets' insertion order and `_neighbors` those of
         an all-pairs scan in id order.
         """
+        self.beacons.fold_all()
         params, nodes = self.radio, self.nodes
         rng_r, floor, k, q = (params.radio_range, params.recv_power_floor,
                               params.k, params.q)
@@ -321,7 +329,7 @@ class World:
         self.adjacency = adj
         self._neighbors = {nid: sorted(nbs) for nid, nbs in adj.items()}
         self._pairs = pairs
-        self._beacon_links = None
+        self.beacons.relink()
         self._gateway_candidates = None
 
     def node_metrics(self, nid, incumbent=None) -> ElectionMetrics:
@@ -330,16 +338,16 @@ class World:
         v_max = cfg.speed_range[1]
         mob = 1.0
         if v_max > 0:
+            beacon.fold(n)
             t = cfg.hello_interval
             hello = n.hello
             vals = []
             for nb in self._neighbors.get(nid, ()):
                 hist = hello.get(nb)
-                if hist is not None:
-                    dists = hist.dists
-                    if len(dists) >= 2:
-                        # radio.pairwise_mobility's expression, so the floats match
-                        vals.append((dists[-1] - dists[0]) / (len(dists) * t))
+                if hist is not None and hist.n >= 2:
+                    # radio.pairwise_mobility's expression, so the floats match
+                    ests = hist.ests
+                    vals.append((ests[-1] - ests[0]) / (hist.n * t))
             if vals:
                 mob = clustering.mobility_membership(radio.avg_mobility(vals), v_max)
         ch = incumbent if incumbent is not None else n.cluster
@@ -393,8 +401,11 @@ class World:
         def may_join(nid, ch):
             return nid not in self.blacklisted
 
+        def battery(nid):
+            return self.nodes[nid].res_eng
+
         events = clustering.maintain_membership(
-            self.clusters, alive, self.adjacency, self.node_metrics,
+            self.clusters, alive, self.adjacency, self.node_metrics, battery,
             self.weights, may_head, may_join)
         if events:
             # every membership change is reported, except dropping dead
@@ -514,96 +525,11 @@ class World:
         if nxt <= self.cfg.sim_duration:
             self.schedule(nxt, "topo")
 
-    def _build_beacon_links(self):
-        """What every HELLO round until the next adjacency rebuild reuses.
-
-        Positions move only right before a rebuild, so the link geometry is
-        fixed in between. Returns (senders, links): senders is every node
-        with its HELLO transmit bill, in id order; links holds both
-        directions of every pair in `_pairs` order, each as (receiver,
-        sender, distance estimate, the receiver's HELLO samples of the id
-        the sender claims, the receiver's residual-energy table, the
-        receiver's HELLO receive bill, the claimed id when spoofed or None,
-        whether the entry opens its pair). `_rebuild_adjacency` put the pair in
-        `_pairs` only if both directions pass the link rule, so every one is
-        above the sensitivity floor.
-        """
-        cfg, params, nodes = self.cfg, self.radio, self.nodes
-        size = cfg.hello_size
-        senders = [(n, energy_bill(n, "tx", size, cfg))
-                   for _, n in sorted(nodes.items())]
-        rx_bill = {nid: energy_bill(n, "rx", size, cfg) for nid, n in nodes.items()}
-        links = []
-        for a, b in self._pairs:
-            na, nb = nodes[a], nodes[b]
-            d = max(self.distance(na, nb), radio.MIN_DISTANCE_M)
-            for sender, receiver in ((na, nb), (nb, na)):
-                rp = radio.friis_recv_power(sender.tx_power, d, params)
-                est = radio.estimate_distance(sender.tx_power, rp, params)
-                claimed = sender.node_id
-                if sender.policy.kind == adversary.SPOOF and sender.policy.victim is not None:
-                    claimed = sender.policy.victim
-                hist = receiver.hello.get(claimed)
-                if hist is None:
-                    hist = radio.HelloHistory(claimed, cfg.hello_window)
-                    receiver.hello[claimed] = hist
-                links.append((receiver, sender, est, hist.dists, receiver.neighbor_res,
-                              rx_bill[receiver.node_id],
-                              claimed if claimed != sender.node_id else None,
-                              sender is na))
-        return senders, links
-
     def _hello_round(self):
-        """One beacon exchange: every live node transmits once, every live
-        in-range pair hears each other (both directions).
-
-        Bills that leave the battery above empty are added in place; any
-        other charge goes through `consume`, which clamps it and logs the
-        depletion, so the floats and the log match per-call charging.
-        """
-        cfg = self.cfg
-        if self._beacon_links is None:
-            self._beacon_links = self._build_beacon_links()
-        senders, links = self._beacon_links
-        size, window = cfg.hello_size, cfg.hello_window
-        for n, bill in senders:
-            e = n.energy_expended
-            if bill <= n.energy_total - e and e + bill < n.energy_total:
-                n.energy_expended = e + bill
-                n.tx_bytes += size
-            else:
-                self.consume(n, "tx", size)
-        heard = 0
-        live = False
-        for receiver, sender, est, dists, res, bill, spoofed, opens_pair in links:
-            if opens_pair:
-                live = (sender.energy_expended < sender.energy_total
-                        and receiver.energy_expended < receiver.energy_total)
-            if not live:
-                continue
-            e = receiver.energy_expended
-            if bill <= receiver.energy_total - e and e + bill < receiver.energy_total:
-                receiver.energy_expended = e + bill
-                receiver.rx_bytes += size
-            elif not self.consume(receiver, "rx", size):
-                continue
-            dists.append(est)
-            if len(dists) > window:
-                del dists[0]
-            # residual energy rides in the beacon and is tracked per physical link
-            res[sender.node_id] = 1.0 - sender.energy_expended / sender.energy_total
-            heard += 1
-            if spoofed is not None and receiver.node_id in self.clusters:
-                if sender.node_id in self.ch_state[receiver.node_id].registry:
-                    self.log("spoof_flagged", owner=sender.node_id, claimed=spoofed,
-                             at=receiver.node_id, packet_kind=packets.HELLO)
-                    self.punish_verdict(
-                        detection.Verdict(detection.MALICIOUS, sender.node_id,
-                                          (spoofed,), "spoofed_identity"),
-                        receiver.node_id)
-        self.log("hello_round", receptions=heard)
-        nxt = self.now + cfg.hello_interval
-        if nxt <= cfg.sim_duration:
+        """One HELLO round (`beacon.Beacons.round`); schedules the next."""
+        self.beacons.round(self)
+        nxt = self.now + self.cfg.hello_interval
+        if nxt <= self.cfg.sim_duration:
             self.schedule(nxt, "hello")
 
     # -- session admission --
@@ -742,11 +668,17 @@ class World:
         if s.sent < s.packets_total:
             self.schedule(self.now + self.cfg.cbr_interval, "emit", sid)
 
-    def _watch_mobility(self, watcher: Node, subject):
-        hist = watcher.hello.get(subject)
-        if hist is None or len(hist.dists) < 2:
-            return None
-        return radio.pairwise_mobility(hist, self.cfg.hello_interval)
+    def _watch(self, watcher: Node, subject: Node):
+        """What a watching head knows of a custodian from its HELLOs: the
+        residual energy it last advertised (its battery, if never heard)
+        and their relative mobility (None under two samples)."""
+        beacon.fold(watcher)
+        sid = subject.node_id
+        res_eng = watcher.neighbor_res.get(sid, subject.res_eng)
+        hist = watcher.hello.get(sid)
+        if hist is None or hist.n < 2:
+            return res_eng, None
+        return res_eng, hist.mobility(self.cfg.hello_interval)
 
     def _hop(self, packet, plan, idx, segments, session_id, timeout_s):
         frm, to = plan[idx], plan[idx + 1]
@@ -780,13 +712,11 @@ class World:
             if idx == p:
                 # handover off the upstream head: open the watch and start
                 # the ack clock, snapshotting what the head knew just now
-                ch_node = self.nodes[up_ch]
+                res_eng, rel_mobility = self._watch(self.nodes[up_ch], tn)
                 st = self._head_state(up_ch)
                 st.ledger.open_entry(
-                    packet.packet_id, to, self.now,
-                    res_eng=ch_node.neighbor_res.get(to, tn.res_eng),
-                    rel_mobility=self._watch_mobility(ch_node, to),
-                    downstream_ch=plan[q])
+                    packet.packet_id, to, self.now, res_eng=res_eng,
+                    rel_mobility=rel_mobility, downstream_ch=plan[q])
                 self.schedule(self.now + timeout_s, "timeout", up_ch,
                               packet.packet_id)
             elif entry is not None and entry.gateway == frm:
@@ -794,10 +724,9 @@ class World:
                 if idx + 1 < q:
                     # custody moves to the far-side gateway, observed by the
                     # downstream head whose vantage supplies the snapshots
-                    down = self.nodes[plan[q]]
                     entry.gateway = to
-                    entry.res_eng = down.neighbor_res.get(to, tn.res_eng)
-                    entry.rel_mobility = self._watch_mobility(down, to)
+                    entry.res_eng, entry.rel_mobility = self._watch(
+                        self.nodes[plan[q]], tn)
 
         final = idx + 1 == len(plan) - 1
         if not final:
@@ -1092,13 +1021,6 @@ class World:
         cfg = self.cfg
         dropped_total = sum(self.dropped.values())
         assert self.delivered + dropped_total <= self.generated
-        for n in self.nodes.values():
-            # energy audit: what the battery lost must match the bytes the
-            # node sent and received, billed at its drawn powers
-            billed = (energy_bill(n, "tx", n.tx_bytes, cfg)
-                      + energy_bill(n, "rx", n.rx_bytes, cfg))
-            assert math.isclose(n.energy_expended, min(n.energy_total, billed),
-                                rel_tol=1e-9), (n.node_id, n.energy_expended, billed)
         planted = tuple(sorted(n for n, nd in self.nodes.items()
                                if nd.policy.kind != adversary.HONEST))
         kinds = tuple(sorted({self.nodes[n].policy.kind for n in planted}))

@@ -1,11 +1,12 @@
-"""Reference HELLO round: the per-reception form the engine's cached beacon
-loop replaced, kept as the oracle for the differential test.
+"""Reference HELLO round: the per-reception form the engine's folded beacon
+rounds replaced, kept as the oracle for the differential tests.
 
 Every reception recomputes the signal from the positions and is charged
-through `World.consume`, one call at a time.
+through `World.consume`, one call at a time; each sample is added to the
+history on its own.
 """
 
-from manetsim import adversary, detection, packets, radio
+from manetsim import adversary, beacon, detection, packets, radio
 
 
 def reference_hello_round(world):
@@ -40,9 +41,9 @@ def _hear_hello(world, sender, receiver, d):
     est = radio.estimate_distance(sender.tx_power, rp, world.radio)
     hist = receiver.hello.get(claimed)
     if hist is None:
-        hist = radio.HelloHistory(claimed, world.cfg.hello_window)
+        hist = beacon.HelloRuns(claimed, world.cfg.hello_window)
         receiver.hello[claimed] = hist
-    radio.record_hello(hist, est)
+    hist.extend(est, 1)
     receiver.neighbor_res[sender.node_id] = sender.res_eng
     if claimed != sender.node_id and receiver.node_id in world.clusters:
         st = world.ch_state[receiver.node_id]

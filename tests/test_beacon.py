@@ -1,4 +1,5 @@
-"""The cached beacon loop against the per-reception reference round.
+"""Folded beacon rounds against the per-reception reference round, and HELLO
+runs against the sample-by-sample history.
 
 Small random worlds with spoofers and near-empty batteries go through the
 same sequence of topology ticks and HELLO rounds twice, once with the
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from beacon_reference import reference_hello_round
 from manetsim import adversary
+from manetsim.beacon import HelloRuns
 from manetsim.config import SimConfig
 from manetsim.engine import World, energy_bill
+from manetsim.radio import HelloHistory, pairwise_mobility, record_hello
 
 
 @st.composite
@@ -50,6 +53,7 @@ def drive(cfg, ops, hello_round):
 
 
 def beacon_state(world):
+    world.beacons.fold_all()
     return {nid: (n.energy_expended, n.tx_bytes, n.rx_bytes,
                   # an empty history reads as no history to every reader
                   {k: list(h.dists) for k, h in n.hello.items() if h.dists},
@@ -94,6 +98,10 @@ def test_cached_round_matches_reference(case):
     cfg, ops = case
     fast = drive(cfg, ops, World._hello_round)
     ref = drive(cfg, ops, reference_hello_round)
+    # read before anything else folds the rounds since the last rebuild
+    live = [nid for nid, n in ref.nodes.items() if n.alive]
+    assert ([fast.node_metrics(nid) for nid in live]
+            == [ref.node_metrics(nid) for nid in live])
     assert beacon_state(fast) == beacon_state(ref)
     assert fast.events_log == ref.events_log
 
@@ -112,3 +120,20 @@ def test_bill_that_empties_battery_exactly_logs_depletion():
         assert world.nodes[nid].energy_expended == world.nodes[nid].energy_total
     assert [dict(d) for _, kind, d in world.events_log
             if kind == "node_depleted"] == [{"node": 0}, {"node": 2}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6),
+       st.lists(st.tuples(st.sampled_from((3.0, 4.5, 7.25)), st.integers(1, 8)),
+                max_size=12))
+def test_runs_hold_what_a_history_holds(window, appends):
+    """(estimate, count) runs against one `record_hello` per sample."""
+    runs, hist = HelloRuns(7, window), HelloHistory(7, window)
+    for est, k in appends:
+        runs.extend(est, k)
+        for _ in range(k):
+            record_hello(hist, est)
+        assert runs.dists == hist.dists
+        assert runs.n == len(hist.dists)
+        if runs.n >= 2:
+            assert runs.mobility(0.01) == pairwise_mobility(hist, 0.01)

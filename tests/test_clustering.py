@@ -101,7 +101,10 @@ def upkeep(clusters, alive, adjacency, res=None):
     def metrics_fn(n, ch):
         return cand(n, r=res.get(n, 1.0))
 
-    return maintain_membership(clusters, alive, adjacency, metrics_fn, W,
+    def battery(n):
+        return res.get(n, 1.0)
+
+    return maintain_membership(clusters, alive, adjacency, metrics_fn, battery, W,
                                may_head=lambda n: True,
                                may_join=lambda n, c: True)
 

@@ -1,12 +1,18 @@
+import math
+
 import pytest
+from hypothesis import given, settings
 
 from helpers import (BRIDGES, HEADS, desk_config, desk_positions, events_of,
                      run_world)
-from manetsim import adversary, detection, engine
+from manetsim import adversary, beacon, detection, engine
 from manetsim.config import SimConfig
-from manetsim.engine import Node, World, consume_energy, energy_bill, run
+from manetsim.engine import Node, World, energy_bill, run
+from manetsim.errors import ConfigError
 from manetsim.metrics import metrics_from_log
 from manetsim.radio import Position, WaypointState
+from reference_world import ReferenceWorld
+from test_reference_world import whole_runs
 
 
 def make_node(tx=300.0, rx=50.0, total=5.0):
@@ -18,28 +24,34 @@ def make_node(tx=300.0, rx=50.0, total=5.0):
 
 def test_tx_cost_anchor():
     node = make_node()
-    spent = consume_energy(node, "tx", 512, SimConfig())
+    assert beacon.charge(node.battery, "tx", 512)
     # 300 mW for 2.048 ms
-    assert spent == pytest.approx(0.3 * 0.002048)
-    assert node.energy_expended == spent
+    assert node.energy_expended == pytest.approx(0.3 * 0.002048)
+    assert node.energy_expended == energy_bill(node, "tx", 512, SimConfig())
     assert (node.tx_bytes, node.rx_bytes) == (512, 0)
 
 
 def test_rx_cost_anchor():
-    spent = consume_energy(make_node(), "rx", 512, SimConfig())
-    assert spent == pytest.approx(0.05 * 0.002048)
+    node = make_node()
+    assert beacon.charge(node.battery, "rx", 512)
+    assert node.energy_expended == pytest.approx(0.05 * 0.002048)
 
 
 def test_zero_bytes_cost_nothing():
-    assert consume_energy(make_node(), "tx", 0, SimConfig()) == 0.0
+    node = make_node()
+    assert beacon.charge(node.battery, "tx", 0)
+    assert node.energy_expended == 0.0
 
 
 def test_depletion_clamps_to_remaining_charge():
-    node = make_node(total=0.0005)
-    node.energy_expended = 0.0004
-    spent = consume_energy(node, "tx", 512, SimConfig())
-    assert spent == pytest.approx(0.0001)
+    node = make_node(total=0.0007)
+    assert beacon.charge(node.battery, "rx", 512)        # 0.1024 mJ
+    # 0.6144 mJ more, against 0.5976 mJ left
+    assert not beacon.charge(node.battery, "tx", 512)
+    assert node.energy_expended == 0.0007
+    assert node.res_eng == 0.0
     assert not node.alive
+    assert (node.tx_bytes, node.rx_bytes) == (512, 512)
 
 
 # ---- determinism ----
@@ -104,23 +116,63 @@ def test_ch_source_sessions_admit_without_rreq():
     assert m.delivered == m.generated
 
 
-def test_energy_conservation_audited_in_collect():
-    # collect() asserts each battery lost what its byte counters bill
-    _, m = run_world(desk_config())
+class BilledWorld(ReferenceWorld):
+    """Sums the bill of every charge: on the reference algorithms every
+    charge, HELLO receptions included, is one `consume` call."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.bills = {}
+
+    def consume(self, node, role, nbytes):
+        if node.alive:
+            self.bills[node.node_id] = (self.bills.get(node.node_id, 0.0)
+                                        + energy_bill(node, role, nbytes, self.cfg))
+        return super().consume(node, role, nbytes)
+
+
+def audit(world):
+    """What each battery lost is what its charges billed, capped at its
+    total."""
+    for nid, n in world.nodes.items():
+        billed = min(n.energy_total, world.bills.get(nid, 0.0))
+        assert math.isclose(n.energy_expended, billed, rel_tol=1e-9), \
+            (nid, n.energy_expended, billed)
+
+
+def test_energy_equals_the_sum_of_its_bills():
+    world = BilledWorld(desk_config())
+    m = world.run()
+    audit(world)
     assert all(v >= 0 for v in m.energy_remaining.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(whole_runs)
+def test_closed_form_energy_equals_summed_bills(cfg):
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    world = BilledWorld(cfg)
+    world.run()
+    audit(world)
 
 
 @pytest.mark.parametrize("corrupt", ["counted_not_charged", "charged_not_counted"])
 def test_energy_audit_catches_a_wrong_bill(corrupt):
-    world, _ = run_world(desk_config(sim_duration=1.0))
-    world.collect()
+    world = BilledWorld(desk_config(sim_duration=1.0))
+    world.run()
+    audit(world)
     node, size = world.nodes[5], world.cfg.hello_size
     if corrupt == "counted_not_charged":
-        node.rx_bytes += size
+        # bytes on the counters that no billed charge sent
+        beacon.charge(node.battery, "rx", size)
     else:
-        node.energy_expended += energy_bill(node, "rx", size, world.cfg)
+        # a bill whose bytes never reached the counters
+        world.bills[5] += energy_bill(node, "rx", size, world.cfg)
     with pytest.raises(AssertionError):
-        world.collect()
+        audit(world)
 
 
 def test_session_accounting():

@@ -6,12 +6,14 @@ once, and says so in CHANGES.md.
 
 The matrix covers the desk bench from helpers.py with each adversary kind,
 short 40-node mobile cells with each attack, a cell whose batteries run
-dry, and a static field that re-forms: its heads fall under the energy
+dry, a static field that re-forms: its heads fall under the energy
 floor, nodes run dry and grey holes are blacklisted, so the backbone is
 re-derived on a fixed field, where the gateway candidates and route tables
-are kept between refreshes. The spoof cells (110 and 805 `spoof_flagged`
-events) and the depletion cell (40 `node_depleted` events) reach the beacon
-round's spoof-flag and battery-clamp branches, which no benchmark workload
+are kept between refreshes; and a static field whose HELLO rounds empty
+batteries between rebuilds, next to a spoofer. The spoof cells (110 and
+805 `spoof_flagged` events) and the depletion cells (40 and 16
+`node_depleted` events) reach the beacon rounds that run link by link and
+the spoofed links processed every round, which no benchmark workload
 does.
 """
 
@@ -76,6 +78,9 @@ DEPLETION_DIGEST = \
 STATIC_REFORM_DIGEST = \
     "24bbffe5e70a6c7d94ec4b063d081da298609c452386cef2901bf4983f00419b"
 
+BEACON_DEPLETION_DIGEST = \
+    "7046d5cf8aba83bb06f16236d8926b5f4eaed59307b8b50abe8c39b08bb80a00"
+
 
 def mobile_config(attack):
     return SimConfig(node_count=40, area=(300.0, 300.0), sim_duration=3.0,
@@ -94,6 +99,14 @@ def static_reform_config():
                      malicious_fraction=0.1, attack=adversary.GREY_HOLE,
                      grey_drop_rate=0.5, source_fraction=0.3, cbr_interval=0.05,
                      traffic_start=0.5)
+
+
+def beacon_depletion_config():
+    return SimConfig(node_count=30, area=(150.0, 150.0), speed_range=(0.0, 0.0),
+                     radio_range=75.0, sim_duration=2.0, seed=1,
+                     hello_interval=0.01, initial_energy_range=(0.02, 0.12),
+                     source_fraction=0.2, cbr_interval=0.05, traffic_start=0.3,
+                     adversaries=[{"node": 4, "kind": adversary.SPOOF, "victim": 9}])
 
 
 @pytest.mark.parametrize("kind", adversary.KINDS)
@@ -127,6 +140,22 @@ def test_static_reform_digest():
     assert len(events_of(world.events_log, "node_depleted")) == 9
     assert sorted(world.blacklisted) == [9, 36, 38, 53, 58, 59]
     assert m.digest == STATIC_REFORM_DIGEST
+
+
+def test_static_beacon_depletion_digest():
+    """A pinned field that HELLO rounds drain: batteries run dry in rounds
+    between two rebuilds (one every 10 ms, a rebuild only after a
+    depletion), while a spoofer that joined a head's cluster is convicted
+    and then flagged every round."""
+    world, m = run_world(beacon_depletion_config())
+    rounds = {t for t, _ in events_of(world.events_log, "hello_round")}
+    died = [t for t, _ in events_of(world.events_log, "node_depleted")]
+    between = [t for t in died
+               if t in rounds and abs(t * 10 - round(t * 10)) > 1e-6]
+    assert (len(died), len(between)) == (16, 13)
+    assert len(events_of(world.events_log, "spoof_flagged")) == 61
+    assert sorted(world.blacklisted) == [4]
+    assert m.digest == BEACON_DEPLETION_DIGEST
 
 
 def test_digest_independent_of_hash_seed():

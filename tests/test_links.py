@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import desk_config, events_of, run_world
-from manetsim import adversary, packets
+from manetsim import adversary, beacon, packets
 from manetsim.config import SimConfig
 from manetsim.engine import World
 from topology_reference import reference_adjacency, reference_link
@@ -68,8 +68,7 @@ def test_grid_adjacency_matches_all_pairs_scan(case):
                             positions=points, speed_range=(0.0, 0.0)))
     world.populate()
     for nid in dead:
-        node = world.nodes[nid]
-        node.energy_expended = node.energy_total
+        beacon.charge(world.nodes[nid].battery, "tx", 10 ** 12)   # past any battery
     world._rebuild_adjacency()
     adjacency, neighbors, pairs = reference_adjacency(world.nodes, world.radio)
     assert world._pairs == pairs
