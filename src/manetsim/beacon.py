@@ -17,16 +17,16 @@ does it for one node (its battery, the histories it keeps and the
 residual energies it heard), `Beacons.fold_all` for every node.  A fold
 with no round since the last one costs O(1).
 
-A round runs link by link only when it cannot be skipped like that:
+A round runs link by link, every charge in order, when it cannot be
+skipped like that:
 
 - a node could run dry during it.  Each battery's remaining energy and
   its bytes per round say how many rounds it lasts for sure, so `alive`
   needs no fold: a node alive at its last fold is alive now;
-- a spoofed HELLO in it would convict its sender.
+- a live link carries a spoofed HELLO, which logs and may convict its
+  sender.  While such a link is live, every round runs link by link.
 
-Spoofed links, and links that feed a history a spoofed link also feeds,
-are processed in every round, in link order, because they log.  Any
-depletion folds every node and recomputes what a round adds.
+Any depletion folds every node and lays the links out again.
 """
 
 import math
@@ -156,15 +156,6 @@ def _base(b, r):
     b.base_rx = rx - b.rx_rate
 
 
-def _residual(b, r, heard):
-    """The residual energy a neighbour heard from the node in round r, the
-    last round, after the node itself had received `heard` bytes of it."""
-    if b.base_at != r:
-        _base(b, r)
-    j = b.base_txj + airtime_joules(b.rx_power, b.base_rx + heard, b.capacity)
-    return 1.0 - min(b.total, j) / b.total
-
-
 class HelloRuns:
     """A HELLO history as runs of equal samples, oldest first.
 
@@ -223,8 +214,10 @@ def fold(node):
     if k:
         node.links_at = r
         res = node.neighbor_res
+        # HelloRuns.extend and the residual energy a neighbour heard,
+        # inlined: as calls they cost mobile-beacon 3.4% more wall time
+        # (2-vCPU x86-64 host)
         for sender, sid, est, hist, heard in node.links_in:
-            # hist.extend(est, k)
             ests = hist.ests
             if ests and ests[-1] == est:
                 hist.counts[-1] += k
@@ -236,7 +229,6 @@ def fold(node):
                 hist._evict(n - hist.window)
                 n = hist.window
             hist.n = n
-            # _residual(sender, r, heard)
             if sender.base_at != r:
                 _base(sender, r)
             j = sender.base_txj + sender.rx_power / 1000.0 * (
@@ -248,11 +240,11 @@ def fold(node):
 class Beacons:
     """The HELLO rounds of one run.
 
-    `_lay_out` reads the links of `World._pairs` once per rebuild, at the
-    first round after it; every pair there passed the link rule both
-    ways, so both directions are above the floor.  Nothing here, and
-    nothing a node holds, refers back to the World, whose methods pass it
-    in; so a finished run is freed at once.
+    `_lay_out` reads the links of `World._pairs` at the first round after
+    a rebuild, after a depletion and after a round run link by link; every
+    pair there passed the link rule both ways, so both directions are above
+    the floor.  Nothing here, and nothing a node holds, refers back to the
+    World, whose methods pass it in; so a finished run is freed at once.
     """
 
     def __init__(self, nodes, hello_size):
@@ -260,9 +252,6 @@ class Beacons:
         self.size = hello_size
         self.clock = Clock()
         self._laid_out = False   # since the last rebuild
-        self._laid_at = 0        # the round of the first lay-out since it
-        self._one_round = True   # whether the last epoch with rounds had one
-        self._explicit = ()      # links every round processes
         self._heard = 0          # receptions in a skipped round
         self._folded = 0         # the round every node is folded to
         self._by_link = False    # inside a round that runs link by link
@@ -276,8 +265,6 @@ class Beacons:
 
     def relink(self):
         """The adjacency was rebuilt; callers fold first."""
-        if self._laid_out:
-            self._one_round = self.clock.rounds - self._laid_at == 1
         self._laid_out = False
 
     def depleted(self, world):
@@ -285,65 +272,34 @@ class Beacons:
         round adds."""
         if self._laid_out and not self._by_link:
             self.fold_all()
-            self._lay_out(world, eager=False)
+            self._lay_out(world)
 
     def round(self, world):
         """One beacon exchange: every live node transmits once, every live
         in-range pair hears each other (both directions)."""
-        clock = self.clock
         if not self._laid_out:
-            self._laid_at = clock.rounds
-            if self._lay_out(world, eager=self._one_round):
-                clock.rounds += 1
-                world.log("hello_round", receptions=self._heard)
-                return
-        r = clock.rounds + 1
-        if r > clock.safe_until or self._convicts(world):
+            self._lay_out(world)
+        clock = self.clock
+        if clock.rounds >= clock.safe_until:
             self._round_by_link(world)
             return
-        clock.rounds = r
-        for receiver, sender, est, hist, claimed, heard in self._explicit:
-            hist.extend(est, 1)
-            receiver.neighbor_res[sender.node_id] = _residual(sender.battery, r, heard)
-            if claimed is not None:
-                _flag(world, receiver, sender, claimed)
+        clock.rounds += 1
         world.log("hello_round", receptions=self._heard)
 
-    def _lay_out(self, world, eager):
+    def _lay_out(self, world):
         """What each round adds from here, every node folded: the bytes per
         battery, the links each receiver folds (with the bytes their sender
-        received before them in the round) and the runway.
-
-        With `eager`, and when the next round surely skips (no spoofed
-        HELLO, and every battery lasts a round at one reception per link
-        of the last rebuild, at least what it will get), that round is
-        folded in on the way and True returned.  That pays when rebuilds
-        come as often as rounds: an epoch of one round then costs one pass
-        over the links.  When epochs run several rounds, the fold at the
-        next rebuild visits every link anyway, so the caller leaves the
-        round to it.
-        """
+        received before them in the round) and the runway, which is none
+        while a live link carries a spoofed HELLO."""
         nodes, size, r = self.nodes, self.size, self.clock.rounds
-        claims, shared = _claims(world)
-        if eager:
-            eager = not shared and all(
-                _lasts_a_round(n.battery, size, size * len(world.adjacency.get(nid, ())))
-                for nid, n in nodes.items())
         for node in nodes.values():
             node.links_in = []
-            node.links_at = r + 1 if eager else r
-            b = node.battery
-            b.rx_rate = 0
-            if eager:
-                # _base(b, r + 1): every counter is at round r
-                b.base_at = r + 1
-                b.base_txj = airtime_joules(b.tx_power, b.tx + size, b.capacity)
-                b.base_rx = b.rx
+            node.links_at = r
+            node.battery.rx_rate = 0
         params = world.radio
         k, q = params.k, params.q
         inv_q = 1.0 / q
         window = world.cfg.hello_window
-        explicit = []
         for a, b in world._pairs:
             na, nb = nodes[a], nodes[b]
             ba, bb = na.battery, nb.battery
@@ -358,34 +314,11 @@ class Beacons:
                 rp = k * tx / dq
                 est = (k * tx / rp) ** inv_q
                 sid = sender.node_id
-                claimed = claims.get(sid, sid)
-                hist = receiver.hello.get(claimed)
+                hist = receiver.hello.get(sid)
                 if hist is None:
-                    hist = receiver.hello[claimed] = HelloRuns(claimed, window)
-                heard = sb.rx_rate          # so far this round
+                    hist = receiver.hello[sid] = HelloRuns(sid, window)
+                receiver.links_in.append((sb, sid, est, hist, sb.rx_rate))
                 rb.rx_rate += size
-                if shared and (receiver.node_id, claimed) in shared:
-                    explicit.append((receiver, sender, est, hist,
-                                     claimed if claimed != sid else None, heard))
-                    continue
-                receiver.links_in.append((sb, sid, est, hist, heard))
-                if eager:
-                    # fold(receiver) for this link and one round
-                    ests = hist.ests
-                    if ests and ests[-1] == est:
-                        hist.counts[-1] += 1
-                    else:
-                        ests.append(est)
-                        hist.counts.append(1)
-                    if hist.n < hist.window:
-                        hist.n += 1
-                    else:
-                        hist._evict(1)
-                    j = sb.base_txj + sb.rx_power / 1000.0 * (
-                        (sb.base_rx + heard) * 8 / sb.capacity)
-                    total = sb.total
-                    receiver.neighbor_res[sid] = 1.0 - (j if j < total else total) / total
-        self._explicit = explicit
         heard = 0
         safe = 1 << 62
         for node in nodes.values():
@@ -395,21 +328,13 @@ class Beacons:
             b.round_j = b.bill(b.tx_rate, b.rx_rate)
             if b.round_j:
                 safe = min(safe, _runway(b))
+        # a spoofer that hears a HELLO has a live link, and the HELLO it
+        # sends on that link is spoofed: no round may be skipped
+        if any(nodes[nid].battery.rx_rate for nid in _claims(world)):
+            safe = 0
         self._heard = heard // size
         self.clock.safe_until = r + safe
         self._laid_out = True
-        return eager
-
-    def _convicts(self, world):
-        """Whether a spoofed HELLO this round would convict its sender."""
-        if not world.cfg.detection_enabled:
-            return False
-        for receiver, sender, _, _, claimed, _ in self._explicit:
-            if (claimed is not None and sender.node_id not in world.blacklisted
-                    and receiver.node_id in world.clusters
-                    and sender.node_id in world.ch_state[receiver.node_id].registry):
-                return True
-        return False
 
     def _round_by_link(self, world):
         """One round with every charge through `World.consume`, in order, so
@@ -420,7 +345,7 @@ class Beacons:
         for _, node in sorted(nodes.items()):
             if node.alive:
                 world.consume(node, "tx", size)
-        claims, _ = _claims(world)
+        claims = _claims(world)
         params = world.radio
         heard = 0
         for a, b in world._pairs:
@@ -449,25 +374,13 @@ class Beacons:
         r = self.clock.rounds = self._folded = self.clock.rounds + 1
         for node in nodes.values():
             node.battery.at = r
-        self._lay_out(world, eager=False)
+        self._lay_out(world)
 
 
 def _claims(world):
-    """The id each spoofer claims in its HELLOs, and the (receiver, claimed
-    id) histories that spoofed HELLOs feed."""
-    claims = {nid: n.policy.victim for nid, n in world.nodes.items()
-              if n.policy.kind == adversary.SPOOF and n.policy.victim is not None}
-    shared = {(rid, victim) for nid, victim in claims.items()
-              for rid in world.adjacency.get(nid, ())}
-    return claims, shared
-
-
-def _lasts_a_round(b, tx, rx):
-    """Whether a live battery surely lasts a round of tx bytes sent and rx
-    received, by `_runway`'s rule; a dead one is not asked."""
-    if b.spent >= b.total:
-        return True
-    return b.total * (1 - MARGIN) - b.spent >= b.bill(tx, rx)
+    """The id each spoofer claims in its HELLOs."""
+    return {nid: n.policy.victim for nid, n in world.nodes.items()
+            if n.policy.kind == adversary.SPOOF and n.policy.victim is not None}
 
 
 def _flag(world, receiver, sender, claimed):

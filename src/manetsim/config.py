@@ -1,5 +1,6 @@
 """Simulation configuration and validation."""
 
+import math
 from dataclasses import dataclass, field, fields
 
 from . import adversary
@@ -99,23 +100,32 @@ class SimConfig:
 
     def validate(self):
         def positive(name):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number above zero")
+
+        def pair(name, value):
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(_finite, value))):
+                raise ConfigError(f"{name} must be two finite numbers")
 
         if self.node_count < 1:
             raise ConfigError("node_count must be at least 1")
         for name in ("sim_duration", "channel_capacity", "radio_range",
                      "hello_interval", "topology_interval", "cbr_interval",
                      "packet_size", "hello_size", "control_size",
-                     "ack_timeout_factor"):
+                     "ack_timeout_factor", "slander_interval", "spoof_interval",
+                     "flood_interval"):
             positive(name)
         if self.path_loss_q not in (2, 3, 4):
             raise ConfigError("path_loss_q must be 2, 3 or 4")
         for name in ("tx_power_range", "rx_power_range", "speed_range",
                      "initial_energy_range"):
+            pair(name, getattr(self, name))
             lo, hi = getattr(self, name)
             if lo > hi or hi < 0:
                 raise ConfigError(f"{name} must be an ordered non-negative range")
+        pair("area", self.area)
         width, height = self.area
         if width < 0 or height < 0:
             raise ConfigError("area must be a non-negative [width, height]")
@@ -132,8 +142,14 @@ class SimConfig:
             raise ConfigError("hello_window must be at least 2")
         if self.accusation_threshold < 1:
             raise ConfigError("accusation_threshold must be at least 1")
-        if self.positions is not None and len(self.positions) != self.node_count:
-            raise ConfigError("positions must list one (x, y) per node")
+        if self.positions is not None:
+            if (not isinstance(self.positions, (list, tuple))
+                    or len(self.positions) != self.node_count):
+                raise ConfigError("positions must list one (x, y) per node")
+            for i, pos in enumerate(self.positions):
+                pair(f"positions[{i}]", pos)
+        if not isinstance(self.energy_overrides, dict):
+            raise ConfigError("energy_overrides must be a mapping of node id to joules")
         try:
             self.weights()
         except ValueError as exc:
@@ -180,8 +196,17 @@ class SimConfig:
             node_id(f"traffic[{i}] dst", pair[1])
             if pair[0] == pair[1]:
                 raise ConfigError(f"traffic[{i}] sends from node {pair[0]} to itself")
-        for key in self.energy_overrides:
+        for key, joules in self.energy_overrides.items():
             node_id("energy_overrides key", key)
+            if not (_finite(joules) and joules >= 0):
+                raise ConfigError(f"energy_overrides[{key}] must be a finite "
+                                  f"non-negative number of joules")
+
+
+def _finite(value):
+    """Whether value is a finite int or float (a bool is neither here)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 CONFIG_FIELDS = tuple(f.name for f in fields(SimConfig))

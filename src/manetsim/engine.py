@@ -538,9 +538,8 @@ class World:
         node = self.nodes[src]
         if not node.alive:
             return
-        ch = node.cluster
-        if (ch is None or ch not in self.clusters
-                or (ch != src and ch not in self.adjacency.get(src, ()))):
+        ch = self._linked_head(src, itself=True)
+        if ch is None:
             # not clustered yet (or drifted off the head); transient, retry
             self.log("session_rejected", src=src, dst=dst, reason="no_cluster")
             retry = self.now + 0.5
@@ -551,9 +550,7 @@ class World:
                               self.cfg.control_size, payload={"dst": dst},
                               created_at=self.now)
         if node.policy.kind == adversary.SPOOF and node.policy.victim is not None:
-            adversary.spoof_identity(node.policy, rreq)
-            self.log("spoof_attempt", node=src, claimed=rreq.src, packet_kind=packets.RREQ)
-            self.acted.add(src)
+            self._spoof_rreq(node, rreq)
         self.log("session_request", src=src, dst=dst)
         if ch != src:
             # one-hop broadcast to the head; bystanders overhear it too
@@ -570,17 +567,9 @@ class World:
                     self._false_rrep(nb, ch, act.packet)
                 elif act.kind == adversary.TUNNEL:
                     self._tunnel(rreq, nb, act.peer, None)
+        if not self._rreq_identity_holds(src, ch, rreq):
+            return
         st = self.ch_state[ch]
-        try:
-            verdict = detection.verify_identity(st.registry, src, rreq.src)
-        except UnknownLink:
-            self.log("rreq_unknown_link", link=src, at=ch)
-            return
-        if verdict is not None and verdict.label == detection.MALICIOUS:
-            self.log("spoof_flagged", owner=src, claimed=rreq.src, at=ch,
-                     packet_kind=packets.RREQ)
-            self.punish_verdict(verdict, ch)
-            return
         value = trust.trust_value(self.trust_registry[src])
         st.pending.append((value, src, self._seq, dst))
         if not st.drain_scheduled:
@@ -588,6 +577,40 @@ class World:
             self.schedule(self.now + protocol.tx_time(self.cfg.control_size,
                                                       self.cfg.channel_capacity),
                           "admit", ch)
+
+    def _linked_head(self, nid, itself=False):
+        """The node's head if it heads a cluster and is linked to the node
+        (or, with `itself`, is the node); else None."""
+        ch = self.nodes[nid].cluster
+        if ch is None or ch not in self.clusters:
+            return None
+        if ch in self.adjacency.get(nid, ()) or (itself and ch == nid):
+            return ch
+        return None
+
+    def _spoof_rreq(self, node, rreq):
+        """The spoofer claims its victim's id as the RREQ's source."""
+        adversary.spoof_identity(node.policy, rreq)
+        self.log("spoof_attempt", node=node.node_id, claimed=rreq.src,
+                 packet_kind=packets.RREQ)
+        self.acted.add(node.node_id)
+
+    def _rreq_identity_holds(self, link, ch, rreq):
+        """The head checks the RREQ's claimed source against the link it
+        came in on; False when the link is unknown or the claim convicts
+        the link's owner (who is punished)."""
+        try:
+            verdict = detection.verify_identity(self._head_state(ch).registry,
+                                                link, rreq.src)
+        except UnknownLink:
+            self.log("rreq_unknown_link", link=link, at=ch)
+            return False
+        if verdict is not None and verdict.label == detection.MALICIOUS:
+            self.log("spoof_flagged", owner=link, claimed=rreq.src, at=ch,
+                     packet_kind=packets.RREQ)
+            self.punish_verdict(verdict, ch)
+            return False
+        return True
 
     def _false_rrep(self, attacker, ch, fake):
         """A member pushing an unsolicited reply at the head: heads own the
@@ -870,10 +893,8 @@ class World:
         node = self.nodes[nid]
         if not node.alive:
             return
-        ch = node.cluster
-        if (ch is not None and ch in self.clusters
-                and ch in self.adjacency.get(nid, ())
-                and nid not in self.blacklisted):
+        ch = self._linked_head(nid)
+        if ch is not None and nid not in self.blacklisted:
             reports = adversary.emit_slander(node.policy, ch, self.now)
             for rep in reports:
                 rep.packet_id = self.next_packet_id()
@@ -896,9 +917,8 @@ class World:
         node = self.nodes[nid]
         if not node.alive:
             return
-        ch = node.cluster
-        if ch is None or ch not in self.clusters or ch not in self.adjacency.get(nid, ()):
-            ch = None
+        ch = self._linked_head(nid)
+        if ch is None:
             best = None
             for cand in sorted(self.clusters):
                 if cand == nid or cand not in self.adjacency.get(nid, ()):
@@ -912,21 +932,10 @@ class World:
                                   self.cfg.control_size,
                                   payload={"dst": node.policy.victim},
                                   created_at=self.now)
-            adversary.spoof_identity(node.policy, rreq)
-            self.log("spoof_attempt", node=nid, claimed=rreq.src, packet_kind=packets.RREQ)
-            self.acted.add(nid)
+            self._spoof_rreq(node, rreq)
             self.consume(node, "tx", self.cfg.control_size)
             self.consume(self.nodes[ch], "rx", self.cfg.control_size)
-            st = self._head_state(ch)
-            try:
-                verdict = detection.verify_identity(st.registry, nid, rreq.src)
-            except UnknownLink:
-                self.log("rreq_unknown_link", link=nid, at=ch)
-                verdict = None
-            if verdict is not None and verdict.label == detection.MALICIOUS:
-                self.log("spoof_flagged", owner=nid, claimed=rreq.src, at=ch,
-                         packet_kind=packets.RREQ)
-                self.punish_verdict(verdict, ch)
+            self._rreq_identity_holds(nid, ch, rreq)
         nxt = self.now + self.cfg.spoof_interval
         if nxt <= self.cfg.sim_duration:
             self.schedule(nxt, "spoof", nid)
@@ -935,10 +944,9 @@ class World:
         node = self.nodes[nid]
         if not node.alive:
             return
-        ch = node.cluster
         n = adversary.flood_count(node.policy, self.cfg.flood_interval)
-        if (n > 0 and ch is not None and ch in self.clusters
-                and ch in self.adjacency.get(nid, ())):
+        ch = self._linked_head(nid)
+        if n > 0 and ch is not None:
             seq = self._flood_seq.get(nid, 0)
             adverts = adversary.emit_table_flood(node.policy, n, seq, ch, self.now)
             self._flood_seq[nid] = seq + len(adverts)

@@ -92,7 +92,15 @@ def _type_name(t) -> str:
 
 
 def _coerce(name: str, raw):
-    """Parse an override (env/flag string or YAML value) into the field's type."""
+    """Parse an override (env/flag string or YAML value) into the field's
+    type; a value that does not parse is a `ConfigError` naming the key."""
+    try:
+        return _parse(name, raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: cannot parse {raw!r} ({exc})") from exc
+
+
+def _parse(name: str, raw):
     hints = {f.name: _type_name(f.type) for f in dataclasses.fields(SimConfig)}
     if name in ("node_counts", "seeds"):
         if isinstance(raw, (list, tuple)):

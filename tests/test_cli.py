@@ -183,6 +183,47 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("area: [1, 2, 3]\n", "area"),
+    ("area: 5\n", "area"),
+    ("area: [1, abc]\n", "area"),
+    ("speed_range: [1]\n", "speed_range"),
+    ("tx_power_range: 7\n", "tx_power_range"),
+    ("initial_energy_range: [1, .nan]\n", "initial_energy_range"),
+    ("positions: [[1], [2], [3]]\n", "positions"),
+    ("positions: 5\n", "positions"),
+    ("energy_overrides: [1, 2]\n", "energy_overrides"),
+    ("energy_overrides: {1: abc}\n", "energy_overrides"),
+    ("sim_duration: .inf\n", "sim_duration"),
+    ("sim_duration: .nan\n", "sim_duration"),
+    ("hello_interval: .nan\n", "hello_interval"),
+    ("radio_range: abc\n", "radio_range"),
+    ("spoof_interval: 0\n", "spoof_interval"),
+], ids=["area_three", "area_scalar", "area_text", "speed_one", "tx_scalar",
+        "energy_nan", "positions_points", "positions_scalar", "overrides_list",
+        "overrides_text", "duration_inf", "duration_nan", "hello_nan",
+        "range_text", "spoof_every_instant"])
+def test_cli_rejects_malformed_values(tmp_path, capsys, extra, key):
+    text = TINY.replace("node_counts: [10]", "node_counts: [3]") + extra
+    cfg = write_scenario(tmp_path, text=text)
+    assert main([cfg, "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("var, key", [
+    ("MANETSIM_RADIO_RANGE", "radio_range"),
+    ("MANETSIM_SEEDS", "seeds"),
+    ("MANETSIM_AREA", "area"),
+])
+def test_cli_unparseable_env_value_names_its_key(tmp_path, capsys, monkeypatch,
+                                                 var, key):
+    monkeypatch.setenv(var, "abc")
+    cfg = write_scenario(tmp_path)
+    assert main([cfg, "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_cli_runs_a_field_wider_than_tall(tmp_path):
     cfg = write_scenario(tmp_path, text=TINY + "area: [500, 300]\n")
     out = tmp_path / "wide"

@@ -12,9 +12,9 @@ re-derived on a fixed field, where the gateway candidates and route tables
 are kept between refreshes; and a static field whose HELLO rounds empty
 batteries between rebuilds, next to a spoofer. The spoof cells (110 and
 805 `spoof_flagged` events) and the depletion cells (40 and 16
-`node_depleted` events) reach the beacon rounds that run link by link and
-the spoofed links processed every round, which no benchmark workload
-does.
+`node_depleted` events) reach the beacon rounds that run link by link,
+because a battery runs dry in them or a live link carries a spoofed
+HELLO, which no benchmark workload does.
 """
 
 import os
