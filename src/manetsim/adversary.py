@@ -29,11 +29,16 @@ TUNNEL = "tunnel"
 FABRICATE = "fabricate"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Action:
     kind: str
     peer: int | None = None       # tunnel endpoint
     packet: object = None         # fabricated reply, if any
+
+
+# The two actions that carry nothing, shared by every `intercept` call.
+FORWARD_ACTION = Action(FORWARD)
+DROP_ACTION = Action(DROP)
 
 
 @dataclass
@@ -66,15 +71,15 @@ def intercept(policy: BehaviorPolicy, packet, rng=None) -> Action:
                                                     "for": packet.payload.get("dst")})
             return Action(FABRICATE, packet=fake)
         if kind == packets.DATA:
-            return Action(DROP)
+            return DROP_ACTION
     elif policy.kind == GREY_HOLE:
         if kind == packets.DATA:
             if policy.drop_rate >= 1.0 or (rng is not None and rng.random() < policy.drop_rate):
-                return Action(DROP)
+                return DROP_ACTION
     elif policy.kind == WORMHOLE:
         if kind in (packets.DATA, packets.RREQ):
             return Action(TUNNEL, peer=policy.peer)
-    return Action(FORWARD)
+    return FORWARD_ACTION
 
 
 def spoof_identity(policy: BehaviorPolicy, packet):

@@ -123,8 +123,18 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
     Returns a list of (event, *details) tuples describing every change:
     members dropping out of range, dissolved and merged clusters, joins,
     and fresh elections for nodes left without a reachable head.
+
+    A pass runs no beacon round, charges no battery and reassigns no
+    node's cluster, so each node's metrics are fetched once per pass.
     """
     events = []
+    fetched = {}
+
+    def metrics_of(n):
+        m = fetched.get(n)
+        if m is None:
+            m = fetched[n] = metrics_fn(n, None)
+        return m
 
     def dissolve(ch_id, reason):
         cl = clusters.pop(ch_id)
@@ -157,8 +167,8 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
             for b in sorted(adjacency.get(a, ())):
                 if b <= a or b not in clusters:
                     continue
-                sa = composite_score(metrics_fn(a, None), weights)
-                sb = composite_score(metrics_fn(b, None), weights)
+                sa = composite_score(metrics_of(a), weights)
+                sb = composite_score(metrics_of(b), weights)
                 win, lose = (a, b) if (sa, -a) >= (sb, -b) else (b, a)
                 loose |= dissolve(lose, f"merged_into_{win}")
                 events.append(("clusters_merged", win, lose))
@@ -180,7 +190,7 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
     # Whoever is left elects heads among themselves, component by component.
     stray = _unclustered(clusters, alive)
     while stray:
-        cands = [metrics_fn(n, None) for n in sorted(stray) if may_head(n)]
+        cands = [metrics_of(n) for n in sorted(stray) if may_head(n)]
         if not cands:
             break
         ch = elect_ch(cands, weights)

@@ -137,6 +137,12 @@ class SimConfig:
             raise ConfigError("source_fraction must be within [0, 1]")
         if self.session_packets < 1:
             raise ConfigError("session_packets must be at least 1")
+        spp = self.sessions_per_source
+        if spp is not None and (isinstance(spp, bool) or not isinstance(spp, int)
+                                or spp < 1):
+            raise ConfigError("sessions_per_source must be null or an integer of at least 1")
+        if not (_finite(self.traffic_start) and self.traffic_start >= 0):
+            raise ConfigError("traffic_start must be a finite number of at least zero")
         if self.hello_window < 2:
             # pairwise mobility needs two samples; one would silently drop it
             raise ConfigError("hello_window must be at least 2")
@@ -150,6 +156,11 @@ class SimConfig:
                 pair(f"positions[{i}]", pos)
         if not isinstance(self.energy_overrides, dict):
             raise ConfigError("energy_overrides must be a mapping of node id to joules")
+        for name in ("weight_energy", "weight_trust", "weight_mobility", "weight_dnc"):
+            value = getattr(self, name)
+            if not (_finite(value) and value >= 0):
+                # NaN and +inf against -inf would slip past the sum check
+                raise ConfigError(f"{name} must be a finite non-negative number")
         try:
             self.weights()
         except ValueError as exc:

@@ -6,8 +6,14 @@ Three independent RNG streams (init, mobility, policy) keep node
 trajectories identical across runs that differ only in protocol behavior,
 which is what makes detection-on/off and with/without-attacker
 comparisons meaningful on the same seed.
+
+The cyclic garbage collector is paused while the event loop runs: a run
+makes no reference cycles (`tests/test_engine.py` checks this for every
+attack kind), so each of its passes would scan the run's objects and free
+nothing.
 """
 
+import gc
 import hashlib
 import heapq
 import math
@@ -113,6 +119,10 @@ class World:
         self.rng_init = random.Random(f"{cfg.seed}:init")
         self.rng_mobility = random.Random(f"{cfg.seed}:mobility")
         self.rng_policy = random.Random(f"{cfg.seed}:policy")
+        # airtime of one DATA packet and of one control packet (RREQ, ACK,
+        # blacklist notice); every packet of a kind has the kind's size
+        self.data_airtime = protocol.tx_time(cfg.packet_size, cfg.channel_capacity)
+        self.control_airtime = protocol.tx_time(cfg.control_size, cfg.channel_capacity)
 
         self.now = 0.0
         self._heap = []
@@ -426,8 +436,10 @@ class World:
     # ---- punishment hooks used by detection.punish ----
 
     def note_trust_change(self, nid, before, after, reason):
-        self.log("trust_change", node=nid, before=round(before, 9),
-                 after=round(after, 9), reason=reason)
+        # the record `log` would build, its keys already in sorted order
+        self.events_log.append((self.now, "trust_change", (
+            ("after", round(after, 9)), ("before", round(before, 9)),
+            ("node", nid), ("reason", reason))))
 
     def eject_node(self, nid):
         self.nodes[nid].cluster = None
@@ -448,7 +460,7 @@ class World:
         self._propagate_blacklist(nid, issuing_ch, reason)
 
     def _propagate_blacklist(self, nid, from_ch, reason):
-        hop_t = protocol.tx_time(self.cfg.control_size, self.cfg.channel_capacity)
+        hop_t = self.control_airtime
         for pair, gws in sorted(self.edges.items()):
             if from_ch not in pair:
                 continue
@@ -574,9 +586,7 @@ class World:
         st.pending.append((value, src, self._seq, dst))
         if not st.drain_scheduled:
             st.drain_scheduled = True
-            self.schedule(self.now + protocol.tx_time(self.cfg.control_size,
-                                                      self.cfg.channel_capacity),
-                          "admit", ch)
+            self.schedule(self.now + self.control_airtime, "admit", ch)
 
     def _linked_head(self, nid, itself=False):
         """The node's head if it heads a cluster and is linked to the node
@@ -685,9 +695,8 @@ class World:
                 len(plan) - 1, self.cfg.ack_timeout_factor)
             self.log("data_emit", packet=pid, session=sid, plan=tuple(plan),
                      segs=tuple(segments))
-            self.schedule(self.now + protocol.tx_time(self.cfg.packet_size,
-                                                      self.cfg.channel_capacity),
-                          "hop", packet, plan, 0, tuple(segments), sid, timeout_s)
+            self.schedule(self.now + self.data_airtime, "hop", packet, plan, 0,
+                          protocol.segment_table(plan, segments), sid, timeout_s)
         if s.sent < s.packets_total:
             self.schedule(self.now + self.cfg.cbr_interval, "emit", sid)
 
@@ -703,10 +712,10 @@ class World:
             return res_eng, None
         return res_eng, hist.mobility(self.cfg.hello_interval)
 
-    def _hop(self, packet, plan, idx, segments, session_id, timeout_s):
+    def _hop(self, packet, plan, idx, seg_at, session_id, timeout_s):
         frm, to = plan[idx], plan[idx + 1]
         fn, tn = self.nodes[frm], self.nodes[to]
-        seg = next(((p, q) for (p, q) in segments if p <= idx < q), None)
+        seg = seg_at[idx]
         entry = None
         if seg is not None:
             st_up = self.ch_state.get(plan[seg[0]])
@@ -715,11 +724,10 @@ class World:
                 if cand is not None and cand.ack_status == detection.PENDING:
                     entry = cand
 
-        ok = fn.alive and self.consume(fn, "tx", packet.size)
-        live = ok and tn.alive and to in self.adjacency.get(frm, ())
-        if live:
-            live = self.consume(tn, "rx", packet.size)
-        if not live:
+        # `consume` refuses a dead battery and charges it nothing
+        if not (self.consume(fn, "tx", packet.size)
+                and to in self.adjacency.get(frm, ())
+                and self.consume(tn, "rx", packet.size)):
             # the sender sees the MAC failure; a watching head that saw its
             # custodian attempt the hop clears it of suspicion
             if entry is not None and entry.gateway == frm:
@@ -775,10 +783,8 @@ class World:
         if final:
             self._deliver(packet, session_id)
         else:
-            self.schedule(self.now + protocol.tx_time(packet.size,
-                                                      self.cfg.channel_capacity),
-                          "hop", packet, plan, idx + 1, segments, session_id,
-                          timeout_s)
+            self.schedule(self.now + self.data_airtime, "hop", packet, plan,
+                          idx + 1, seg_at, session_id, timeout_s)
 
     def _deliver(self, packet, session_id):
         self.delivered += 1
@@ -799,17 +805,15 @@ class World:
                              self.next_packet_id(), self.cfg.control_size,
                              payload={"ref": packet.packet_id},
                              created_at=self.now)
-        self.schedule(self.now + protocol.tx_time(ack.size, self.cfg.channel_capacity),
-                      "ackhop", ack, tuple(aplan), 0)
+        self.schedule(self.now + self.control_airtime, "ackhop", ack,
+                      tuple(aplan), 0)
 
     def _ack_hop(self, ack, aplan, idx):
         frm, to = aplan[idx], aplan[idx + 1]
         fn, tn = self.nodes[frm], self.nodes[to]
-        ok = fn.alive and self.consume(fn, "tx", ack.size)
-        live = ok and tn.alive and to in self.adjacency.get(frm, ())
-        if live:
-            live = self.consume(tn, "rx", ack.size)
-        if not live:
+        if not (self.consume(fn, "tx", ack.size)
+                and to in self.adjacency.get(frm, ())
+                and self.consume(tn, "rx", ack.size)):
             self.log("ack_lost", ref=ack.payload["ref"], frm=frm, to=to)
             return
         if idx + 1 < len(aplan) - 1:
@@ -818,9 +822,8 @@ class World:
             if act.kind == adversary.DROP:
                 self.log("ack_lost", ref=ack.payload["ref"], frm=frm, to=to)
                 return
-            self.schedule(self.now + protocol.tx_time(ack.size,
-                                                      self.cfg.channel_capacity),
-                          "ackhop", ack, aplan, idx + 1)
+            self.schedule(self.now + self.control_airtime, "ackhop", ack, aplan,
+                          idx + 1)
             return
         st = self.ch_state.get(to)
         if st is None:
@@ -1008,12 +1011,18 @@ class World:
             "flood": self._flood_tick,
             "bl": self._blacklist_rx,
         }
-        while self._heap:
-            at, _, tag, payload = heapq.heappop(self._heap)
-            if at > cfg.sim_duration:
-                break
-            self.now = at
-            handlers[tag](*payload)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while self._heap:
+                at, _, tag, payload = heapq.heappop(self._heap)
+                if at > cfg.sim_duration:
+                    break
+                self.now = at
+                handlers[tag](*payload)
+        finally:
+            if collecting:
+                gc.enable()
         self.now = cfg.sim_duration
         return self.collect()
 

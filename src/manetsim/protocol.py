@@ -125,6 +125,21 @@ def build_plan(ch_path, src: int, dst: int):
     return plan, segments
 
 
+def segment_table(plan, segments):
+    """The head-to-head segment each hop of a plan lies in.
+
+    Entry idx is the (upstream_idx, downstream_idx) pair from `build_plan`
+    with upstream_idx <= idx < downstream_idx, or None for a hop inside
+    one cluster (member to head, head to member).  Hop idx runs from
+    plan[idx] to plan[idx + 1].
+    """
+    seg_at = [None] * (len(plan) - 1)
+    for seg in segments:
+        for idx in range(seg[0], seg[1]):
+            seg_at[idx] = seg
+    return seg_at
+
+
 def ack_plan(plan, segment):
     """Reverse hop sequence for the per-edge ACK: downstream head back up."""
     up, down = segment

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -67,6 +68,22 @@ def test_spoof_and_slander_do_not_touch_transit_traffic():
     for k in (adversary.SPOOF, adversary.SLANDER, adversary.TABLE_OVERFLOW):
         kw = {"victim": 3} if k == adversary.SPOOF else {}
         assert intercept(policy(k, **kw), pkt(packets.DATA)).kind == adversary.FORWARD
+
+
+def test_intercept_shares_frozen_forward_and_drop_actions():
+    data = pkt(packets.DATA)
+    assert intercept(policy(adversary.HONEST), data) is adversary.FORWARD_ACTION
+    assert intercept(policy(adversary.BLACK_HOLE), data) is adversary.DROP_ACTION
+    assert intercept(policy(adversary.GREY_HOLE), data) is adversary.DROP_ACTION
+    assert adversary.FORWARD_ACTION == Action(adversary.FORWARD)
+    assert adversary.DROP_ACTION == Action(adversary.DROP)
+    for shared in (adversary.FORWARD_ACTION, adversary.DROP_ACTION):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.kind = adversary.TUNNEL
+    # the actions that carry a packet or a peer are built per call
+    rreq = pkt(packets.RREQ)
+    lure = policy(adversary.BLACK_HOLE)
+    assert intercept(lure, rreq) is not intercept(lure, rreq)
 
 
 # ---- policy validation ----

@@ -199,10 +199,19 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     ("hello_interval: .nan\n", "hello_interval"),
     ("radio_range: abc\n", "radio_range"),
     ("spoof_interval: 0\n", "spoof_interval"),
+    ("sessions_per_source: 0\n", "sessions_per_source"),
+    ("sessions_per_source: -3\n", "sessions_per_source"),
+    ("weight_energy: .nan\n", "weight_energy"),
+    ("weight_mobility: .inf\nweight_dnc: -.inf\n", "weight_mobility"),
+    ("weight_trust: -0.25\nweight_dnc: 0.75\n", "weight_trust"),
+    ("traffic_start: -1\n", "traffic_start"),
+    ("traffic_start: .nan\n", "traffic_start"),
 ], ids=["area_three", "area_scalar", "area_text", "speed_one", "tx_scalar",
         "energy_nan", "positions_points", "positions_scalar", "overrides_list",
         "overrides_text", "duration_inf", "duration_nan", "hello_nan",
-        "range_text", "spoof_every_instant"])
+        "range_text", "spoof_every_instant", "sessions_zero",
+        "sessions_negative", "weight_nan", "weights_infinite",
+        "weight_negative", "start_negative", "start_nan"])
 def test_cli_rejects_malformed_values(tmp_path, capsys, extra, key):
     text = TINY.replace("node_counts: [10]", "node_counts: [3]") + extra
     cfg = write_scenario(tmp_path, text=text)

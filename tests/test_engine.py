@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -52,6 +53,56 @@ def test_depletion_clamps_to_remaining_charge():
     assert node.res_eng == 0.0
     assert not node.alive
     assert (node.tx_bytes, node.rx_bytes) == (512, 512)
+
+
+# ---- the cyclic collector ----
+
+@pytest.mark.parametrize("attack", [k for k in adversary.KINDS
+                                    if k != adversary.HONEST])
+def test_run_leaves_no_cyclic_garbage(attack):
+    """`World.run` pauses the collector, which frees nothing only while a
+    run makes no reference cycles."""
+    cfg = SimConfig(node_count=30, area=(250.0, 250.0), sim_duration=3.0,
+                    seed=3, malicious_fraction=0.2, attack=attack,
+                    source_fraction=0.5, cbr_interval=0.05, traffic_start=0.5)
+    gc.collect()
+    world = World(cfg)
+    world.run()
+    # the attackers acted (a table flood leaves no act on record), and
+    # every kind but the flood got some of them blacklisted
+    assert world.acted or attack == adversary.TABLE_OVERFLOW
+    assert world.blacklisted or attack == adversary.TABLE_OVERFLOW
+    del world
+    assert gc.collect() == 0
+
+
+def test_run_pauses_the_collector_and_restores_its_state(monkeypatch):
+    seen = []
+    hello = World._hello_round
+
+    def watched(self):
+        seen.append(gc.isenabled())
+        hello(self)
+
+    def broken(self):
+        raise RuntimeError("handler failed")
+
+    cfg = SimConfig(node_count=6, sim_duration=0.3)
+    was = gc.isenabled()
+    try:
+        for handler in (watched, broken):
+            monkeypatch.setattr(World, "_hello_round", handler)
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                if handler is broken:
+                    with pytest.raises(RuntimeError):
+                        World(cfg).run()
+                else:
+                    World(cfg).run()
+                assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
 
 
 # ---- determinism ----

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import StubWorld
 from manetsim import trust
 from manetsim.errors import NoRoute, RejectedBlacklisted, RejectedUntrusted
 from manetsim.protocol import (ack_plan, ack_timeout, build_plan, discover_route,
-                               drain_order, originate_request, tx_time)
+                               drain_order, originate_request, segment_table,
+                               tx_time)
 
 
 DESK = StubWorld(
@@ -101,6 +104,35 @@ def test_plan_with_relay_pair_segment():
     plan, segments = build_plan([(0, ()), (9, (3, 4))], src=1, dst=10)
     assert plan == [1, 0, 3, 4, 9, 10]
     assert segments == [(1, 4)]
+
+
+def test_segment_table_marks_each_hop_of_a_crossing():
+    plan, segments = build_plan([(0, ()), (9, (3, 4)), (7, (27,))], src=1, dst=7)
+    assert plan == [1, 0, 3, 4, 9, 27, 7]
+    assert segment_table(plan, segments) == [None, (1, 4), (1, 4), (1, 4),
+                                             (4, 6), (4, 6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.integers(0, 10 ** 6), min_size=15, max_size=15, unique=True),
+       widths=st.lists(st.integers(1, 2), max_size=4),
+       src_heads=st.booleans(), dst_heads=st.booleans())
+def test_segment_table_matches_a_scan_of_the_segments(ids, widths, src_heads,
+                                                      dst_heads):
+    """Each hop's table entry is the segment the hop used to scan for."""
+    fresh = iter(ids)
+    ch_path = [(next(fresh), ())]
+    for width in widths:
+        gws = tuple(next(fresh) for _ in range(width))
+        ch_path.append((next(fresh), gws))
+    src = ch_path[0][0] if src_heads else next(fresh)
+    dst = ch_path[-1][0] if dst_heads else next(fresh)
+    assume(src != dst)
+    plan, segments = build_plan(ch_path, src, dst)
+    table = segment_table(plan, segments)
+    assert len(table) == len(plan) - 1
+    for idx, seg in enumerate(table):
+        assert seg == next(((p, q) for (p, q) in segments if p <= idx < q), None)
 
 
 def test_ack_plan_reverses_one_segment():
