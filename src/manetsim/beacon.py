@@ -15,7 +15,10 @@ through the round.  So a round only counts itself.  What it would have
 written is brought forward ("folded") when something reads it: `fold`
 does it for one node (its battery, the histories it keeps and the
 residual energies it heard), `Beacons.fold_all` for every node.  A fold
-with no round since the last one costs O(1).
+with no round since the last one costs O(1).  Each link keeps its own
+fold point, so `fold_link` can bring forward the one link a reader needs
+(a head watching a custodian at a handover) and a later `fold` of the
+node agrees with it.
 
 A round runs link by link, every charge in order, when it cannot be
 skipped like that:
@@ -24,7 +27,8 @@ skipped like that:
   its bytes per round say how many rounds it lasts for sure, so `alive`
   needs no fold: a node alive at its last fold is alive now;
 - a live link carries a spoofed HELLO, which logs and may convict its
-  sender.  While such a link is live, every round runs link by link.
+  sender.  While such a link is live, every round runs link by link and
+  `Beacons._lay_out` lays out no link.
 
 Any depletion folds every node and lays the links out again.
 """
@@ -32,6 +36,7 @@ Any depletion folds every node and lays the links out again.
 import math
 
 from . import adversary, detection, packets, radio
+from .errors import InvalidEnergy
 from .radio import MIN_DISTANCE_M
 
 # Share of a battery that skipped rounds may not spend, so float rounding
@@ -93,6 +98,19 @@ class Battery:
     def expended(self):
         settle(self)
         return min(self.total, self.spent)
+
+
+def residual(b):
+    """The battery's residual energy fraction, 1 = full, as the election,
+    the head energy floor and a watching head read it.  Settles the
+    battery only when rounds went by since its last fold."""
+    if b.at != b.clock.rounds:
+        settle(b)
+    total = b.total
+    if total <= 0:
+        raise InvalidEnergy(f"total energy {total}")
+    s = b.spent
+    return 1.0 - (s if s < total else total) / total
 
 
 def settle(b):
@@ -163,8 +181,10 @@ class HelloRuns:
     estimates heard, as runs: `ests[i]` repeated `counts[i]` times.
     Between two rebuilds a link adds the same estimate every round.  Its
     readers need only the first sample, the last sample and the count `n`.
+    `at` is the link's fold point: the round the history holds samples up
+    to while its link is laid out.
     """
-    __slots__ = ("neighbor_id", "window", "ests", "counts", "n")
+    __slots__ = ("neighbor_id", "window", "ests", "counts", "n", "at")
 
     def __init__(self, neighbor_id, window):
         self.neighbor_id = neighbor_id
@@ -172,6 +192,7 @@ class HelloRuns:
         self.ests = []
         self.counts = []
         self.n = 0
+        self.at = 0
 
     def extend(self, est, k):
         """Append k samples of est, evicting the oldest past the window."""
@@ -210,31 +231,49 @@ def fold(node):
     r = b.clock.rounds
     if b.at != r:
         settle(b)
-    k = r - node.links_at
-    if k:
+    if node.links_at != r:
         node.links_at = r
-        res = node.neighbor_res
-        # HelloRuns.extend and the residual energy a neighbour heard,
-        # inlined: as calls they cost mobile-beacon 3.4% more wall time
-        # (2-vCPU x86-64 host)
-        for sender, sid, est, hist, heard in node.links_in:
-            ests = hist.ests
-            if ests and ests[-1] == est:
-                hist.counts[-1] += k
-            else:
-                ests.append(est)
-                hist.counts.append(k)
-            n = hist.n + k
-            if n > hist.window:
-                hist._evict(n - hist.window)
-                n = hist.window
-            hist.n = n
-            if sender.base_at != r:
-                _base(sender, r)
-            j = sender.base_txj + sender.rx_power / 1000.0 * (
-                (sender.base_rx + heard) * 8 / sender.capacity)
-            total = sender.total
-            res[sid] = 1.0 - (j if j < total else total) / total
+        _fold_links(node.neighbor_res, node.links_in.items(), r)
+
+
+def fold_link(node, sid):
+    """Bring forward only what the node heard from sid: its HELLO history
+    and the residual energy sid last advertised."""
+    r = node.battery.clock.rounds
+    if node.links_at != r:
+        link = node.links_in.get(sid)
+        if link is not None:
+            _fold_links(node.neighbor_res, ((sid, link),), r)
+
+
+def _fold_links(res, links, r):
+    """Fold each (sender id, link) of a node to round r, the last round,
+    from the link's own fold point."""
+    # HelloRuns.extend and the residual energy a neighbour heard,
+    # inlined: as calls they cost mobile-beacon 3.4% more wall time
+    # (2-vCPU x86-64 host)
+    for sid, (sender, est, hist, heard) in links:
+        k = r - hist.at
+        if not k:
+            continue
+        hist.at = r
+        ests = hist.ests
+        if ests and ests[-1] == est:
+            hist.counts[-1] += k
+        else:
+            ests.append(est)
+            hist.counts.append(k)
+        n = hist.n + k
+        if n > hist.window:
+            hist._evict(n - hist.window)
+            n = hist.window
+        hist.n = n
+        if sender.base_at != r:
+            _base(sender, r)
+        j = sender.base_txj + sender.rx_power / 1000.0 * (
+            (sender.base_rx + heard) * 8 / sender.capacity)
+        total = sender.total
+        res[sid] = 1.0 - (j if j < total else total) / total
 
 
 class Beacons:
@@ -289,13 +328,18 @@ class Beacons:
     def _lay_out(self, world):
         """What each round adds from here, every node folded: the bytes per
         battery, the links each receiver folds (with the bytes their sender
-        received before them in the round) and the runway, which is none
-        while a live link carries a spoofed HELLO."""
+        received before them in the round) and the runway.  While a live
+        link carries a spoofed HELLO there is no runway and no link to lay
+        out: every round runs link by link until the next lay-out."""
         nodes, size, r = self.nodes, self.size, self.clock.rounds
         for node in nodes.values():
-            node.links_in = []
+            node.links_in = {}
             node.links_at = r
-            node.battery.rx_rate = 0
+            node.battery.tx_rate = node.battery.rx_rate = 0
+        self._laid_out = True
+        if any(_live_link(world, nid) for nid in _claims(world)):
+            self.clock.safe_until = r
+            return
         params = world.radio
         k, q = params.k, params.q
         inv_q = 1.0 / q
@@ -317,7 +361,8 @@ class Beacons:
                 hist = receiver.hello.get(sid)
                 if hist is None:
                     hist = receiver.hello[sid] = HelloRuns(sid, window)
-                receiver.links_in.append((sb, sid, est, hist, sb.rx_rate))
+                hist.at = r
+                receiver.links_in[sid] = (sb, est, hist, sb.rx_rate)
                 rb.rx_rate += size
         heard = 0
         safe = 1 << 62
@@ -328,13 +373,8 @@ class Beacons:
             b.round_j = b.bill(b.tx_rate, b.rx_rate)
             if b.round_j:
                 safe = min(safe, _runway(b))
-        # a spoofer that hears a HELLO has a live link, and the HELLO it
-        # sends on that link is spoofed: no round may be skipped
-        if any(nodes[nid].battery.rx_rate for nid in _claims(world)):
-            safe = 0
         self._heard = heard // size
         self.clock.safe_until = r + safe
-        self._laid_out = True
 
     def _round_by_link(self, world):
         """One round with every charge through `World.consume`, in order, so
@@ -365,7 +405,7 @@ class Beacons:
                     hist = receiver.hello[claimed] = HelloRuns(claimed, world.cfg.hello_window)
                 hist.extend(est, 1)
                 # residual energy rides in the beacon and is tracked per physical link
-                receiver.neighbor_res[sid] = sender.res_eng
+                receiver.neighbor_res[sid] = residual(sender.battery)
                 heard += 1
                 if claimed != sid:
                     _flag(world, receiver, sender, claimed)
@@ -381,6 +421,20 @@ def _claims(world):
     """The id each spoofer claims in its HELLOs."""
     return {nid: n.policy.victim for nid, n in world.nodes.items()
             if n.policy.kind == adversary.SPOOF and n.policy.victim is not None}
+
+
+def _live_link(world, nid):
+    """Whether the node and one of its neighbours at the last rebuild are
+    both alive."""
+    nodes = world.nodes
+    b = nodes[nid].battery
+    if not b.spent < b.total:
+        return False
+    for nb in world._neighbors.get(nid, ()):
+        c = nodes[nb].battery
+        if c.spent < c.total:
+            return True
+    return False
 
 
 def _flag(world, receiver, sender, claimed):

@@ -10,7 +10,7 @@ designated gateway members.
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidClusterHead, InvalidEnergy, NoCandidates
+from .errors import InvalidClusterHead, NoCandidates
 
 # Heads need at least 40% battery to take or keep the role (unless nobody
 # qualifies, in which case the least-bad candidate still gets elected).
@@ -57,13 +57,6 @@ class Cluster:
 
     def nodes(self):
         return {self.ch_id} | self.members
-
-
-def res_eng(expended: float, total: float) -> float:
-    """Residual energy fraction, 1 = full battery."""
-    if total <= 0:
-        raise InvalidEnergy(f"total energy {total}")
-    return 1.0 - expended / total
 
 
 def dnc(ndnb_ni: int, ndnb_ch: int) -> float:

@@ -131,18 +131,16 @@ class SimConfig:
             raise ConfigError("area must be a non-negative [width, height]")
         if self.initial_energy_range[1] <= 0:
             raise ConfigError("initial_energy_range must allow positive energy")
-        if not 0 <= self.malicious_fraction <= 1:
-            raise ConfigError("malicious_fraction must be within [0, 1]")
-        if not 0 <= self.source_fraction <= 1:
-            raise ConfigError("source_fraction must be within [0, 1]")
+        for name in ("malicious_fraction", "source_fraction", "grey_drop_rate"):
+            _fraction(name, getattr(self, name))
         if self.session_packets < 1:
             raise ConfigError("session_packets must be at least 1")
         spp = self.sessions_per_source
         if spp is not None and (isinstance(spp, bool) or not isinstance(spp, int)
                                 or spp < 1):
             raise ConfigError("sessions_per_source must be null or an integer of at least 1")
-        if not (_finite(self.traffic_start) and self.traffic_start >= 0):
-            raise ConfigError("traffic_start must be a finite number of at least zero")
+        for name in ("traffic_start", "pause_time", "flood_rate"):
+            _at_least_zero(name, getattr(self, name))
         if self.hello_window < 2:
             # pairwise mobility needs two samples; one would silently drop it
             raise ConfigError("hello_window must be at least 2")
@@ -197,6 +195,10 @@ class SimConfig:
                     node_id(f"{where}.{key}", spec[key])
             for target in spec.get("targets", ()):
                 node_id(f"{where}.targets", target)
+            if "rate" in spec:
+                _at_least_zero(f"{where}.rate", spec["rate"])
+            if "drop_rate" in spec:
+                _fraction(f"{where}.drop_rate", spec["drop_rate"])
             needs = {adversary.WORMHOLE: "peer", adversary.SPOOF: "victim"}.get(kind)
             if needs is not None and spec.get(needs) is None:
                 raise ConfigError(f"{where}.{needs} is required for kind {kind!r}")
@@ -218,6 +220,16 @@ def _finite(value):
     """Whether value is a finite int or float (a bool is neither here)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _at_least_zero(key, value):
+    if not (_finite(value) and value >= 0):
+        raise ConfigError(f"{key} must be a finite number of at least zero")
+
+
+def _fraction(key, value):
+    if not (_finite(value) and 0 <= value <= 1):
+        raise ConfigError(f"{key} must be a finite number within [0, 1]")
 
 
 CONFIG_FIELDS = tuple(f.name for f in fields(SimConfig))

@@ -7,12 +7,15 @@ trajectories identical across runs that differ only in protocol behavior,
 which is what makes detection-on/off and with/without-attacker
 comparisons meaningful on the same seed.
 
-The cyclic garbage collector is paused while the event loop runs: a run
-makes no reference cycles (`tests/test_engine.py` checks this for every
-attack kind), so each of its passes would scan the run's objects and free
-nothing.
+The cyclic garbage collector is paused for a whole cell: `World.run`
+pauses it from set-up to the collected metrics, and a sweep
+(`scenario.run_scenario`) from a cell's start until its event log is
+dropped, both through `collector_paused`.  A run makes no reference cycles
+(`tests/test_engine.py` checks this for every attack kind), so each pass
+would scan the cell's objects and free nothing.
 """
 
+import contextlib
 import gc
 import hashlib
 import heapq
@@ -54,7 +57,7 @@ class Node:
         self.cluster = None
         self.hello = {}             # claimed neighbor id -> beacon.HelloRuns
         self.neighbor_res = {}      # link (true) id -> last advertised residual energy
-        self.links_in = []          # links whose skipped rounds fold in here
+        self.links_in = {}          # sender id -> link whose skipped rounds fold in here
         self.links_at = clock.rounds
 
     @property
@@ -82,8 +85,7 @@ class Node:
 
     @property
     def res_eng(self):
-        b = self.battery
-        return clustering.res_eng(b.expended, b.total)
+        return beacon.residual(self.battery)
 
 
 class ChState:
@@ -143,7 +145,7 @@ class World:
         self._pairs = []
         self.beacons = beacon.Beacons(self.nodes, cfg.hello_size)
         self._gateway_candidates = None  # see _refresh_backbone
-        self._route_tables = None    # (edges, head route tables built from them)
+        self._route_tables = None    # see protocol.refresh_route_tables
         self._dirty_topology = True
 
         self.generated = 0
@@ -366,7 +368,7 @@ class World:
             cov = clustering.dnc(len(self.adjacency.get(nid, ())), ndnb_ch)
         else:
             cov = clustering.DNC_DEFAULT
-        return ElectionMetrics(nid, n.res_eng,
+        return ElectionMetrics(nid, beacon.residual(n.battery),
                                trust.trust_value(self.trust_registry[nid]),
                                mob, cov)
 
@@ -376,11 +378,11 @@ class World:
         Gateway candidates read only the links, the members and the
         blacklist, so they are kept until `_rebuild_adjacency`, a membership
         change or `eject_node` drops them. Scores move with energy and
-        trust, so the winners are picked on every refresh. Route tables
-        read only the heads, the edges and the blacklist: they are rebuilt
-        when the edges differ or a membership change or `eject_node`
-        dropped them, and handed out again every time, because a
-        re-elected head gets a fresh `Cluster`.
+        trust, so the winners are picked on every refresh. The route tables
+        are kept while the heads and the edges stay, and their search trees
+        while the heads and the usable edge pairs stay
+        (`protocol.refresh_route_tables`); they are handed out again every
+        time, because a re-elected head gets a fresh `Cluster`.
         """
         def score_fn(nid):
             return clustering.composite_score(self.node_metrics(nid), self.weights)
@@ -390,10 +392,10 @@ class World:
                 self.clusters, self.adjacency, self.blacklisted)
         edges = clustering.designate_gateways(
             self.clusters, self._gateway_candidates, score_fn)
-        if self._route_tables is None or self._route_tables[0] != edges:
-            self._route_tables = (edges, protocol.route_tables(
-                self.clusters, edges, self.blacklisted))
-        self.edges, tables = self._route_tables
+        self._route_tables = protocol.refresh_route_tables(
+            self._route_tables, self.clusters, edges, self.blacklisted)
+        self.edges = edges
+        tables = self._route_tables.tables
         for ch, cl in self.clusters.items():
             cl.routes = tables[ch]
 
@@ -412,7 +414,7 @@ class World:
             return nid not in self.blacklisted
 
         def battery(nid):
-            return self.nodes[nid].res_eng
+            return beacon.residual(self.nodes[nid].battery)
 
         events = clustering.maintain_membership(
             self.clusters, alive, self.adjacency, self.node_metrics, battery,
@@ -420,7 +422,7 @@ class World:
         if events:
             # every membership change is reported, except dropping dead
             # members, which follows the rebuild above
-            self._gateway_candidates = self._route_tables = None
+            self._gateway_candidates = None
         for ev in events:
             self.log("topology", change=ev[0], detail=tuple(ev[1:]))
         for nid in self.nodes:
@@ -450,7 +452,7 @@ class World:
         for cl in self.clusters.values():
             cl.members.discard(nid)
             cl.gateways.discard(nid)
-        self._gateway_candidates = self._route_tables = None
+        self._gateway_candidates = None
         self._refresh_backbone()
 
     def flood_blacklist(self, nid, issuing_ch, reason):
@@ -703,10 +705,13 @@ class World:
     def _watch(self, watcher: Node, subject: Node):
         """What a watching head knows of a custodian from its HELLOs: the
         residual energy it last advertised (its battery, if never heard)
-        and their relative mobility (None under two samples)."""
-        beacon.fold(watcher)
+        and their relative mobility (None under two samples).  Only the
+        link from the custodian is folded."""
         sid = subject.node_id
-        res_eng = watcher.neighbor_res.get(sid, subject.res_eng)
+        beacon.fold_link(watcher, sid)
+        res_eng = watcher.neighbor_res.get(sid)
+        if res_eng is None:
+            res_eng = beacon.residual(subject.battery)
         hist = watcher.hello.get(sid)
         if hist is None or hist.n < 2:
             return res_eng, None
@@ -979,6 +984,10 @@ class World:
     # ---- run loop ----
 
     def run(self) -> "metrics.Metrics":
+        with collector_paused():
+            return self._run()
+
+    def _run(self):
         cfg = self.cfg
         self.populate()
         self.log("run_start", nodes=cfg.node_count, seed=cfg.seed,
@@ -1011,18 +1020,12 @@ class World:
             "flood": self._flood_tick,
             "bl": self._blacklist_rx,
         }
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            while self._heap:
-                at, _, tag, payload = heapq.heappop(self._heap)
-                if at > cfg.sim_duration:
-                    break
-                self.now = at
-                handlers[tag](*payload)
-        finally:
-            if collecting:
-                gc.enable()
+        while self._heap:
+            at, _, tag, payload = heapq.heappop(self._heap)
+            if at > cfg.sim_duration:
+                break
+            self.now = at
+            handlers[tag](*payload)
         self.now = cfg.sim_duration
         return self.collect()
 
@@ -1070,6 +1073,19 @@ class World:
             energy_remaining={n: round(nd.energy_total - nd.energy_expended, 12)
                               for n, nd in sorted(self.nodes.items())},
             digest=self.digest())
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block; the caller's
+    setting comes back afterwards, also when the block raises."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def run(cfg: SimConfig):

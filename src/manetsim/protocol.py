@@ -2,12 +2,15 @@
 
 All traffic is relayed through heads: a member hands its packet to its
 head, the head forwards it across designated gateways to the next head,
-and the destination's head delivers the final hop.  Every topology
-refresh runs one breadth-first search per head over the head graph and
-keeps its parent tree as that head's route table; forwarding reads each
-path back from the table, so routes minimize head-to-head hops, and
-blacklisted nodes never appear on them.
+and the destination's head delivers the final hop.  A topology refresh
+that changed the heads or the usable head links runs one breadth-first
+search per head over the head graph and keeps its parent tree as that
+head's route table; forwarding reads each path back from the table, so
+routes minimize head-to-head hops, and blacklisted nodes never appear on
+them.
 """
+
+from typing import NamedTuple
 
 from . import trust
 from .errors import NoRoute, RejectedBlacklisted, RejectedUntrusted
@@ -48,12 +51,46 @@ def route_tables(heads, edges, blacklisted):
     parent tree rooted at the head in discovery order, with neighbours
     visited in ascending id order.  The root has no entry.
     """
+    return refresh_route_tables(None, heads, edges, blacklisted).tables
+
+
+class RouteTables(NamedTuple):
+    """Head route tables and what they were built from."""
+    heads: tuple    # the head ids, in table order
+    pairs: tuple    # the usable edge pairs, in edge order
+    edges: dict
+    tables: dict
+
+
+def refresh_route_tables(kept, heads, edges, blacklisted):
+    """`route_tables` as a `RouteTables` record, reusing what an earlier
+    record, kept (or None), still holds.
+
+    A head's search tree reads only the heads and the usable pairs, the
+    edge pairs with no blacklisted gateway; the gateways only fill its
+    entries.  So kept itself is returned while the heads and the edges are
+    its own and the usable pairs unchanged, and its trees are kept, their
+    gateways read again from edges, while only the gateways differ.  Keys
+    and their order are those of a build from scratch either way.
+    """
+    heads = tuple(heads)
+    if blacklisted:
+        barred = set(blacklisted)
+        pairs = tuple(pair for pair, gws in edges.items() if barred.isdisjoint(gws))
+    else:
+        pairs = tuple(edges)
+    if kept is not None and kept.heads == heads and kept.pairs == pairs:
+        if kept.edges == edges:
+            return kept
+        via = _hops(edges)
+        tables = {ch: {dest: via[prev, dest] for dest, (prev, _) in routes.items()}
+                  for ch, routes in kept.tables.items()}
+        return RouteTables(heads, pairs, edges, tables)
+    via = _hops(edges)
     out = {}
-    for (a, b), gws in edges.items():
-        if any(g in blacklisted for g in gws):
-            continue
-        out.setdefault(a, []).append((b, gws))
-        out.setdefault(b, []).append((a, tuple(reversed(gws))))
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+        out.setdefault(b, []).append(a)
     for links in out.values():
         links.sort()
     tables = {}
@@ -63,13 +100,23 @@ def route_tables(heads, edges, blacklisted):
         while frontier:
             nxt = []
             for cur in frontier:
-                for other, gws in out.get(cur, ()):
+                for other in out.get(cur, ()):
                     if other != ch and other not in routes:
-                        routes[other] = (cur, gws)
+                        routes[other] = via[cur, other]
                         nxt.append(other)
             frontier = nxt
         tables[ch] = routes
-    return tables
+    return RouteTables(heads, pairs, edges, tables)
+
+
+def _hops(edges):
+    """{(from head, to head): (from head, gateways ordered from its side)}:
+    the route entry of every edge, both ways."""
+    via = {}
+    for (a, b), gws in edges.items():
+        via[a, b] = (a, gws)
+        via[b, a] = (b, tuple(reversed(gws)))
+    return via
 
 
 def discover_route(world, src: int, dst: int):

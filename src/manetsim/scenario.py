@@ -193,18 +193,22 @@ def run_scenario(sc: Scenario, write_logs: bool = False):
              for n, seed, frac in sc.cells()]
     for n, seed, frac, cfg in cells:
         log.info("cell nodes=%d seed=%d malicious=%g", n, seed, frac)
-        try:
-            result, events = engine.run(cfg)
-        except Exception as exc:
-            raise RuntimeError(
-                f"run failed at cell nodes={n} seed={seed} malicious={frac}: {exc}"
-            ) from exc
-        table.rows.append(result)
-        digests.append(f"{n},{seed},{_num(frac)},{result.digest}")
-        if write_logs:
-            name = f"events_n{n}_s{seed}_m{_num(frac)}.log"
-            event_logs[name] = "".join(
-                f"{t:.9f} {kind} {dict(data)!r}\n" for t, kind, data in events)
+        # the cell's log is dropped before the collector may run again,
+        # so no pass scans it and no two logs are alive at once
+        with engine.collector_paused():
+            try:
+                result, events = engine.run(cfg)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"run failed at cell nodes={n} seed={seed} malicious={frac}: {exc}"
+                ) from exc
+            table.rows.append(result)
+            digests.append(f"{n},{seed},{_num(frac)},{result.digest}")
+            if write_logs:
+                name = f"events_n{n}_s{seed}_m{_num(frac)}.log"
+                event_logs[name] = "".join(
+                    f"{t:.9f} {kind} {dict(data)!r}\n" for t, kind, data in events)
+            del events
     summary = summarize(table)
     extras = {"digests.txt": "\n".join(digests) + "\n"}
     for metric_name in PLOT_METRICS:

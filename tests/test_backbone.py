@@ -2,14 +2,14 @@
 against a fresh designation on the same state.
 
 `World._refresh_backbone` keeps its gateway candidates until the links
-are rebuilt, the membership changes or a node is ejected, and its route
-tables until the edges differ or the membership or blacklist changes.
-After every refresh, the edges, each cluster's gateways and each head's
-routes must equal what the all-pairs scan of `topology_reference.py` and
-`protocol.route_tables` give from scratch. The worlds are small, static
-or mobile, with batteries small enough that heads fall under the energy
-floor and nodes run dry, a black or grey hole for `eject_node` to expel,
-and a HELLO spoofer.
+are rebuilt, the membership changes or a node is ejected, its route
+tables while the heads and the edges stay, and their search trees while
+the heads and the usable edge pairs stay. After every refresh, the edges,
+each cluster's gateways and each head's routes must equal what the
+all-pairs scan and the route search of `topology_reference.py` give from
+scratch. The worlds are small, static or mobile, with batteries small
+enough that heads fall under the energy floor and nodes run dry, a black
+or grey hole for `eject_node` to expel, and a HELLO spoofer.
 """
 
 from collections import Counter
@@ -21,9 +21,9 @@ from manetsim import adversary
 from manetsim.clustering import Cluster, composite_score
 from manetsim.config import SimConfig
 from manetsim.engine import World
-from manetsim.protocol import route_tables
 from test_golden import static_reform_config
-from topology_reference import reference_designate_gateways
+from topology_reference import (reference_designate_gateways,
+                                reference_route_tables)
 
 
 class CheckedWorld(World):
@@ -39,8 +39,12 @@ class CheckedWorld(World):
         self.reuse["candidates_kept"] += self._gateway_candidates is not None
         tables_before = self._route_tables
         super()._refresh_backbone()
-        self.reuse["tables_kept"] += (tables_before is not None
-                                      and self._route_tables is tables_before)
+        tables_after = self._route_tables
+        if tables_before is not None:
+            self.reuse["tables_kept"] += tables_after is tables_before
+            self.reuse["trees_kept"] += (tables_after is not tables_before
+                                         and tables_after.heads == tables_before.heads
+                                         and tables_after.pairs == tables_before.pairs)
         check_backbone(self)
 
     def eject_node(self, nid):
@@ -59,7 +63,7 @@ def check_backbone(world):
     assert list(world.edges.items()) == list(edges.items())
     assert ({ch: cl.gateways for ch, cl in world.clusters.items()}
             == {ch: cl.gateways for ch, cl in clusters.items()})
-    tables = route_tables(clusters, edges, world.blacklisted)
+    tables = reference_route_tables(clusters, edges, world.blacklisted)
     for ch, cl in world.clusters.items():
         assert list(cl.routes.items()) == list(tables[ch].items())
 
@@ -97,10 +101,12 @@ def test_kept_backbone_matches_fresh_designation(cfg):
 
 def test_static_reform_cell_reuses_and_rebuilds():
     """The pinned re-forming cell takes every path: candidates and tables
-    kept, dropped by membership changes and by ejections."""
+    kept, search trees kept with new gateways, candidates dropped by
+    membership changes and by ejections."""
     world = CheckedWorld(static_reform_config())
     world.run()
     reuse = world.reuse
     assert 0 < reuse["candidates_kept"] < reuse["refreshes"]
     assert 0 < reuse["tables_kept"] < reuse["refreshes"]
+    assert reuse["trees_kept"] > 0
     assert reuse["ejections"] > 0

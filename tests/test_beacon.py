@@ -2,17 +2,20 @@
 runs against the sample-by-sample history.
 
 Small random worlds with spoofers and near-empty batteries go through the
-same sequence of topology ticks and HELLO rounds twice, once with the
-engine's `_hello_round` and once with `reference_hello_round`; every
-float, sample and log line must come out equal.
+same sequence of topology ticks, HELLO rounds and handover watches twice,
+once with the engine's `_hello_round` and once with
+`reference_hello_round`; every float, sample and log line must come out
+equal.  A watch folds only the link it reads, so a later fold of the
+whole node must agree with it.
 """
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from beacon_reference import reference_hello_round
 from manetsim import adversary
-from manetsim.beacon import HelloRuns
+from manetsim.beacon import Beacons, HelloRuns
 from manetsim.config import SimConfig
 from manetsim.engine import World, energy_bill
 from manetsim.radio import HelloHistory, pairwise_mobility, record_hello
@@ -34,22 +37,34 @@ def worlds(draw):
                     initial_energy_range=(0.0001, draw(st.floats(0.0002, 0.003))),
                     energy_overrides=overrides, adversaries=placements,
                     hello_window=draw(st.integers(2, 4)))
-    ops = draw(st.lists(st.sampled_from(("hello", "hello", "topo")),
+    ops = draw(st.lists(st.sampled_from(("hello", "hello", "topo", "watch")),
                         min_size=1, max_size=12))
     return cfg, ops
 
 
 def drive(cfg, ops, hello_round):
+    """Run the ops; each "watch" records what `World._watch` returns for
+    one link, picked by the op's place in the list."""
     world = World(cfg)
     world.populate()
     world._sweep_topology()
+    world.watched = []
     for i, op in enumerate(ops):
         world.now = (i + 1) * cfg.hello_interval
         if op == "topo":
             world._sweep_topology()
+        elif op == "watch":
+            if world._pairs:
+                a, b = world._pairs[i % len(world._pairs)]
+                world.watched.append(watch(world, *((b, a) if i % 2 else (a, b))))
         else:
             hello_round(world)
     return world
+
+
+def watch(world, watcher, subject):
+    return (watcher, subject,
+            world._watch(world.nodes[watcher], world.nodes[subject]))
 
 
 def beacon_state(world):
@@ -70,7 +85,7 @@ SPOOF_AND_DEPLETION = (
               energy_overrides={2: 0.0001, 4: 0.00015},
               adversaries=[{"node": 3, "kind": adversary.SPOOF, "victim": 5}],
               hello_window=2),
-    ["hello", "hello", "topo", "hello", "hello", "hello"])
+    ["hello", "hello", "topo", "hello", "watch", "hello", "hello", "watch"])
 
 
 def exact_empty_case():
@@ -86,7 +101,7 @@ def exact_empty_case():
     tx = energy_bill(world.nodes[0], "tx", cfg.hello_size, cfg)
     rx = energy_bill(world.nodes[0], "rx", cfg.hello_size, cfg)
     cfg.energy_overrides = {0: tx, 2: tx + rx}
-    return cfg, ["hello", "hello"]
+    return cfg, ["hello", "watch", "hello", "watch"]
 
 
 @settings(max_examples=150, deadline=None,
@@ -100,6 +115,7 @@ def test_cached_round_matches_reference(case):
     ref = drive(cfg, ops, reference_hello_round)
     # read before anything else folds the rounds since the last rebuild
     live = [nid for nid, n in ref.nodes.items() if n.alive]
+    assert fast.watched == ref.watched
     assert ([fast.node_metrics(nid) for nid in live]
             == [ref.node_metrics(nid) for nid in live])
     assert beacon_state(fast) == beacon_state(ref)
@@ -111,6 +127,62 @@ def test_example_reaches_spoof_and_depletion_branches():
     kinds = [kind for _, kind, _ in drive(cfg, ops, World._hello_round).events_log]
     assert "spoof_flagged" in kinds
     assert kinds.count("node_depleted") >= 2
+
+
+# a static field where every node hears several others
+WATCHED_FIELD = SimConfig(node_count=8, area=(60.0, 60.0), seed=3,
+                          sim_duration=1.0, speed_range=(0.0, 0.0))
+
+
+def test_watch_right_after_a_lay_out():
+    """Rounds only counted since the lay-out: a watch folds the link it
+    reads and leaves the watcher's other links where they were."""
+    cfg = WATCHED_FIELD
+    fast = drive(cfg, ["hello"] * 3, World._hello_round)
+    ref = drive(cfg, ["hello"] * 3, reference_hello_round)
+    assert fast.beacons.clock.rounds == 3
+    # one link of each watcher
+    for a, b in {a: (a, b) for a, b in fast._pairs}.values():
+        watcher = fast.nodes[a]
+        assert watcher.links_at == 0 and watcher.hello[b].at == 0
+        assert watch(fast, a, b) == watch(ref, a, b)
+        assert watcher.hello[b].at == 3
+        assert watcher.links_at == 0
+        assert all(h.at == 0 for nid, h in watcher.hello.items() if nid != b)
+    assert beacon_state(fast) == beacon_state(ref)
+
+
+@pytest.mark.parametrize("case", [exact_empty_case(), SPOOF_AND_DEPLETION],
+                         ids=["depletion", "spoof"])
+def test_watch_right_after_a_link_by_link_round(case, monkeypatch):
+    """Right after a round run link by link, every link is laid out afresh
+    (or, next to a spoofer, none is) and a watch reads what the round
+    wrote."""
+    by_link = []
+    round_by_link = Beacons._round_by_link
+
+    def counted(self, world):
+        by_link.append(world.now)
+        round_by_link(self, world)
+
+    monkeypatch.setattr(Beacons, "_round_by_link", counted)
+    cfg, _ = case
+    fast = drive(cfg, [], World._hello_round)
+    ref = drive(cfg, [], reference_hello_round)
+    watched = 0
+    for i in range(1, 5):
+        for world, hello_round in ((fast, World._hello_round),
+                                   (ref, reference_hello_round)):
+            world.now = i * cfg.hello_interval
+            hello_round(world)
+        if by_link and by_link[-1] == fast.now:
+            for a, b in fast._pairs:
+                for pair in ((a, b), (b, a)):
+                    assert watch(fast, *pair) == watch(ref, *pair)
+                    watched += 1
+    assert watched
+    assert beacon_state(fast) == beacon_state(ref)
+    assert fast.events_log == ref.events_log
 
 
 def test_bill_that_empties_battery_exactly_logs_depletion():

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
 from manetsim import scenario
 from manetsim.cli import main
+from manetsim.engine import World
 from manetsim.errors import ConfigError
 from manetsim.metrics import Metrics
 from manetsim.scenario import (ResultsTable, Scenario, apply_env, emit_plotdata,
@@ -206,12 +210,29 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     ("weight_trust: -0.25\nweight_dnc: 0.75\n", "weight_trust"),
     ("traffic_start: -1\n", "traffic_start"),
     ("traffic_start: .nan\n", "traffic_start"),
+    ("flood_rate: .inf\n", "flood_rate"),
+    ("flood_rate: -1\n", "flood_rate"),
+    ("pause_time: .nan\n", "pause_time"),
+    ("pause_time: -1\n", "pause_time"),
+    ("grey_drop_rate: .nan\n", "grey_drop_rate"),
+    ("grey_drop_rate: 1.5\n", "grey_drop_rate"),
+    ("adversaries: [{node: 1, kind: table_overflow, rate: .inf}]\n",
+     "adversaries[0].rate"),
+    ("adversaries: [{node: 1, kind: table_overflow, rate: -5}]\n",
+     "adversaries[0].rate"),
+    ("adversaries: [{node: 1, kind: grey_hole, drop_rate: .nan}]\n",
+     "adversaries[0].drop_rate"),
+    ("adversaries: [{node: 1, kind: grey_hole, drop_rate: -0.5}]\n",
+     "adversaries[0].drop_rate"),
 ], ids=["area_three", "area_scalar", "area_text", "speed_one", "tx_scalar",
         "energy_nan", "positions_points", "positions_scalar", "overrides_list",
         "overrides_text", "duration_inf", "duration_nan", "hello_nan",
         "range_text", "spoof_every_instant", "sessions_zero",
         "sessions_negative", "weight_nan", "weights_infinite",
-        "weight_negative", "start_negative", "start_nan"])
+        "weight_negative", "start_negative", "start_nan", "flood_inf",
+        "flood_negative", "pause_nan", "pause_negative", "drop_nan",
+        "drop_above_one", "adversary_rate_inf", "adversary_rate_negative",
+        "adversary_drop_nan", "adversary_drop_negative"])
 def test_cli_rejects_malformed_values(tmp_path, capsys, extra, key):
     text = TINY.replace("node_counts: [10]", "node_counts: [3]") + extra
     cfg = write_scenario(tmp_path, text=text)
@@ -288,6 +309,43 @@ def test_debug_level_writes_event_logs(tmp_path):
     logs = list(out.glob("events_*.log"))
     assert len(logs) == 1
     assert "run_start" in logs[0].read_text()
+
+
+class WatchedLog(list):
+    """An event log a weak reference can follow."""
+
+
+@pytest.mark.parametrize("write_logs", [False, True])
+def test_sweep_frees_each_cell_before_the_next(monkeypatch, write_logs):
+    """No cell's event log is alive while the next cell runs, the collector
+    stays paused through every cell, and the caller's setting comes back."""
+    logs, alive, collecting = [], [], []
+    init = World.__init__
+
+    def watched_init(self, cfg):
+        init(self, cfg)
+        alive.append(sum(ref() is not None for ref in logs))
+        collecting.append(gc.isenabled())
+        self.events_log = WatchedLog()
+        logs.append(weakref.ref(self.events_log))
+
+    monkeypatch.setattr(World, "__init__", watched_init)
+    sc = Scenario(base={"sim_duration": 0.5, "source_fraction": 0.5},
+                  node_counts=(8,), seeds=(1, 2, 3))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            logs.clear()
+            table, _, extras = run_scenario(sc, write_logs=write_logs)
+            assert gc.isenabled() == enabled
+            assert len(table.rows) == len(logs) == 3
+            assert all(ref() is None for ref in logs)
+            assert ("events_n8_s3_m0.log" in extras) == write_logs
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert alive == [0] * 6
+    assert collecting == [False] * 6
 
 
 def test_default_scenario_file_parses():

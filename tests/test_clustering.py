@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from manetsim.beacon import Battery, Clock, residual
 from manetsim.clustering import (Cluster, ElectionMetrics, ElectionWeights,
                                  composite_score, designate_gateways, dnc,
                                  elect_ch, gateway_candidates,
-                                 maintain_membership, mobility_membership,
-                                 res_eng)
+                                 maintain_membership, mobility_membership)
 from manetsim.errors import InvalidClusterHead, InvalidEnergy, NoCandidates
 
 W = ElectionWeights()
@@ -17,15 +17,25 @@ def cand(node_id, r=1.0, t=0.5, m=1.0, d=0.5):
 
 # ---- membership functions ----
 
+def spent(joules, total):
+    """A battery of total joules whose counters' bill is joules."""
+    b = Battery(300.0, 50.0, total, 2e6, Clock())
+    b.spent = joules
+    return b
+
+
 def test_res_eng_anchors():
-    assert res_eng(0.0, 10.0) == 1.0
-    assert res_eng(6.0, 10.0) == pytest.approx(0.4)
-    assert res_eng(10.0, 10.0) == 0.0
+    """The election's energy input, read from a battery."""
+    assert residual(spent(0.0, 10.0)) == 1.0
+    assert residual(spent(6.0, 10.0)) == pytest.approx(0.4)
+    assert residual(spent(10.0, 10.0)) == 0.0
+    # the bill is capped at the total
+    assert residual(spent(12.5, 10.0)) == 0.0
 
 
 def test_res_eng_rejects_zero_total():
     with pytest.raises(InvalidEnergy):
-        res_eng(1.0, 0.0)
+        residual(spent(1.0, 0.0))
 
 
 def test_dnc_anchors():

@@ -1,6 +1,9 @@
 """Any small configuration that passes validation runs to completion, and the
 metrics re-derived from its event log agree with the ones `collect()`
-returns."""
+returns.  Rates and the waypoint pause are drawn finite and must run; the
+same keys set to a value that is not finite must fail validation."""
+
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +22,7 @@ small_configs = st.builds(
     seed=st.integers(1, 10 ** 6),
     sim_duration=st.floats(0.3, 1.0),
     speed_range=st.sampled_from(((0.0, 0.0), (1.0, 5.0), (10.0, 30.0))),
-    pause_time=st.sampled_from((0.0, 0.2, 1.0)),
+    pause_time=st.one_of(st.sampled_from((0.0, 0.2, 1.0)), st.floats(0.0, 2.0)),
     topology_interval=st.sampled_from((0.05, 0.1, 0.3)),
     hello_interval=st.sampled_from((0.01, 0.05, 0.2)),
     hello_window=st.sampled_from((1, 2, 5, 100)),
@@ -31,7 +34,8 @@ small_configs = st.builds(
     malicious_fraction=st.one_of(st.sampled_from((0.25, 0.5, 1.0, 0.0)),
                                  st.floats(0.0, 1.0)),
     attack=st.sampled_from(adversary.KINDS),
-    grey_drop_rate=st.sampled_from((0.5, 1.0)),
+    grey_drop_rate=st.one_of(st.sampled_from((0.5, 1.0)), st.floats(0.0, 1.0)),
+    flood_rate=st.one_of(st.sampled_from((100.0, 0.0)), st.floats(0.0, 300.0)),
     slander_interval=st.sampled_from((0.05, 0.5)),
     spoof_interval=st.sampled_from((0.05, 0.5)),
     detection_enabled=st.booleans(),
@@ -60,3 +64,18 @@ def test_valid_small_configs_run_and_agree_with_their_log(cfg):
     assert derived["false_positives"] == m.false_positives
     assert derived["blacklisted"] == m.blacklisted
     assert derived["mean_e2e_delay"] == pytest.approx(m.mean_e2e_delay)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key, kind", [
+    ("pause_time", None), ("flood_rate", None), ("grey_drop_rate", None),
+    ("rate", adversary.TABLE_OVERFLOW), ("drop_rate", adversary.GREY_HOLE),
+])
+def test_non_finite_rates_and_pause_fail_validation(key, kind, value):
+    cfg = SimConfig(node_count=6, sim_duration=0.5)
+    if kind is None:
+        setattr(cfg, key, value)
+    else:
+        cfg.adversaries = [{"node": 1, "kind": kind, key: value}]
+    with pytest.raises(ConfigError, match=key):
+        cfg.validate()

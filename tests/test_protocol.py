@@ -6,8 +6,9 @@ from helpers import StubWorld
 from manetsim import trust
 from manetsim.errors import NoRoute, RejectedBlacklisted, RejectedUntrusted
 from manetsim.protocol import (ack_plan, ack_timeout, build_plan, discover_route,
-                               drain_order, originate_request, segment_table,
-                               tx_time)
+                               drain_order, originate_request, refresh_route_tables,
+                               route_tables, segment_table, tx_time)
+from topology_reference import reference_route_tables
 
 
 DESK = StubWorld(
@@ -77,6 +78,72 @@ def test_unclustered_endpoints_raise():
     w.nodes[1].cluster = None
     with pytest.raises(NoRoute):
         discover_route(w, 1, 0)
+
+
+# ---- kept route tables ----
+
+RING = (0, 7, 14, 21, 30)
+RING_EDGES = {(0, 7): (27,), (7, 14): (28,), (14, 21): (29,), (0, 30): (31, 32),
+              (21, 30): (33,)}
+
+
+def same_tables(got, want):
+    """Equal tables with the same keys in the same order."""
+    return ([(ch, list(routes.items())) for ch, routes in got.items()]
+            == [(ch, list(routes.items())) for ch, routes in want.items()])
+
+
+def test_kept_trees_take_new_gateways():
+    kept = refresh_route_tables(None, RING, RING_EDGES, set())
+    edges = dict(RING_EDGES)
+    edges[7, 14] = (40,)
+    edges[0, 30] = (41, 42)
+    new = refresh_route_tables(kept, RING, edges, set())
+    assert new.pairs == kept.pairs
+    assert same_tables(new.tables, route_tables(RING, edges, set()))
+    assert new.tables[0][14] == (7, (40,))
+    assert new.tables[30][0] == (30, (42, 41))
+    # nothing moved since: the record itself is kept
+    assert refresh_route_tables(new, RING, dict(edges), set()) is new
+
+
+def test_newly_blacklisted_gateway_drops_its_edge():
+    kept = refresh_route_tables(None, RING, RING_EDGES, set())
+    new = refresh_route_tables(kept, RING, RING_EDGES, {28})
+    assert (7, 14) not in new.pairs
+    assert same_tables(new.tables, route_tables(RING, RING_EDGES, {28}))
+    assert new.tables[0][14] == (21, (29,))
+    # a blacklisted id on no edge leaves every tree alone
+    assert refresh_route_tables(kept, RING, RING_EDGES, {99}) is kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(heads=st.lists(st.integers(0, 9), min_size=2, max_size=8, unique=True),
+       data=st.data())
+def test_refreshed_tables_match_a_build_from_scratch(heads, data):
+    """Two refreshes in a row, each against the search from scratch of
+    `topology_reference.py`."""
+    def draw_edges():
+        pairs = data.draw(st.lists(st.sampled_from(
+            [(a, b) for a in heads for b in heads if a < b]),
+            unique=True))
+        return {p: tuple(data.draw(st.lists(st.integers(20, 26), min_size=1,
+                                            max_size=2, unique=True)))
+                for p in sorted(pairs)}
+
+    edges = draw_edges()
+    blacklisted = data.draw(st.sets(st.integers(20, 26), max_size=2))
+    kept = refresh_route_tables(None, heads, edges, blacklisted)
+    assert same_tables(kept.tables, reference_route_tables(heads, edges, blacklisted))
+    if data.draw(st.booleans()):
+        # the same pairs with other gateways
+        edges = {p: data.draw(st.sampled_from((gws, (25,), (26, 20))))
+                 for p, gws in edges.items()}
+    else:
+        edges = draw_edges()
+    blacklisted = blacklisted | data.draw(st.sets(st.integers(20, 26), max_size=1))
+    new = refresh_route_tables(kept, heads, edges, blacklisted)
+    assert same_tables(new.tables, reference_route_tables(heads, edges, blacklisted))
 
 
 # ---- hop plans ----

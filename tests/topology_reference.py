@@ -1,8 +1,9 @@
 """Reference topology upkeep: the all-pairs neighbour scan, the both-way
-link check the data plane made on every hop, the all-pairs gateway scan and
-the per-packet route search that the grid, adjacency lookups, link-indexed
-designation and the head route tables replaced, kept as the oracles for the
-differential tests.
+link check the data plane made on every hop, the all-pairs gateway scan,
+the per-packet route search and the route tables searched afresh on every
+build, which the grid, adjacency lookups, link-indexed designation, the
+head route tables and the kept search trees replaced, kept as the oracles
+for the differential tests.
 """
 
 from collections import deque
@@ -84,6 +85,34 @@ def _ch_adjacency(edges):
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     return adj
+
+
+def reference_route_tables(heads, edges, blacklisted):
+    """One breadth-first search per head over the usable edges, from
+    scratch: {head: {dest: (previous head, gateways into dest)}} in
+    discovery order, neighbours visited in ascending id order."""
+    out = {}
+    for (a, b), gws in edges.items():
+        if any(g in blacklisted for g in gws):
+            continue
+        out.setdefault(a, []).append((b, gws))
+        out.setdefault(b, []).append((a, tuple(reversed(gws))))
+    for links in out.values():
+        links.sort()
+    tables = {}
+    for ch in heads:
+        routes = {}
+        frontier = [ch]
+        while frontier:
+            nxt = []
+            for cur in frontier:
+                for other, gws in out.get(cur, ()):
+                    if other != ch and other not in routes:
+                        routes[other] = (cur, gws)
+                        nxt.append(other)
+            frontier = nxt
+        tables[ch] = routes
+    return tables
 
 
 def reference_discover_route(world, src, dst):
