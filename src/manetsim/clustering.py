@@ -243,11 +243,12 @@ def gateway_candidates(clusters, adjacency, excluded):
 def designate_gateways(clusters, candidates, score_fn):
     """Pick at most two linking members per adjacent cluster pair.
 
-    candidates is what `gateway_candidates` returned for these clusters,
-    and score_fn is called once per candidate id.  A single member in
-    range of both heads beats any relay pair; among equals the higher
-    score wins, then the lower id.  Both keys are total orders, so the
-    winner does not depend on candidate order.  Returns
+    candidates is what `gateway_candidates` returned for these clusters.
+    A list of one member or one relay pair leaves no choice, so score_fn
+    is called once per id of the lists that hold more than one.  A single
+    member in range of both heads beats any relay pair; among equals the
+    higher score wins, then the lower id.  Both keys are total orders, so
+    the winner does not depend on candidate order.  Returns
     {(ch_a, ch_b): (gateways...)} with ch_a < ch_b and the gateway tuple
     ordered from ch_a's side.  Also rewrites each cluster's gateway set.
     """
@@ -255,13 +256,17 @@ def designate_gateways(clusters, candidates, score_fn):
         cl.gateways = set()
 
     score = {}
-    for _, _, ids in candidates:
-        for m in ids:
-            if m not in score:
-                score[m] = score_fn(m)
+    for _, width, ids in candidates:
+        if len(ids) > width:
+            for m in ids:
+                if m not in score:
+                    score[m] = score_fn(m)
 
     edges = {}
     for pair, width, ids in candidates:
+        if len(ids) == width:
+            edges[pair] = ids
+            continue
         if width == 1:
             edges[pair] = (max(ids, key=lambda m: (score[m], -m)),)
             continue

@@ -115,7 +115,7 @@ class SimConfig:
                      "hello_interval", "topology_interval", "cbr_interval",
                      "packet_size", "hello_size", "control_size",
                      "ack_timeout_factor", "slander_interval", "spoof_interval",
-                     "flood_interval"):
+                     "flood_interval", "friis_k"):
             positive(name)
         if self.path_loss_q not in (2, 3, 4):
             raise ConfigError("path_loss_q must be 2, 3 or 4")
@@ -131,21 +131,21 @@ class SimConfig:
             raise ConfigError("area must be a non-negative [width, height]")
         if self.initial_energy_range[1] <= 0:
             raise ConfigError("initial_energy_range must allow positive energy")
-        for name in ("malicious_fraction", "source_fraction", "grey_drop_rate"):
+        for name in ("malicious_fraction", "source_fraction", "grey_drop_rate",
+                     "energy_high_threshold", "blacklist_limit"):
             _fraction(name, getattr(self, name))
-        if self.session_packets < 1:
-            raise ConfigError("session_packets must be at least 1")
+        for name, least in (("session_packets", 1), ("hello_window", 2),
+                            ("accusation_threshold", 1), ("nuisance_limit", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                # a hello_window under 2 would silently drop pairwise mobility
+                raise ConfigError(f"{name} must be an integer of at least {least}")
         spp = self.sessions_per_source
         if spp is not None and (isinstance(spp, bool) or not isinstance(spp, int)
                                 or spp < 1):
             raise ConfigError("sessions_per_source must be null or an integer of at least 1")
-        for name in ("traffic_start", "pause_time", "flood_rate"):
+        for name in ("traffic_start", "pause_time", "flood_rate", "recv_power_floor"):
             _at_least_zero(name, getattr(self, name))
-        if self.hello_window < 2:
-            # pairwise mobility needs two samples; one would silently drop it
-            raise ConfigError("hello_window must be at least 2")
-        if self.accusation_threshold < 1:
-            raise ConfigError("accusation_threshold must be at least 1")
         if self.positions is not None:
             if (not isinstance(self.positions, (list, tuple))
                     or len(self.positions) != self.node_count):

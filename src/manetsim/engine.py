@@ -13,6 +13,10 @@ pauses it from set-up to the collected metrics, and a sweep
 dropped, both through `collector_paused`.  A run makes no reference cycles
 (`tests/test_engine.py` checks this for every attack kind), so each pass
 would scan the cell's objects and free nothing.
+
+A topology tick runs the cluster membership pass only when its result can
+change: after the adjacency was rebuilt, after a node was ejected, or with
+a head under the energy floor (`World._sweep_topology` gives the reason).
 """
 
 import contextlib
@@ -147,6 +151,7 @@ class World:
         self._gateway_candidates = None  # see _refresh_backbone
         self._route_tables = None    # see protocol.refresh_route_tables
         self._dirty_topology = True
+        self._membership_settled = False  # see _sweep_topology
 
         self.generated = 0
         self.delivered = 0
@@ -400,10 +405,34 @@ class World:
             cl.routes = tables[ch]
 
     def _sweep_topology(self):
+        """Move the nodes, relink them if anything moved or died, keep the
+        clusters up and refresh the backbone.
+
+        A membership pass (`clustering.maintain_membership`) leaves a fixed
+        point: every member is linked to its head, no two heads are linked,
+        and every node left unclustered may not head a cluster and is
+        either blacklisted or out of every head's range. Its merges, joins
+        and elections read only the links, the live set (the adjacency's
+        keys), the clusters and the blacklist, so a second pass would change
+        nothing until one of three things happens: the adjacency is rebuilt,
+        `eject_node` changes the clusters (the blacklist grows only with an
+        ejection), or a head's residual energy falls under
+        `clustering.ENERGY_FLOOR`. The pass, the `Node.cluster` rewrite and
+        the registry updates therefore run only after a rebuild or an
+        ejection, or when a head is under the floor; on any other tick only
+        the heads' batteries are read.
+        """
         moved = self._step_mobility()
         if moved or self._dirty_topology:
             self._rebuild_adjacency()
             self._dirty_topology = False
+            self._membership_settled = False
+        if self._membership_settled and all(
+                beacon.residual(self.nodes[ch].battery) >= clustering.ENERGY_FLOOR
+                for ch in self.clusters):
+            self._refresh_backbone()
+            return
+        self._membership_settled = True
         alive = set(self.adjacency)
 
         def may_head(nid):
@@ -453,6 +482,7 @@ class World:
             cl.members.discard(nid)
             cl.gateways.discard(nid)
         self._gateway_candidates = None
+        self._membership_settled = False
         self._refresh_backbone()
 
     def flood_blacklist(self, nid, issuing_ch, reason):

@@ -9,7 +9,9 @@ all kept in `tests/*_reference.py`:
   refresh and a fresh breadth-first route search per packet
   (`topology_reference.py`);
 - the forwarding judgment that scans every ledger entry
-  (`detection_reference.py`).
+  (`detection_reference.py`);
+- the membership pass on every topology tick, where the engine runs it
+  only after a rebuild, an ejection or with a head under the energy floor.
 
 Everything else is the engine's own code, so a run of both worlds on one
 config must give the same event log, the same `Metrics` and the same
@@ -35,6 +37,10 @@ def _judge_by_scan(ledger, gateway, th):
 
 
 class ReferenceWorld(World):
+
+    def _sweep_topology(self):
+        self._membership_settled = False
+        super()._sweep_topology()
 
     def _rebuild_adjacency(self):
         self.adjacency, self._neighbors, self._pairs = reference_adjacency(

@@ -13,11 +13,12 @@ or grey hole for `eject_node` to expel, and a HELLO spoofer.
 """
 
 from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manetsim import adversary
+from manetsim import adversary, beacon, clustering
 from manetsim.clustering import Cluster, composite_score
 from manetsim.config import SimConfig
 from manetsim.engine import World
@@ -110,3 +111,52 @@ def test_static_reform_cell_reuses_and_rebuilds():
     assert 0 < reuse["tables_kept"] < reuse["refreshes"]
     assert reuse["trees_kept"] > 0
     assert reuse["ejections"] > 0
+
+
+class PassWatchingWorld(World):
+    """Notes, per topology tick, whether the membership pass ran and
+    whether the adjacency was rebuilt, a node was ejected since the last
+    tick or a head was under the energy floor as the tick began."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.ticks = []
+        self.ejected = False
+
+    def _rebuild_adjacency(self):
+        self.ticks[-1]["rebuilt"] = True
+        super()._rebuild_adjacency()
+
+    def eject_node(self, nid):
+        self.ejected = True
+        super().eject_node(nid)
+
+    def _sweep_topology(self):
+        self.ticks.append({
+            "rebuilt": False, "ejected": self.ejected, "passed": False,
+            "floor": any(beacon.residual(self.nodes[ch].battery)
+                         < clustering.ENERGY_FLOOR for ch in self.clusters)})
+        self.ejected = False
+        super()._sweep_topology()
+
+
+def test_static_reform_cell_runs_the_pass_only_when_it_can_change():
+    """On the pinned re-forming cell the membership pass runs on exactly
+    the ticks that rebuilt the adjacency, followed an ejection or found a
+    head under the energy floor (41 of 51 ticks), and each kind of tick
+    occurs."""
+    world = PassWatchingWorld(static_reform_config())
+    maintain = clustering.maintain_membership
+
+    def watched(*args):
+        world.ticks[-1]["passed"] = True
+        return maintain(*args)
+
+    with mock.patch.object(clustering, "maintain_membership", watched):
+        world.run()
+    ticks = world.ticks
+    assert [t["passed"] for t in ticks] == [
+        t["rebuilt"] or t["ejected"] or t["floor"] for t in ticks]
+    for cause in ("rebuilt", "ejected", "floor", "passed"):
+        assert any(t[cause] for t in ticks)
+    assert (sum(t["passed"] for t in ticks), len(ticks)) == (41, 51)

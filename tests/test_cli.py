@@ -224,6 +224,19 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
      "adversaries[0].drop_rate"),
     ("adversaries: [{node: 1, kind: grey_hole, drop_rate: -0.5}]\n",
      "adversaries[0].drop_rate"),
+    ("friis_k: 0\n", "friis_k"),
+    ("friis_k: -1\n", "friis_k"),
+    ("friis_k: .nan\n", "friis_k"),
+    ("recv_power_floor: .nan\n", "recv_power_floor"),
+    ("recv_power_floor: .inf\n", "recv_power_floor"),
+    ("session_packets: .inf\n", "session_packets"),
+    ("hello_window: 2.5\n", "hello_window"),
+    ("accusation_threshold: 1.5\n", "accusation_threshold"),
+    ("accusation_threshold: .nan\n", "accusation_threshold"),
+    ("nuisance_limit: .nan\n", "nuisance_limit"),
+    ("nuisance_limit: -1\n", "nuisance_limit"),
+    ("blacklist_limit: .nan\n", "blacklist_limit"),
+    ("energy_high_threshold: -1\n", "energy_high_threshold"),
 ], ids=["area_three", "area_scalar", "area_text", "speed_one", "tx_scalar",
         "energy_nan", "positions_points", "positions_scalar", "overrides_list",
         "overrides_text", "duration_inf", "duration_nan", "hello_nan",
@@ -232,7 +245,11 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
         "weight_negative", "start_negative", "start_nan", "flood_inf",
         "flood_negative", "pause_nan", "pause_negative", "drop_nan",
         "drop_above_one", "adversary_rate_inf", "adversary_rate_negative",
-        "adversary_drop_nan", "adversary_drop_negative"])
+        "adversary_drop_nan", "adversary_drop_negative", "friis_zero",
+        "friis_negative", "friis_nan", "floor_nan", "floor_inf",
+        "packets_inf", "window_fraction", "accusations_fraction",
+        "accusations_nan", "nuisance_nan", "nuisance_negative",
+        "blacklist_limit_nan", "energy_high_negative"])
 def test_cli_rejects_malformed_values(tmp_path, capsys, extra, key):
     text = TINY.replace("node_counts: [10]", "node_counts: [3]") + extra
     cfg = write_scenario(tmp_path, text=text)

@@ -1,7 +1,8 @@
 """Any small configuration that passes validation runs to completion, and the
 metrics re-derived from its event log agree with the ones `collect()`
 returns.  Rates and the waypoint pause are drawn finite and must run; the
-same keys set to a value that is not finite must fail validation."""
+same keys set to a value that is not finite must fail validation, and so
+must the radio constants, the integer counts and the detection thresholds."""
 
 import math
 
@@ -77,5 +78,18 @@ def test_non_finite_rates_and_pause_fail_validation(key, kind, value):
         setattr(cfg, key, value)
     else:
         cfg.adversaries = [{"node": 1, "kind": kind, key: value}]
+    with pytest.raises(ConfigError, match=key):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", [
+    "friis_k", "recv_power_floor", "session_packets", "hello_window",
+    "accusation_threshold", "nuisance_limit", "blacklist_limit",
+    "energy_high_threshold",
+])
+def test_non_finite_radio_counts_and_thresholds_fail_validation(key, value):
+    cfg = SimConfig(node_count=6, sim_duration=0.5)
+    setattr(cfg, key, value)
     with pytest.raises(ConfigError, match=key):
         cfg.validate()

@@ -10,7 +10,8 @@ HELLO spoofers among them.
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from manetsim import adversary
+from helpers import desk_config, events_of
+from manetsim import adversary, detection
 from manetsim.config import SimConfig
 from manetsim.engine import World
 from manetsim.errors import ConfigError
@@ -90,3 +91,48 @@ def test_pinned_depletion_cell_matches_reference():
     assert m_fast == m_ref
     assert batteries(fast) == batteries(ref)
     assert ledgers(fast) == ledgers(ref)
+
+
+class ConvictsAHead:
+    """Convicts the honest head 7 of the desk bench (blob B) right before
+    the tenth topology tick, the way `detection.punish` does it after a
+    MALICIOUS verdict, issued by head 0."""
+
+    ticks = 0
+
+    def _topo_tick(self):
+        self.ticks += 1
+        if self.ticks == 10:
+            assert sorted(self.clusters) == [0, 7, 14, 21]
+            self.ejected_at = self.now
+            detection.punish(self, detection.Verdict(
+                detection.MALICIOUS, 7, reason="culpable_timeouts"), 0)
+        super()._topo_tick()
+
+
+class FastConvicting(ConvictsAHead, World):
+    pass
+
+
+class ReferenceConvicting(ConvictsAHead, ReferenceWorld):
+    pass
+
+
+def test_head_ejected_between_ticks_reforms_like_the_full_pass():
+    """A static field, so no rebuild follows the ejection: blob B's members
+    must elect a new head on the very next tick, as the full pass has it,
+    and the run must go on exactly as the reference's."""
+    cfg = desk_config()
+    fast, ref = FastConvicting(cfg), ReferenceConvicting(cfg)
+    m_fast, m_ref = fast.run(), ref.run()
+    assert fast.events_log == ref.events_log
+    assert m_fast == m_ref
+    assert batteries(fast) == batteries(ref)
+    assert ledgers(fast) == ledgers(ref)
+    reformed = [(d["change"], d["detail"])
+                for t, d in events_of(fast.events_log, "topology")
+                if t == fast.ejected_at]
+    assert reformed == [("member_joined", (28, 14)),
+                        ("head_elected", (8, (9, 10, 11, 12, 13)))]
+    assert m_fast.blacklisted == (7,)
+    assert [fast.nodes[n].cluster for n in range(7, 14)] == [None] + [8] * 6

@@ -77,10 +77,18 @@ def link_indexed(clusters, adjacency, score_fn, excluded):
 @settings(max_examples=300, deadline=None)
 @given(member_graphs())
 def test_designation_matches_all_pairs_scan(case):
+    """Equal winners and gateway sets; only the ids of candidate lists that
+    offer a choice (more than one member, or more than one relay pair)
+    are scored, where the all-pairs scan scores every candidate."""
     members, adjacency, excluded, scores = case
-    assert (designate(link_indexed, members, adjacency, excluded, scores)
-            == designate(reference_designate_gateways, members, adjacency,
-                         excluded, scores))
+    edges, gateways, scored = designate(link_indexed, members, adjacency,
+                                        excluded, scores)
+    assert (edges, gateways) == designate(reference_designate_gateways, members,
+                                          adjacency, excluded, scores)[:2]
+    clusters = {h: Cluster(h, set(ms)) for h, ms in members.items()}
+    assert scored == {m for _, width, ids in gateway_candidates(clusters, adjacency,
+                                                                excluded)
+                      if len(ids) > width for m in ids}
 
 
 # ---- route tables ----
