@@ -20,6 +20,11 @@ fold point, so `fold_link` can bring forward the one link a reader needs
 (a head watching a custodian at a handover) and a later `fold` of the
 node agrees with it.
 
+The distance estimate a receiver derives from a HELLO is computed once
+per link and rebuild, by `World._rebuild_adjacency`, the one place the
+link rule and the estimate are computed; both round paths here read it
+from `World._pairs`.
+
 A round runs link by link, every charge in order, when it cannot be
 skipped like that:
 
@@ -33,11 +38,8 @@ skipped like that:
 Any depletion folds every node and lays the links out again.
 """
 
-import math
-
-from . import adversary, detection, packets, radio
+from . import adversary, detection, packets
 from .errors import InvalidEnergy
-from .radio import MIN_DISTANCE_M
 
 # Share of a battery that skipped rounds may not spend, so float rounding
 # in the per-round estimate can never hide a depletion.
@@ -177,8 +179,8 @@ def _base(b, r):
 class HelloRuns:
     """A HELLO history as runs of equal samples, oldest first.
 
-    Holds what `radio.HelloHistory` holds, the last `window` distance
-    estimates heard, as runs: `ests[i]` repeated `counts[i]` times.
+    Holds the last `window` distance estimates heard from one neighbour
+    as runs: `ests[i]` repeated `counts[i]` times.
     Between two rebuilds a link adds the same estimate every round.  Its
     readers need only the first sample, the last sample and the count `n`.
     `at` is the link's fold point: the round the history holds samples up
@@ -216,7 +218,10 @@ class HelloRuns:
         counts[0] -= drop
 
     def mobility(self, t):
-        """`radio.pairwise_mobility`'s expression, so the floats match."""
+        """The neighbour's relative mobility over the window, for HELLOs t
+        seconds apart (MOBIC): the mean change of the estimated distance
+        per round, sum(d_i - d_{i-1}) / (n * t), which telescopes to
+        (d_n - d_1) / (n * t).  Negative means approaching; needs n >= 2."""
         return (self.ests[-1] - self.ests[0]) / (self.n * t)
 
     @property
@@ -282,7 +287,8 @@ class Beacons:
     `_lay_out` reads the links of `World._pairs` at the first round after
     a rebuild, after a depletion and after a round run link by link; every
     pair there passed the link rule both ways, so both directions are above
-    the floor.  Nothing here, and nothing a node holds, refers back to the
+    the floor, and carries the distance estimate of each direction.
+    Nothing here, and nothing a node holds, refers back to the
     World, whose methods pass it in; so a finished run is freed at once.
     """
 
@@ -327,7 +333,8 @@ class Beacons:
 
     def _lay_out(self, world):
         """What each round adds from here, every node folded: the bytes per
-        battery, the links each receiver folds (with the bytes their sender
+        battery, the links each receiver folds (with the distance estimate
+        the rebuild stored for the link, and the bytes their sender
         received before them in the round) and the runway.  While a live
         link carries a spoofed HELLO there is no runway and no link to lay
         out: every round runs link by link until the next lay-out."""
@@ -340,23 +347,14 @@ class Beacons:
         if any(_live_link(world, nid) for nid in _claims(world)):
             self.clock.safe_until = r
             return
-        params = world.radio
-        k, q = params.k, params.q
-        inv_q = 1.0 / q
         window = world.cfg.hello_window
-        for a, b in world._pairs:
+        for a, b, est_ab, est_ba in world._pairs:
             na, nb = nodes[a], nodes[b]
             ba, bb = na.battery, nb.battery
             if not (ba.spent < ba.total and bb.spent < bb.total):
                 continue
-            pa, pb = na.pos, nb.pos
-            d = math.hypot(pa.x - pb.x, pa.y - pb.y)   # Position.distance_to
-            dq = (d if d > MIN_DISTANCE_M else MIN_DISTANCE_M) ** q
-            for sender, receiver, sb, rb in ((na, nb, ba, bb), (nb, na, bb, ba)):
-                tx = sender.tx_power
-                # radio.friis_recv_power and radio.estimate_distance
-                rp = k * tx / dq
-                est = (k * tx / rp) ** inv_q
+            for sender, receiver, sb, rb, est in ((na, nb, ba, bb, est_ab),
+                                                  (nb, na, bb, ba, est_ba)):
                 sid = sender.node_id
                 hist = receiver.hello.get(sid)
                 if hist is None:
@@ -386,18 +384,14 @@ class Beacons:
             if node.alive:
                 world.consume(node, "tx", size)
         claims = _claims(world)
-        params = world.radio
         heard = 0
-        for a, b in world._pairs:
+        for a, b, est_ab, est_ba in world._pairs:
             na, nb = nodes[a], nodes[b]
             if not (na.alive and nb.alive):
                 continue
-            d = max(na.pos.distance_to(nb.pos), MIN_DISTANCE_M)
-            for sender, receiver in ((na, nb), (nb, na)):
+            for sender, receiver, est in ((na, nb, est_ab), (nb, na, est_ba)):
                 if not world.consume(receiver, "rx", size):
                     continue
-                rp = radio.friis_recv_power(sender.tx_power, d, params)
-                est = radio.estimate_distance(sender.tx_power, rp, params)
                 sid = sender.node_id
                 claimed = claims.get(sid, sid)
                 hist = receiver.hello.get(claimed)

@@ -115,7 +115,7 @@ class SimConfig:
                      "hello_interval", "topology_interval", "cbr_interval",
                      "packet_size", "hello_size", "control_size",
                      "ack_timeout_factor", "slander_interval", "spoof_interval",
-                     "flood_interval", "friis_k"):
+                     "flood_interval", "friis_k", "recv_power_floor"):
             positive(name)
         if self.path_loss_q not in (2, 3, 4):
             raise ConfigError("path_loss_q must be 2, 3 or 4")
@@ -144,7 +144,7 @@ class SimConfig:
         if spp is not None and (isinstance(spp, bool) or not isinstance(spp, int)
                                 or spp < 1):
             raise ConfigError("sessions_per_source must be null or an integer of at least 1")
-        for name in ("traffic_start", "pause_time", "flood_rate", "recv_power_floor"):
+        for name in ("traffic_start", "pause_time", "flood_rate"):
             _at_least_zero(name, getattr(self, name))
         if self.positions is not None:
             if (not isinstance(self.positions, (list, tuple))

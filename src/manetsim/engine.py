@@ -106,12 +106,6 @@ class ChState:
         self.selfish_applied = set()
 
 
-def energy_bill(node: Node, role: str, nbytes: int, cfg: SimConfig) -> float:
-    """Joules one send ("tx") or receive of nbytes costs the node."""
-    power_mw = node.tx_power if role == "tx" else node.rx_power
-    return beacon.airtime_joules(power_mw, nbytes, cfg.channel_capacity)
-
-
 class World:
     """Mutable state of one run plus the event machinery."""
 
@@ -146,7 +140,7 @@ class World:
         self.sessions = {}
         self.adjacency = {}
         self._neighbors = {}         # node id -> its adjacency, in id order
-        self._pairs = []
+        self._pairs = []             # linked pairs with their estimates, sorted
         self.beacons = beacon.Beacons(self.nodes, cfg.hello_size)
         self._gateway_candidates = None  # see _refresh_backbone
         self._route_tables = None    # see protocol.refresh_route_tables
@@ -292,9 +286,15 @@ class World:
 
         Two live nodes are linked when they are within `radio_range` and
         each hears the other above the sensitivity floor (the Friis power
-        at the distance, clamped to `MIN_DISTANCE_M`). This is the only
-        place the rule is evaluated: positions move only right before a
-        rebuild, so the data plane reads links from `adjacency`.
+        at the distance, clamped to `MIN_DISTANCE_M`, see `radio`). Each
+        linked pair also gets the distance each end estimates from the
+        other's HELLO, the Friis model inverted. This is the only place the
+        rule and the estimate are computed: positions move only right
+        before a rebuild, so the data plane reads links from `adjacency`
+        and the HELLO rounds read the estimates from `_pairs`, whose
+        entries are `(a, b, est_ab, est_ba)` with `a < b`, `est_ab` the
+        estimate b derives from a's HELLO and `est_ba` the one a derives
+        from b's.
 
         Candidates come from a uniform grid (the cell-list method): in-range
         pairs lie in the same or adjacent cells. Cells are `radio_range`
@@ -308,6 +308,7 @@ class World:
         rng_r, floor, k, q = (params.radio_range, params.recv_power_floor,
                               params.k, params.q)
         rng_r2 = rng_r * rng_r
+        inv_q = 1.0 / q
         width = rng_r * (1 + 1e-9)
         adj = {nid: set() for nid in nodes if nodes[nid].alive}
         cells = {}
@@ -336,11 +337,16 @@ class World:
                         if d > rng_r:
                             continue
                         dq = max(d, radio.MIN_DISTANCE_M) ** q
-                        # radio.friis_recv_power's expression, both ways
-                        if k * ta / dq >= floor and k * nb.tx_power / dq >= floor:
-                            pairs.append((a, b) if a < b else (b, a))
+                        tb = nb.tx_power
+                        # Friis received power, both ways
+                        pa, pb = k * ta / dq, k * tb / dq
+                        if pa >= floor and pb >= floor:
+                            # the distance each receiver estimates from the
+                            # other's HELLO, by inverting the Friis power
+                            ea, eb = (k * ta / pa) ** inv_q, (k * tb / pb) ** inv_q
+                            pairs.append((a, b, ea, eb) if a < b else (b, a, eb, ea))
         pairs.sort()
-        for a, b in pairs:
+        for a, b, _, _ in pairs:
             adj[a].add(b)
             adj[b].add(a)
         self.adjacency = adj
@@ -362,9 +368,7 @@ class World:
             for nb in self._neighbors.get(nid, ()):
                 hist = hello.get(nb)
                 if hist is not None and hist.n >= 2:
-                    # radio.pairwise_mobility's expression, so the floats match
-                    ests = hist.ests
-                    vals.append((ests[-1] - ests[0]) / (hist.n * t))
+                    vals.append(hist.mobility(t))
             if vals:
                 mob = clustering.mobility_membership(radio.avg_mobility(vals), v_max)
         ch = incumbent if incumbent is not None else n.cluster
@@ -685,7 +689,7 @@ class World:
             self._session_seq += 1
             sid = self._session_seq
             self.sessions[sid] = packets.Session(
-                sid, src, dst, self.now, self.cfg.session_packets, granted)
+                sid, src, dst, self.now, self.cfg.session_packets)
             left = self._sessions_left.get(src)
             if left is not None and left > 0:
                 self._sessions_left[src] = left - 1

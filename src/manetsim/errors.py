@@ -5,18 +5,6 @@ class SimulationError(Exception):
     """Base class for all simulator-specific errors."""
 
 
-class DegenerateDistance(SimulationError):
-    """Propagation distance is zero or negative."""
-
-
-class InvalidSignal(SimulationError):
-    """Received power is zero or negative, distance cannot be estimated."""
-
-
-class InsufficientSamples(SimulationError):
-    """Fewer than two distance samples, no mobility estimate possible."""
-
-
 class NoNeighbors(SimulationError):
     """Node has no downlink neighbors to average over."""
 

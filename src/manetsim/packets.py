@@ -10,8 +10,6 @@ RREP = "RREP"
 ROUTE_ADVERT = "ROUTE_ADVERT"
 TRUST_REPORT = "TRUST_REPORT"
 
-KINDS = (DATA, ACK, HELLO, RREQ, RREP, ROUTE_ADVERT, TRUST_REPORT)
-
 
 @dataclass
 class Packet:
@@ -34,7 +32,6 @@ class Session:
     dst: int
     started_at: float
     packets_total: int
-    requester_trust: float
     sent: int = 0
     delivered: int = 0
     failed: int = 0

@@ -1,4 +1,4 @@
-"""Radio propagation, distance estimation and mobility bookkeeping.
+"""Radio parameters, node movement and the mobility average.
 
 Received power follows the simplified Friis model
 
@@ -7,26 +7,22 @@ Received power follows the simplified Friis model
 with a path-loss exponent q in {2, 3, 4} and a constant K folding in
 antenna gains and wavelength.  Inverting the same expression gives the
 distance estimate a receiver derives from a HELLO whose transmit power
-it knows.  Relative mobility between two nodes is the average change of
-that estimated distance over consecutive HELLO rounds.
+it knows.  Both are computed in one place, `World._rebuild_adjacency`,
+once per linked pair and rebuild.  Relative mobility between two nodes
+is the average change of that estimated distance over consecutive HELLO
+rounds (`beacon.HelloRuns.mobility`); `avg_mobility` averages it over a
+node's neighbours.  The per-sample oracles of these formulas live in
+`tests/radio_reference.py`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import (
-    DegenerateDistance,
-    InsufficientSamples,
-    InvalidSignal,
-    NoNeighbors,
-)
+from .errors import NoNeighbors
 
-# Estimated distances below this are clamped before entering the Friis
-# formula: co-located nodes would otherwise yield infinite power.
+# Distances below this are clamped before entering the Friis formula:
+# co-located nodes would otherwise yield infinite power.
 MIN_DISTANCE_M = 0.1
-
-# Sliding window of HELLO distance samples kept per neighbor.
-HELLO_WINDOW = 100
 
 
 @dataclass
@@ -61,20 +57,6 @@ class RadioParams:
             raise ValueError("K must be positive")
 
 
-def friis_recv_power(trans_power: float, dist: float, radio: RadioParams) -> float:
-    """Received power in the transmitter's units at distance dist."""
-    if dist <= 0:
-        raise DegenerateDistance(f"dist={dist}, nodes co-located or closer")
-    return radio.k * trans_power / dist ** radio.q
-
-
-def estimate_distance(trans_power: float, recv_power: float, radio: RadioParams) -> float:
-    """Distance implied by a received-power reading, inverse of the Friis model."""
-    if recv_power <= 0:
-        raise InvalidSignal(f"recv_power={recv_power}")
-    return (radio.k * trans_power / recv_power) ** (1.0 / radio.q)
-
-
 def waypoint_step(pos: Position, state: WaypointState, dt: float, area, pause_time: float,
                   speed_range, rng):
     """Advance one random-waypoint step of dt seconds, in place.
@@ -103,46 +85,6 @@ def waypoint_step(pos: Position, state: WaypointState, dt: float, area, pause_ti
         pos.x += (state.target.x - pos.x) / dist * step
         pos.y += (state.target.y - pos.y) / dist * step
     return pos, state
-
-
-@dataclass
-class HelloHistory:
-    """Sliding window of distance estimates for one neighbor.
-
-    Samples are (index, dist) pairs with indices re-based to 1..n whenever
-    the window evicts the oldest entry, so the telescoped mobility formula
-    below always sees a contiguous run.
-    """
-    neighbor_id: int
-    window: int = HELLO_WINDOW
-    dists: list = field(default_factory=list)
-
-    @property
-    def samples(self):
-        return [(i + 1, d) for i, d in enumerate(self.dists)]
-
-
-def record_hello(history: HelloHistory, dist: float) -> HelloHistory:
-    """Append one distance sample, evicting the oldest past the window."""
-    history.dists.append(dist)
-    if len(history.dists) > history.window:
-        del history.dists[0]
-    return history
-
-
-def pairwise_mobility(history: HelloHistory, t: float) -> float:
-    """Average radial speed of the neighbor over the recorded window.
-
-    Defined as sum(dist_i - dist_{i-1}) / (n * t) over consecutive samples,
-    which telescopes to (dist_n - dist_1) / (n * t).  Negative values mean
-    the neighbor is approaching.
-    """
-    n = len(history.dists)
-    if n < 2:
-        raise InsufficientSamples(f"{n} sample(s) for neighbor {history.neighbor_id}")
-    if t <= 0:
-        raise ValueError("hello interval must be positive")
-    return (history.dists[-1] - history.dists[0]) / (n * t)
 
 
 def avg_mobility(values) -> float:

@@ -1,12 +1,14 @@
 """Reference HELLO round: the per-reception form the engine's folded beacon
 rounds replaced, kept as the oracle for the differential tests.
 
-Every reception recomputes the signal from the positions and is charged
-through `World.consume`, one call at a time; each sample is added to the
-history on its own.
+Every reception recomputes the signal from the positions, through the
+per-sample formulas of `radio_reference.py`, and is charged through
+`World.consume`, one call at a time; each sample is added to the history
+on its own.
 """
 
 from manetsim import adversary, beacon, detection, packets, radio
+from radio_reference import estimate_distance, friis_recv_power
 
 
 def reference_hello_round(world):
@@ -16,7 +18,7 @@ def reference_hello_round(world):
         if n.alive:
             world.consume(n, "tx", cfg.hello_size)
     heard = 0
-    for a, b in world._pairs:
+    for a, b, _, _ in world._pairs:
         na, nb = world.nodes[a], world.nodes[b]
         if not (na.alive and nb.alive):
             continue
@@ -30,7 +32,7 @@ def reference_hello_round(world):
 
 
 def _hear_hello(world, sender, receiver, d):
-    rp = radio.friis_recv_power(sender.tx_power, d, world.radio)
+    rp = friis_recv_power(sender.tx_power, d, world.radio)
     if rp < world.radio.recv_power_floor:
         return 0
     if not world.consume(receiver, "rx", world.cfg.hello_size):
@@ -38,7 +40,7 @@ def _hear_hello(world, sender, receiver, d):
     claimed = sender.node_id
     if sender.policy.kind == adversary.SPOOF and sender.policy.victim is not None:
         claimed = sender.policy.victim
-    est = radio.estimate_distance(sender.tx_power, rp, world.radio)
+    est = estimate_distance(sender.tx_power, rp, world.radio)
     hist = receiver.hello.get(claimed)
     if hist is None:
         hist = beacon.HelloRuns(claimed, world.cfg.hello_window)

@@ -12,12 +12,14 @@ import pytest
 
 from helpers import desk_config, events_of, run_world
 from manetsim import adversary, trust
+from manetsim.beacon import HelloRuns
 from manetsim.clustering import dnc
 from manetsim.config import SimConfig
 from manetsim.engine import run
-from manetsim.radio import (HelloHistory, RadioParams, estimate_distance,
-                            friis_recv_power, pairwise_mobility, record_hello)
+from manetsim.radio import RadioParams
 from manetsim.scenario import Scenario, run_scenario
+from radio_reference import (HelloHistory, estimate_distance, friis_recv_power,
+                             pairwise_mobility, record_hello)
 
 
 @contextlib.contextmanager
@@ -64,14 +66,18 @@ def test_criterion_03_mobility_telescoping(capsys):
                 dists[-1] = dists[0]     # closed loop must read as zero
             t = rng.uniform(0.001, 1.0)
             h = HelloHistory(neighbor_id=1, window=64)
+            runs = HelloRuns(1, 64)       # what the engine keeps
             for d in dists:
                 record_hello(h, d)
+                runs.extend(d, 1)
             kept = h.dists                # eviction may trim the head
             want = (kept[-1] - kept[0]) / (len(kept) * t)
             got = pairwise_mobility(h, t)
             assert abs(got - want) <= 1e-9
             if dists[-1] == dists[0] and len(kept) == len(dists):
                 assert got == 0.0
+            assert runs.dists == kept
+            assert runs.mobility(t) == got
 
 
 def test_criterion_04_dnc_anchor(capsys):

@@ -17,8 +17,8 @@ from beacon_reference import reference_hello_round
 from manetsim import adversary
 from manetsim.beacon import Beacons, HelloRuns
 from manetsim.config import SimConfig
-from manetsim.engine import World, energy_bill
-from manetsim.radio import HelloHistory, pairwise_mobility, record_hello
+from manetsim.engine import World
+from radio_reference import HelloHistory, energy_bill, pairwise_mobility, record_hello
 
 
 @st.composite
@@ -55,7 +55,7 @@ def drive(cfg, ops, hello_round):
             world._sweep_topology()
         elif op == "watch":
             if world._pairs:
-                a, b = world._pairs[i % len(world._pairs)]
+                a, b, _, _ = world._pairs[i % len(world._pairs)]
                 world.watched.append(watch(world, *((b, a) if i % 2 else (a, b))))
         else:
             hello_round(world)
@@ -142,7 +142,7 @@ def test_watch_right_after_a_lay_out():
     ref = drive(cfg, ["hello"] * 3, reference_hello_round)
     assert fast.beacons.clock.rounds == 3
     # one link of each watcher
-    for a, b in {a: (a, b) for a, b in fast._pairs}.values():
+    for a, b in {a: (a, b) for a, b, _, _ in fast._pairs}.values():
         watcher = fast.nodes[a]
         assert watcher.links_at == 0 and watcher.hello[b].at == 0
         assert watch(fast, a, b) == watch(ref, a, b)
@@ -176,7 +176,7 @@ def test_watch_right_after_a_link_by_link_round(case, monkeypatch):
             world.now = i * cfg.hello_interval
             hello_round(world)
         if by_link and by_link[-1] == fast.now:
-            for a, b in fast._pairs:
+            for a, b, _, _ in fast._pairs:
                 for pair in ((a, b), (b, a)):
                     assert watch(fast, *pair) == watch(ref, *pair)
                     watched += 1

@@ -229,6 +229,9 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     ("friis_k: .nan\n", "friis_k"),
     ("recv_power_floor: .nan\n", "recv_power_floor"),
     ("recv_power_floor: .inf\n", "recv_power_floor"),
+    # a zero floor counts the zero power of a silent transmitter as heard,
+    # and the distance estimate divides by it
+    ("tx_power_range: [0, 0]\nrecv_power_floor: 0\n", "recv_power_floor"),
     ("session_packets: .inf\n", "session_packets"),
     ("hello_window: 2.5\n", "hello_window"),
     ("accusation_threshold: 1.5\n", "accusation_threshold"),
@@ -246,7 +249,7 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
         "flood_negative", "pause_nan", "pause_negative", "drop_nan",
         "drop_above_one", "adversary_rate_inf", "adversary_rate_negative",
         "adversary_drop_nan", "adversary_drop_negative", "friis_zero",
-        "friis_negative", "friis_nan", "floor_nan", "floor_inf",
+        "friis_negative", "friis_nan", "floor_nan", "floor_inf", "floor_zero",
         "packets_inf", "window_fraction", "accusations_fraction",
         "accusations_nan", "nuisance_nan", "nuisance_negative",
         "blacklist_limit_nan", "energy_high_negative"])

@@ -8,10 +8,11 @@ from helpers import (BRIDGES, HEADS, desk_config, desk_positions, events_of,
                      run_world)
 from manetsim import adversary, beacon, detection, engine
 from manetsim.config import SimConfig
-from manetsim.engine import Node, World, energy_bill, run
+from manetsim.engine import Node, World, run
 from manetsim.errors import ConfigError
 from manetsim.metrics import metrics_from_log
 from manetsim.radio import Position, WaypointState
+from radio_reference import energy_bill
 from reference_world import ReferenceWorld
 from test_reference_world import whole_runs
 

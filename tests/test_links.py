@@ -71,6 +71,7 @@ def test_grid_adjacency_matches_all_pairs_scan(case):
         beacon.charge(world.nodes[nid].battery, "tx", 10 ** 12)   # past any battery
     world._rebuild_adjacency()
     adjacency, neighbors, pairs = reference_adjacency(world.nodes, world.radio)
+    # the linked pairs and, float for float, each direction's estimate
     assert world._pairs == pairs
     assert world._neighbors == neighbors
     # same keys and the same set iteration order, not just equal sets

