@@ -19,10 +19,6 @@ TABLE_OVERFLOW = "table_overflow"
 
 KINDS = (HONEST, BLACK_HOLE, GREY_HOLE, WORMHOLE, SPOOF, SLANDER, TABLE_OVERFLOW)
 
-# Fabricated route adverts point at ids from here up so they can never
-# collide with real nodes.
-BOGUS_DEST_BASE = 1_000_000
-
 FORWARD = "forward"
 DROP = "drop"
 TUNNEL = "tunnel"
@@ -97,17 +93,6 @@ def emit_slander(policy: BehaviorPolicy, own_ch: int, now: float):
             payload={"accused": t, "claim": "dropped my packets"},
             created_at=now))
     return reports
-
-
-def emit_table_flood(policy: BehaviorPolicy, n: int, seq_start: int, own_ch: int, now: float):
-    """n fabricated route adverts for destinations that do not exist."""
-    adverts = []
-    for i in range(n):
-        adverts.append(packets.Packet(
-            packets.ROUTE_ADVERT, policy.owner or 0, own_ch, size=32,
-            payload={"dest": BOGUS_DEST_BASE + seq_start + i, "hops": 1},
-            created_at=now))
-    return adverts
 
 
 def flood_count(policy: BehaviorPolicy, dt: float) -> int:

@@ -14,11 +14,10 @@ overwrites each residual-energy entry with the sender's energy part-way
 through the round.  So a round only counts itself.  What it would have
 written is brought forward ("folded") when something reads it: `fold`
 does it for one node (its battery, the histories it keeps and the
-residual energies it heard), `Beacons.fold_all` for every node.  A fold
-with no round since the last one costs O(1).  Each link keeps its own
-fold point, so `fold_link` can bring forward the one link a reader needs
-(a head watching a custodian at a handover) and a later `fold` of the
-node agrees with it.
+residual energies it heard), `Beacons.fold_all` for every node.  Each
+node has one fold point for all the links it hears, and a fold with no
+round since that point costs two comparisons.  A head watching a
+custodian at a handover folds itself like any other reader.
 
 The distance estimate a receiver derives from a HELLO is computed once
 per link and rebuild, by `World._rebuild_adjacency`, the one place the
@@ -72,8 +71,7 @@ class Battery:
     """
     __slots__ = ("tx_power", "rx_power", "total", "capacity", "clock",
                  "tx", "rx", "txj", "rxj", "spent", "at", "tx_rate", "rx_rate",
-                 "round_j", "end_at", "end_tx", "end_rx", "base_at", "base_txj",
-                 "base_rx")
+                 "round_j", "end_at", "end_txj", "end_rx")
 
     def __init__(self, tx_power, rx_power, total, capacity, clock):
         self.tx_power = tx_power    # mW
@@ -86,10 +84,8 @@ class Battery:
         self.at = self.end_at = clock.rounds
         self.tx_rate = self.rx_rate = 0
         self.round_j = 0.0          # the bill of one round's bytes
-        self.end_tx = self.end_rx = 0   # the counters as round end_at left them
-        self.base_at = -1           # see _base
-        self.base_txj = 0.0
-        self.base_rx = 0
+        self.end_txj = 0.0          # the transmit bill and the bytes
+        self.end_rx = 0             # received as round end_at left them
 
     def bill(self, tx, rx):
         """The uncapped bill of tx bytes sent and rx bytes received."""
@@ -136,9 +132,9 @@ def charge(b, role, nbytes):
     if b.at != r:
         settle(b)
     if b.end_at != r:
-        # the counters as round r left them, for the residual energy the
+        # the battery as round r left it, for the residual energy the
         # node's neighbours heard in it
-        b.end_at, b.end_tx, b.end_rx = r, b.tx, b.rx
+        b.end_at, b.end_txj, b.end_rx = r, b.txj, b.rx
     # airtime_joules of the counter that moved
     if role == "tx":
         b.tx += nbytes
@@ -161,21 +157,6 @@ def _runway(b):
     return int(room // b.round_j)
 
 
-def _base(b, r):
-    """What every residual energy the node sent in round r, the last round,
-    builds on: its transmit bill at the round's end and the bytes it had
-    received when the round began."""
-    if b.end_at == r:
-        tx, rx = b.end_tx, b.end_rx
-    else:
-        if b.at != r:
-            settle(b)
-        tx, rx = b.tx, b.rx
-    b.base_at = r
-    b.base_txj = airtime_joules(b.tx_power, tx, b.capacity)
-    b.base_rx = rx - b.rx_rate
-
-
 class HelloRuns:
     """A HELLO history as runs of equal samples, oldest first.
 
@@ -183,18 +164,14 @@ class HelloRuns:
     as runs: `ests[i]` repeated `counts[i]` times.
     Between two rebuilds a link adds the same estimate every round.  Its
     readers need only the first sample, the last sample and the count `n`.
-    `at` is the link's fold point: the round the history holds samples up
-    to while its link is laid out.
     """
-    __slots__ = ("neighbor_id", "window", "ests", "counts", "n", "at")
+    __slots__ = ("window", "ests", "counts", "n")
 
-    def __init__(self, neighbor_id, window):
-        self.neighbor_id = neighbor_id
+    def __init__(self, window):
         self.window = window
         self.ests = []
         self.counts = []
         self.n = 0
-        self.at = 0
 
     def extend(self, est, k):
         """Append k samples of est, evicting the oldest past the window."""
@@ -236,32 +213,15 @@ def fold(node):
     r = b.clock.rounds
     if b.at != r:
         settle(b)
-    if node.links_at != r:
-        node.links_at = r
-        _fold_links(node.neighbor_res, node.links_in.items(), r)
-
-
-def fold_link(node, sid):
-    """Bring forward only what the node heard from sid: its HELLO history
-    and the residual energy sid last advertised."""
-    r = node.battery.clock.rounds
-    if node.links_at != r:
-        link = node.links_in.get(sid)
-        if link is not None:
-            _fold_links(node.neighbor_res, ((sid, link),), r)
-
-
-def _fold_links(res, links, r):
-    """Fold each (sender id, link) of a node to round r, the last round,
-    from the link's own fold point."""
+    k = r - node.links_at
+    if not k:
+        return
+    node.links_at = r
+    res = node.neighbor_res
     # HelloRuns.extend and the residual energy a neighbour heard,
     # inlined: as calls they cost mobile-beacon 3.4% more wall time
     # (2-vCPU x86-64 host)
-    for sid, (sender, est, hist, heard) in links:
-        k = r - hist.at
-        if not k:
-            continue
-        hist.at = r
+    for sid, (sender, est, hist, heard) in node.links_in.items():
         ests = hist.ests
         if ests and ests[-1] == est:
             hist.counts[-1] += k
@@ -273,10 +233,17 @@ def _fold_links(res, links, r):
             hist._evict(n - hist.window)
             n = hist.window
         hist.n = n
-        if sender.base_at != r:
-            _base(sender, r)
-        j = sender.base_txj + sender.rx_power / 1000.0 * (
-            (sender.base_rx + heard) * 8 / sender.capacity)
+        # the residual energy sid sent this node in round r: its transmit
+        # bill at the round's end, and the bytes it had received before the
+        # round plus those it heard in the round before this link
+        if sender.end_at == r:
+            txj, rx = sender.end_txj, sender.end_rx
+        else:
+            if sender.at != r:
+                settle(sender)
+            txj, rx = sender.txj, sender.rx
+        j = txj + sender.rx_power / 1000.0 * (
+            (rx - sender.rx_rate + heard) * 8 / sender.capacity)
         total = sender.total
         res[sid] = 1.0 - (j if j < total else total) / total
 
@@ -298,15 +265,11 @@ class Beacons:
         self.clock = Clock()
         self._laid_out = False   # since the last rebuild
         self._heard = 0          # receptions in a skipped round
-        self._folded = 0         # the round every node is folded to
         self._by_link = False    # inside a round that runs link by link
 
     def fold_all(self):
-        r = self.clock.rounds
-        if self._folded != r:
-            self._folded = r
-            for node in self.nodes.values():
-                fold(node)
+        for node in self.nodes.values():
+            fold(node)
 
     def relink(self):
         """The adjacency was rebuilt; callers fold first."""
@@ -358,8 +321,7 @@ class Beacons:
                 sid = sender.node_id
                 hist = receiver.hello.get(sid)
                 if hist is None:
-                    hist = receiver.hello[sid] = HelloRuns(sid, window)
-                hist.at = r
+                    hist = receiver.hello[sid] = HelloRuns(window)
                 receiver.links_in[sid] = (sb, est, hist, sb.rx_rate)
                 rb.rx_rate += size
         heard = 0
@@ -396,7 +358,7 @@ class Beacons:
                 claimed = claims.get(sid, sid)
                 hist = receiver.hello.get(claimed)
                 if hist is None:
-                    hist = receiver.hello[claimed] = HelloRuns(claimed, world.cfg.hello_window)
+                    hist = receiver.hello[claimed] = HelloRuns(world.cfg.hello_window)
                 hist.extend(est, 1)
                 # residual energy rides in the beacon and is tracked per physical link
                 receiver.neighbor_res[sid] = residual(sender.battery)
@@ -405,7 +367,7 @@ class Beacons:
                     _flag(world, receiver, sender, claimed)
         world.log("hello_round", receptions=heard)
         self._by_link = False
-        r = self.clock.rounds = self._folded = self.clock.rounds + 1
+        r = self.clock.rounds = self.clock.rounds + 1
         for node in nodes.values():
             node.battery.at = r
         self._lay_out(world)

@@ -108,10 +108,10 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
 
     alive        set of node ids that still have energy
     adjacency    id -> set of current link-neighbor ids
-    metrics_fn   (node id, incumbent head id or None) -> ElectionMetrics
+    metrics_fn   node id -> ElectionMetrics
     battery      id -> residual energy fraction, for the head energy floor
     may_head     id -> bool, False bars the node from the head role
-    may_join     (node id, head id) -> bool, False bars joining that cluster
+    may_join     id -> bool, False bars the node from joining any cluster
 
     Returns a list of (event, *details) tuples describing every change:
     members dropping out of range, dissolved and merged clusters, joins,
@@ -126,7 +126,7 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
     def metrics_of(n):
         m = fetched.get(n)
         if m is None:
-            m = fetched[n] = metrics_fn(n, None)
+            m = fetched[n] = metrics_fn(n)
         return m
 
     def dissolve(ch_id, reason):
@@ -172,10 +172,11 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
 
     loose = {n for n in loose if n in alive}
 
-    # Stray nodes join the lowest-id head in range that will have them.
+    # Stray nodes that may join take the lowest-id head in range.
     for n in sorted(loose | _unclustered(clusters, alive)):
-        heads = [c for c in sorted(clusters)
-                 if n in adjacency.get(c, ()) and may_join(n, c)]
+        if not may_join(n):
+            continue
+        heads = [c for c in sorted(clusters) if n in adjacency.get(c, ())]
         if heads:
             clusters[heads[0]].members.add(n)
             events.append(("member_joined", n, heads[0]))
@@ -187,7 +188,7 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
         if not cands:
             break
         ch = elect_ch(cands, weights)
-        members = {n for n in adjacency.get(ch, ()) if n in stray and may_join(n, ch)}
+        members = {n for n in adjacency.get(ch, ()) if n in stray and may_join(n)}
         clusters[ch] = Cluster(ch, members)
         events.append(("head_elected", ch, tuple(sorted(members))))
         stray -= members | {ch}

@@ -44,13 +44,10 @@ class DetectionThresholds:
 class LedgerEntry:
     packet_id: int
     gateway: int                # current custodian under suspicion
-    handed_over_at: float
     ack_status: str = PENDING
     context: str = LINK_OK
     res_eng: float = 1.0        # custodian battery at handover
     rel_mobility: float | None = None  # custodian radial speed vs the head
-    downstream_ch: int | None = None
-    retransmitted: bool = False  # head overheard the custodian pass it on
     delivered_downstream: bool = False
     seq: int = 0                # open order within the ledger
 
@@ -78,11 +75,9 @@ class SurveillanceLedger:
     resolved: dict = field(default_factory=dict)   # gateway -> resolved entries
     timeouts: dict = field(default_factory=dict)   # gateway -> its TIMEOUT entries
 
-    def open_entry(self, packet_id, gateway, now, res_eng, rel_mobility,
-                   downstream_ch=None) -> LedgerEntry:
-        entry = LedgerEntry(packet_id, gateway, now, res_eng=res_eng,
-                            rel_mobility=rel_mobility, downstream_ch=downstream_ch,
-                            seq=self.opened)
+    def open_entry(self, packet_id, gateway, res_eng, rel_mobility) -> LedgerEntry:
+        entry = LedgerEntry(packet_id, gateway, res_eng=res_eng,
+                            rel_mobility=rel_mobility, seq=self.opened)
         self.opened += 1
         self.by_packet[packet_id] = entry
         return entry
@@ -169,7 +164,7 @@ def handle_trust_report(nuisance_counts: dict, report, nuisance_limit: int) -> s
     return "discarded"
 
 
-def handle_route_advert(advert, from_member: bool) -> bool:
+def handle_route_advert(from_member: bool) -> bool:
     """Heads only learn routes from other heads; member adverts are noise."""
     return not from_member
 
@@ -190,7 +185,7 @@ def punish(world, verdict: Verdict, issuing_ch: int) -> bool:
     before = trust.trust_value(rec)
     trust.on_malicious(rec)
     world.note_trust_change(target, before, trust.trust_value(rec), verdict.reason)
-    world.blacklisted[target] = trust.BlacklistEntry(target, issuing_ch, verdict.reason, world.now)
+    world.blacklisted.add(target)
     world.eject_node(target)
     world.flood_blacklist(target, issuing_ch, verdict.reason)
     return True

@@ -62,7 +62,7 @@ class Node:
         self.hello = {}             # claimed neighbor id -> beacon.HelloRuns
         self.neighbor_res = {}      # link (true) id -> last advertised residual energy
         self.links_in = {}          # sender id -> link whose skipped rounds fold in here
-        self.links_at = clock.rounds
+        self.links_at = clock.rounds  # the round every link in links_in is folded to
 
     @property
     def alive(self):
@@ -136,7 +136,7 @@ class World:
         self.edges = {}              # (ch_a < ch_b) -> gateway tuple from a's side
         self.ch_state = {}           # node id -> ChState, persists across role changes
         self.trust_registry = {}
-        self.blacklisted = {}        # node id -> BlacklistEntry
+        self.blacklisted = set()
         self.sessions = {}
         self.adjacency = {}
         self._neighbors = {}         # node id -> its adjacency, in id order
@@ -150,9 +150,7 @@ class World:
         self.generated = 0
         self.delivered = 0
         self.dropped = {}
-        self.delays = []
         self.acted = set()
-        self._flood_seq = {}
         self._source_plan = []
         self._sessions_left = {}
 
@@ -355,7 +353,7 @@ class World:
         self.beacons.relink()
         self._gateway_candidates = None
 
-    def node_metrics(self, nid, incumbent=None) -> ElectionMetrics:
+    def node_metrics(self, nid) -> ElectionMetrics:
         n = self.nodes[nid]
         cfg = self.cfg
         v_max = cfg.speed_range[1]
@@ -371,7 +369,7 @@ class World:
                     vals.append(hist.mobility(t))
             if vals:
                 mob = clustering.mobility_membership(radio.avg_mobility(vals), v_max)
-        ch = incumbent if incumbent is not None else n.cluster
+        ch = n.cluster
         ndnb_ch = len(self.adjacency.get(ch, ())) if ch is not None else 0
         if ch is not None and ch != nid and ndnb_ch >= 1:
             cov = clustering.dnc(len(self.adjacency.get(nid, ())), ndnb_ch)
@@ -443,7 +441,7 @@ class World:
             return (self.nodes[nid].policy.kind == adversary.HONEST
                     and nid not in self.blacklisted)
 
-        def may_join(nid, ch):
+        def may_join(nid):
             return nid not in self.blacklisted
 
         def battery(nid):
@@ -525,7 +523,7 @@ class World:
         self.note_trust_change(nid, before, trust.trust_value(rec), reason)
         if (nid not in self.blacklisted
                 and trust.is_blacklisted(rec, self.thresholds.blacklist_limit)):
-            self.blacklisted[nid] = trust.BlacklistEntry(nid, ch_id, "trust_below_limit", self.now)
+            self.blacklisted.add(nid)
             self.eject_node(nid)
             self.flood_blacklist(nid, ch_id, "trust_below_limit")
 
@@ -739,10 +737,10 @@ class World:
     def _watch(self, watcher: Node, subject: Node):
         """What a watching head knows of a custodian from its HELLOs: the
         residual energy it last advertised (its battery, if never heard)
-        and their relative mobility (None under two samples).  Only the
-        link from the custodian is folded."""
+        and their relative mobility (None under two samples).  The head
+        folds its own links like any other reader."""
         sid = subject.node_id
-        beacon.fold_link(watcher, sid)
+        beacon.fold(watcher)
         res_eng = watcher.neighbor_res.get(sid)
         if res_eng is None:
             res_eng = beacon.residual(subject.battery)
@@ -770,7 +768,6 @@ class World:
             # the sender sees the MAC failure; a watching head that saw its
             # custodian attempt the hop clears it of suspicion
             if entry is not None and entry.gateway == frm:
-                entry.retransmitted = True
                 entry.context = detection.LINK_BROKEN
             self.log("hop_fail", packet=packet.packet_id, frm=frm, to=to)
             self.drop_data(packet, "link_break", session_id)
@@ -784,19 +781,16 @@ class World:
                 # the ack clock, snapshotting what the head knew just now
                 res_eng, rel_mobility = self._watch(self.nodes[up_ch], tn)
                 st = self._head_state(up_ch)
-                st.ledger.open_entry(
-                    packet.packet_id, to, self.now, res_eng=res_eng,
-                    rel_mobility=rel_mobility, downstream_ch=plan[q])
+                st.ledger.open_entry(packet.packet_id, to, res_eng=res_eng,
+                                     rel_mobility=rel_mobility)
                 self.schedule(self.now + timeout_s, "timeout", up_ch,
                               packet.packet_id)
-            elif entry is not None and entry.gateway == frm:
-                entry.retransmitted = True
-                if idx + 1 < q:
-                    # custody moves to the far-side gateway, observed by the
-                    # downstream head whose vantage supplies the snapshots
-                    entry.gateway = to
-                    entry.res_eng, entry.rel_mobility = self._watch(
-                        self.nodes[plan[q]], tn)
+            elif entry is not None and entry.gateway == frm and idx + 1 < q:
+                # custody moves to the far-side gateway, observed by the
+                # downstream head whose vantage supplies the snapshots
+                entry.gateway = to
+                entry.res_eng, entry.rel_mobility = self._watch(
+                    self.nodes[plan[q]], tn)
 
         final = idx + 1 == len(plan) - 1
         if not final:
@@ -827,7 +821,6 @@ class World:
 
     def _deliver(self, packet, session_id):
         self.delivered += 1
-        self.delays.append(self.now - packet.created_at)
         self.log("data_delivered", packet=packet.packet_id, session=session_id,
                  src=packet.src, dst=packet.dst, path=tuple(packet.path_trace))
         for fwd in packet.path_trace[1:-1]:
@@ -989,16 +982,12 @@ class World:
         n = adversary.flood_count(node.policy, self.cfg.flood_interval)
         ch = self._linked_head(nid)
         if n > 0 and ch is not None:
-            seq = self._flood_seq.get(nid, 0)
-            adverts = adversary.emit_table_flood(node.policy, n, seq, ch, self.now)
-            self._flood_seq[nid] = seq + len(adverts)
-            self.consume(node, "tx", self.cfg.control_size * len(adverts))
-            self.consume(self.nodes[ch], "rx", self.cfg.control_size * len(adverts))
-            kept = 0
-            for adv in adverts:
-                if detection.handle_route_advert(adv, from_member=True):
-                    kept += 1
-            self.log("advert_burst", node=nid, at=ch, count=len(adverts),
+            # a burst of n adverts for destinations that do not exist, sent
+            # to the member's own head, which learns routes only from heads
+            self.consume(node, "tx", self.cfg.control_size * n)
+            self.consume(self.nodes[ch], "rx", self.cfg.control_size * n)
+            kept = n if detection.handle_route_advert(from_member=True) else 0
+            self.log("advert_burst", node=nid, at=ch, count=n,
                      accepted=kept, table_size=len(self.clusters[ch].routes))
         nxt = self.now + self.cfg.flood_interval
         if nxt <= self.cfg.sim_duration:

@@ -7,7 +7,6 @@ ACK = "ACK"
 HELLO = "HELLO"
 RREQ = "RREQ"
 RREP = "RREP"
-ROUTE_ADVERT = "ROUTE_ADVERT"
 TRUST_REPORT = "TRUST_REPORT"
 
 

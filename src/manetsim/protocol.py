@@ -44,8 +44,8 @@ def route_tables(heads, edges, blacklisted):
 
     heads        head ids to build a table for
     edges        {(ch_a, ch_b): gateways ordered from ch_a's side}
-    blacklisted  ids that may not carry traffic; an edge with one of them
-                 among its gateways is left out
+    blacklisted  set of ids that may not carry traffic; an edge with one of
+                 them among its gateways is left out
 
     Returns {head: {dest: (previous head, gateways into dest)}}, the BFS
     parent tree rooted at the head in discovery order, with neighbours
@@ -75,8 +75,7 @@ def refresh_route_tables(kept, heads, edges, blacklisted):
     """
     heads = tuple(heads)
     if blacklisted:
-        barred = set(blacklisted)
-        pairs = tuple(pair for pair, gws in edges.items() if barred.isdisjoint(gws))
+        pairs = tuple(pair for pair, gws in edges.items() if blacklisted.isdisjoint(gws))
     else:
         pairs = tuple(edges)
     if kept is not None and kept.heads == heads and kept.pairs == pairs:

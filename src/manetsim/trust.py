@@ -27,14 +27,6 @@ class TrustRecord:
     loose_trust: int = INIT_LOOSE
 
 
-@dataclass(frozen=True)
-class BlacklistEntry:
-    node_id: int
-    issued_by: int
-    reason: str
-    issued_at: float = 0.0
-
-
 def init_trust(node_id: int) -> TrustRecord:
     return TrustRecord(node_id)
 

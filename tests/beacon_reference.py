@@ -43,7 +43,7 @@ def _hear_hello(world, sender, receiver, d):
     est = estimate_distance(sender.tx_power, rp, world.radio)
     hist = receiver.hello.get(claimed)
     if hist is None:
-        hist = beacon.HelloRuns(claimed, world.cfg.hello_window)
+        hist = beacon.HelloRuns(world.cfg.hello_window)
         receiver.hello[claimed] = hist
     hist.extend(est, 1)
     receiver.neighbor_res[sender.node_id] = sender.res_eng

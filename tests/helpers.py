@@ -82,7 +82,7 @@ class StubWorld:
             for m in members:
                 self.nodes[m] = StubNode(ch)
         self.edges = dict(edges)
-        self.blacklisted = {b: None for b in blacklisted}
+        self.blacklisted = set(blacklisted)
         self.trust_registry = records or {n: trust.init_trust(n) for n in self.nodes}
         self.clusters = {ch: Cluster(ch, set(members)) for ch, members in clusters.items()}
         tables = route_tables(self.clusters, self.edges, self.blacklisted)

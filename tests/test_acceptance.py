@@ -66,7 +66,7 @@ def test_criterion_03_mobility_telescoping(capsys):
                 dists[-1] = dists[0]     # closed loop must read as zero
             t = rng.uniform(0.001, 1.0)
             h = HelloHistory(neighbor_id=1, window=64)
-            runs = HelloRuns(1, 64)       # what the engine keeps
+            runs = HelloRuns(64)       # what the engine keeps
             for d in dists:
                 record_hello(h, d)
                 runs.extend(d, 1)

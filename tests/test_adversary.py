@@ -5,8 +5,7 @@ import pytest
 
 from manetsim import adversary, packets
 from manetsim.adversary import (Action, BehaviorPolicy, emit_slander,
-                                emit_table_flood, flood_count, intercept,
-                                spoof_identity)
+                                flood_count, intercept, spoof_identity)
 
 
 def pkt(kind, src=1, dst=2, **payload):
@@ -132,16 +131,6 @@ def test_slander_without_targets_is_silent():
 
 
 # ---- table flooding ----
-
-def test_flood_emits_requested_count_of_bogus_dests():
-    p = policy(adversary.TABLE_OVERFLOW, rate=2500.0)
-    adverts = emit_table_flood(p, n=5, seq_start=12, own_ch=0, now=1.0)
-    assert len(adverts) == 5
-    dests = [a.payload["dest"] for a in adverts]
-    assert dests == [adversary.BOGUS_DEST_BASE + 12 + i for i in range(5)]
-    assert min(dests) >= adversary.BOGUS_DEST_BASE
-    assert all(a.kind == packets.ROUTE_ADVERT for a in adverts)
-
 
 def test_flood_count_arithmetic():
     p = policy(adversary.TABLE_OVERFLOW, rate=2500.0)

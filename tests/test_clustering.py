@@ -108,7 +108,7 @@ def test_elect_empty_pool():
 def upkeep(clusters, alive, adjacency, res=None):
     res = res or {}
 
-    def metrics_fn(n, ch):
+    def metrics_fn(n):
         return cand(n, r=res.get(n, 1.0))
 
     def battery(n):
@@ -116,7 +116,7 @@ def upkeep(clusters, alive, adjacency, res=None):
 
     return maintain_membership(clusters, alive, adjacency, metrics_fn, battery, W,
                                may_head=lambda n: True,
-                               may_join=lambda n, c: True)
+                               may_join=lambda n: True)
 
 
 def test_out_of_range_member_rejoins_reachable_head():

@@ -18,7 +18,7 @@ def ledger_with(gateway, outcomes):
     """outcomes: list of (status, context, res_eng, rel_mobility)."""
     led = SurveillanceLedger(ch_id=0)
     for pid, (status, ctx, res, mob) in enumerate(outcomes):
-        led.open_entry(pid, gateway, now=float(pid), res_eng=res, rel_mobility=mob)
+        led.open_entry(pid, gateway, res_eng=res, rel_mobility=mob)
         if status != PENDING:
             led.resolve(pid, status, ctx)
     return led
@@ -28,14 +28,14 @@ def ledger_with(gateway, outcomes):
 
 def test_entries_open_pending():
     led = SurveillanceLedger(ch_id=0)
-    e = led.open_entry(5, gateway=27, now=1.0, res_eng=0.9, rel_mobility=0.0)
+    e = led.open_entry(5, gateway=27, res_eng=0.9, rel_mobility=0.0)
     assert e.ack_status == PENDING
     assert led.by_packet[5] is e
 
 
 def test_resolve_is_first_writer_wins():
     led = SurveillanceLedger(ch_id=0)
-    led.open_entry(5, 27, 1.0, res_eng=0.9, rel_mobility=0.0)
+    led.open_entry(5, 27, res_eng=0.9, rel_mobility=0.0)
     assert led.resolve(5, ACKED).ack_status == ACKED
     assert led.resolve(5, TIMEOUT) is None
     assert led.by_packet[5].ack_status == ACKED
@@ -114,7 +114,7 @@ def test_no_evidence_raises():
 
 def test_conviction_counts_per_gateway():
     led = ledger_with(28, [CULPABLE] * 3)
-    led.open_entry(50, 29, 1.0, res_eng=0.9, rel_mobility=0.0)
+    led.open_entry(50, 29, res_eng=0.9, rel_mobility=0.0)
     led.resolve(50, TIMEOUT)
     assert judge_forwarding(led, 29, TH).label == INCONCLUSIVE
     assert judge_forwarding(led, 28, TH).label == MALICIOUS
@@ -172,16 +172,17 @@ def test_indexed_judgment_matches_full_scan(history, th, final_th):
     plans, order = history
     led = SurveillanceLedger(ch_id=0)
     entries = {}           # plan index -> entry, in open order
+    moved = set()          # plan indices whose pending change was applied
     for i in order:
         (gw, res, mob), pending_change, resolution = plans[i]
         e = entries.get(i)
         if e is None:
             # packet ids fall as entries open, so sorting by id is not open order
-            entries[i] = led.open_entry(1000 - len(entries), gw, float(len(entries)),
+            entries[i] = led.open_entry(1000 - len(entries), gw,
                                         res_eng=res, rel_mobility=mob)
-        elif e.ack_status == PENDING and not e.retransmitted:
-            # what `World._hop` does to a pending entry
-            e.retransmitted = True
+        elif e.ack_status == PENDING and i not in moved:
+            # what `World._hop` does to a pending entry, once
+            moved.add(i)
             if pending_change == "break":
                 e.context = LINK_BROKEN
             elif pending_change is not None:
@@ -240,19 +241,16 @@ def test_nuisance_counted_per_reporter_target_pair():
 
 
 def test_member_route_adverts_are_ignored():
-    advert = packets.Packet(packets.ROUTE_ADVERT, 9, 0, size=32,
-                            payload={"dest": 123, "hops": 1})
-    assert handle_route_advert(advert, from_member=True) is False
-    assert handle_route_advert(advert, from_member=False) is True
+    assert handle_route_advert(from_member=True) is False
+    assert handle_route_advert(from_member=False) is True
 
 
 # ---- punishment ----
 
 class StubWorld:
     def __init__(self):
-        self.now = 3.0
         self.trust_registry = {28: trust.init_trust(28)}
-        self.blacklisted = {}
+        self.blacklisted = set()
         self.changes = []
         self.ejected = []
         self.floods = []
@@ -275,8 +273,7 @@ def test_punish_zeroes_trust_and_floods():
     assert w.changes == [(28, 0.5, 0.0, "culpable_drops")]
     assert w.ejected == [28]
     assert w.floods == [(28, 0, "culpable_drops")]
-    entry = w.blacklisted[28]
-    assert (entry.node_id, entry.issued_by, entry.issued_at) == (28, 0, 3.0)
+    assert 28 in w.blacklisted
 
 
 def test_punish_is_idempotent():
@@ -292,4 +289,4 @@ def test_punish_ignores_non_malicious_verdicts():
     from manetsim.detection import Verdict
     w = StubWorld()
     assert punish(w, Verdict(SELFISH, 28, (), "recurring_refusal"), 0) is False
-    assert w.blacklisted == {}
+    assert w.blacklisted == set()

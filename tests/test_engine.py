@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -292,13 +293,32 @@ def test_acted_only_counts_misdeeds():
     assert m.detection_rate is None
 
 
+def test_flood_rate_costs_no_memory_per_advert():
+    """A burst is logged by its count, so a valid rate of a million adverts
+    per second (100,000 per burst) runs in the memory of a small one."""
+    cfg = SimConfig(node_count=12, area=(60.0, 60.0), sim_duration=1.6, seed=1,
+                    speed_range=(0.0, 0.0),
+                    adversaries=[{"node": 5, "kind": adversary.TABLE_OVERFLOW,
+                                  "rate": 1e6}])
+    tracemalloc.start()
+    try:
+        world, _ = run_world(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bursts = events_of(world.events_log, "advert_burst")
+    assert bursts
+    assert all((d["count"], d["accepted"]) == (100_000, 0) for _, d in bursts)
+    assert peak < 2 * 2 ** 20
+
+
 def test_judge_without_resolved_evidence_returns_quietly():
     world = World(desk_config())
     world.populate()
     world._sweep_topology()
     head, gateway = HEADS[1], BRIDGES[0]
     ledger = world.ch_state[head].ledger
-    ledger.open_entry(1, gateway, world.now, res_eng=1.0, rel_mobility=None)
+    ledger.open_entry(1, gateway, res_eng=1.0, rel_mobility=None)
     assert gateway not in ledger.resolved   # still pending
     assert world._judge(head, gateway) is None
     assert world.ch_state[head].ledger.by_packet[1].ack_status == detection.PENDING
