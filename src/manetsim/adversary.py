@@ -84,14 +84,13 @@ def spoof_identity(policy: BehaviorPolicy, packet):
     return packet
 
 
-def emit_slander(policy: BehaviorPolicy, own_ch: int, now: float):
+def emit_slander(policy: BehaviorPolicy, own_ch: int):
     """One fabricated misbehavior report per configured target."""
     reports = []
     for t in policy.targets:
         reports.append(packets.Packet(
             packets.TRUST_REPORT, policy.owner or 0, own_ch, size=32,
-            payload={"accused": t, "claim": "dropped my packets"},
-            created_at=now))
+            payload={"accused": t, "claim": "dropped my packets"}))
     return reports
 
 

@@ -9,6 +9,7 @@ designated gateway members.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import InvalidClusterHead, NoCandidates
 
@@ -203,17 +204,35 @@ def _unclustered(clusters, alive):
     return {n for n in alive if n not in covered}
 
 
+@dataclass
+class GatewayCandidates:
+    """The candidate lists of `gateway_candidates` and the last designation
+    made from them (see `designate_gateways`).
+
+    lists    ((ch_a, ch_b), width, ids) per linked head pair
+    scores   id -> its score when last computed, for the ids of lists
+             that offer a choice
+    edges    the last designation's edges, None before the first
+    moved    ids whose score may have risen since the last designation
+    """
+    lists: tuple
+    scores: dict = field(default_factory=dict)
+    edges: dict = None
+    moved: set = field(default_factory=set)
+
+
 def gateway_candidates(clusters, adjacency, excluded):
     """Every way to link each pair of adjacent clusters, before scoring.
 
     Reads only the links, each head's members and the excluded ids, so a
     caller may keep the result until one of those changes.  Candidates come
     from member links, so only head pairs that have one are visited; a
-    member may serve more than one head.  Returns ((ch_a, ch_b), width,
-    ids) per linked head pair, in pair order, with ch_a < ch_b.  Width 1:
-    ids are the members in range of both heads.  Width 2, only when there
-    is no such member: ids are the linked (member of ch_a, member of ch_b)
-    pairs, flattened.
+    member may serve more than one head.  Returns a `GatewayCandidates`
+    whose lists hold ((ch_a, ch_b), width, ids) per linked head pair, in
+    pair order, with ch_a < ch_b.  Width 1: ids are the members in range
+    of both heads, in ascending order.  Width 2, only when there is no such
+    member: ids are the linked (member of ch_a, member of ch_b) pairs, in
+    ascending order, flattened.
     """
     heads_of = {}
     for c in sorted(clusters):
@@ -228,56 +247,82 @@ def gateway_candidates(clusters, adjacency, excluded):
                 for h in links:
                     if h != c and h in clusters:
                         singles.setdefault((c, h) if c < h else (h, c), []).append(m)
-    relays = {}    # (a, b) without a single -> linked (member of a, member of b) pairs, flat
+    relays = {}    # (a, b) without a single -> linked (member of a, member of b) pairs
     for m, own in heads_of.items():
         links = adjacency.get(m, ())
         for c in own:
             for n in links:
                 for h in heads_of.get(n, ()):
                     if h > c and (c, h) not in singles:
-                        relays.setdefault((c, h), []).extend((m, n))
-    return tuple((pair, 1, tuple(singles[pair])) if pair in singles
-                 else (pair, 2, tuple(relays[pair]))
-                 for pair in sorted(singles.keys() | relays.keys()))
+                        relays.setdefault((c, h), []).append((m, n))
+    return GatewayCandidates(tuple(
+        (pair, 1, tuple(sorted(singles[pair]))) if pair in singles
+        else (pair, 2, tuple(chain.from_iterable(sorted(relays[pair]))))
+        for pair in sorted(singles.keys() | relays.keys())))
+
+
+def _best(width, ids, scores):
+    """The member, or relay pair, of ids with the highest key by scores.
+    ids are in ascending order and max keeps the first of equal scores, so
+    ties go to the lower id."""
+    if width == 1:
+        return (max(ids, key=scores.__getitem__),)
+    it = iter(ids)
+    return max(zip(it, it), key=lambda p: scores[p[0]] + scores[p[1]])
 
 
 def designate_gateways(clusters, candidates, score_fn):
     """Pick at most two linking members per adjacent cluster pair.
 
     candidates is what `gateway_candidates` returned for these clusters.
-    A list of one member or one relay pair leaves no choice, so score_fn
-    is called once per id of the lists that hold more than one.  A single
-    member in range of both heads beats any relay pair; among equals the
-    higher score wins, then the lower id.  Both keys are total orders, so
-    the winner does not depend on candidate order.  Returns
+    A single member in range of both heads beats any relay pair.  Among
+    single members the key (score, -id) decides, among relay pairs
+    (score_a + score_b, -id_a, -id_b); the highest key wins.  A list of one
+    member or one relay pair leaves no choice and is not scored.  Returns
     {(ch_a, ch_b): (gateways...)} with ch_a < ch_b and the gateway tuple
     ordered from ch_a's side.  Also rewrites each cluster's gateway set.
+
+    The first call on a candidates record scores every id of the lists
+    that offer a choice and stores the scores and the edges in the record.
+    A later call reuses them, and the caller vouches that since the last
+    call no id's score has risen unless the id is in candidates.moved.  A
+    stored score is then an upper bound on the id's score now, and so is a
+    sum of stored scores on the relay pair's sum now, since float addition
+    never falls when a term rises.  So only the moved ids and each list's
+    last winner are scored again: a winner that still has the highest key
+    by the stored scores has it by the scores now, and stays.  A list whose
+    winner fails that test is scored again in full.  No id is scored twice
+    in one call.
     """
     for cl in clusters.values():
         cl.gateways = set()
 
-    score = {}
-    for _, width, ids in candidates:
-        if len(ids) > width:
-            for m in ids:
-                if m not in score:
-                    score[m] = score_fn(m)
+    scores, kept = candidates.scores, candidates.edges
+    fresh = set()
+
+    def rescore(ids):
+        for m in ids:
+            if m not in fresh:
+                fresh.add(m)
+                scores[m] = score_fn(m)
+
+    if kept is not None:
+        rescore(sorted(candidates.moved & scores.keys()))
+    candidates.moved.clear()
 
     edges = {}
-    for pair, width, ids in candidates:
+    for pair, width, ids in candidates.lists:
         if len(ids) == width:
             edges[pair] = ids
             continue
-        if width == 1:
-            edges[pair] = (max(ids, key=lambda m: (score[m], -m)),)
-            continue
-        best_pair, best_key = None, None
-        it = iter(ids)
-        for ma, mb in zip(it, it):
-            key = (score[ma] + score[mb], -ma, -mb)
-            if best_key is None or key > best_key:
-                best_pair, best_key = (ma, mb), key
-        edges[pair] = best_pair
+        if kept is not None:
+            rescore(kept[pair])
+            if _best(width, ids, scores) == kept[pair]:
+                edges[pair] = kept[pair]
+                continue
+        rescore(ids)
+        edges[pair] = _best(width, ids, scores)
+    candidates.edges = edges
 
     for (a, b), gws in edges.items():
         for g in gws:

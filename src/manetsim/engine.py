@@ -384,10 +384,21 @@ class World:
 
         Gateway candidates read only the links, the members and the
         blacklist, so they are kept until `_rebuild_adjacency`, a membership
-        change or `eject_node` drops them. Scores move with energy and
-        trust, so the winners are picked on every refresh. The route tables
-        are kept while the heads and the edges stay, and their search trees
-        while the heads and the usable edge pairs stay
+        change or `eject_node` drops them, and with them the scores and the
+        winners that `clustering.designate_gateways` stores in the same
+        record. While the record is kept, a candidate's score can rise only
+        through its trust. A mobile field rebuilds on every tick, so the
+        record outlives a refresh only on a static field, where mobility
+        reads 1.0. Coverage reads only the node's head and the links, and a
+        change to either drops the record. Residual energy never rises,
+        since a battery's spent bytes only grow, and the score adds these
+        up with non-negative weights. `note_trust_change` marks every id
+        whose trust moved, so each other stored score is an upper bound on
+        the id's score now, and a winner whose fresh score still beats every
+        rival's stored one stays without its rivals being scored again.
+
+        The route tables are kept while the heads and the edges stay, and
+        their search trees while the heads and the usable edge pairs stay
         (`protocol.refresh_route_tables`); they are handed out again every
         time, because a re-elected head gets a fresh `Cluster`.
         """
@@ -469,6 +480,8 @@ class World:
     # ---- punishment hooks used by detection.punish ----
 
     def note_trust_change(self, nid, before, after, reason):
+        if self._gateway_candidates is not None:
+            self._gateway_candidates.moved.add(nid)
         # the record `log` would build, its keys already in sorted order
         self.events_log.append((self.now, "trust_change", (
             ("after", round(after, 9)), ("before", round(before, 9)),
@@ -593,8 +606,7 @@ class World:
                 self.schedule(retry, "sess", src, dst)
             return
         rreq = packets.Packet(packets.RREQ, src, ch, self.next_packet_id(),
-                              self.cfg.control_size, payload={"dst": dst},
-                              created_at=self.now)
+                              self.cfg.control_size, payload={"dst": dst})
         if node.policy.kind == adversary.SPOOF and node.policy.victim is not None:
             self._spoof_rreq(node, rreq)
         self.log("session_request", src=src, dst=dst)
@@ -716,7 +728,7 @@ class World:
         pid = self.next_packet_id()
         packet = packets.Packet(packets.DATA, s.src, s.dst, pid,
                                 self.cfg.packet_size, payload={"session": sid},
-                                created_at=self.now, path_trace=[s.src])
+                                path_trace=[s.src])
         try:
             route = protocol.discover_route(self, s.src, s.dst)
         except NoRoute:
@@ -835,8 +847,7 @@ class World:
         aplan = protocol.ack_plan(plan, seg)
         ack = packets.Packet(packets.ACK, aplan[0], aplan[-1],
                              self.next_packet_id(), self.cfg.control_size,
-                             payload={"ref": packet.packet_id},
-                             created_at=self.now)
+                             payload={"ref": packet.packet_id})
         self.schedule(self.now + self.control_airtime, "ackhop", ack,
                       tuple(aplan), 0)
 
@@ -930,7 +941,7 @@ class World:
             return
         ch = self._linked_head(nid)
         if ch is not None and nid not in self.blacklisted:
-            reports = adversary.emit_slander(node.policy, ch, self.now)
+            reports = adversary.emit_slander(node.policy, ch)
             for rep in reports:
                 rep.packet_id = self.next_packet_id()
                 self.consume(node, "tx", self.cfg.control_size)
@@ -965,8 +976,7 @@ class World:
         if ch is not None and node.policy.victim is not None:
             rreq = packets.Packet(packets.RREQ, nid, ch, self.next_packet_id(),
                                   self.cfg.control_size,
-                                  payload={"dst": node.policy.victim},
-                                  created_at=self.now)
+                                  payload={"dst": node.policy.victim})
             self._spoof_rreq(node, rreq)
             self.consume(node, "tx", self.cfg.control_size)
             self.consume(self.nodes[ch], "rx", self.cfg.control_size)

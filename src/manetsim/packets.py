@@ -18,7 +18,6 @@ class Packet:
     packet_id: int = 0  # assigned from a per-run counter, never globally
     size: int = 512
     payload: dict = field(default_factory=dict)
-    created_at: float = 0.0
     # ids appended by each node that handled the packet; tunneling
     # deliberately skips the append, which is what audits look for.
     path_trace: list = field(default_factory=list)

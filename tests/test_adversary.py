@@ -119,15 +119,15 @@ def test_spoof_of_own_id_is_a_no_op():
 
 def test_slander_one_report_per_target():
     p = policy(adversary.SLANDER, targets=(27, 1))
-    reports = emit_slander(p, own_ch=0, now=2.5)
+    reports = emit_slander(p, own_ch=0)
     assert [r.payload["accused"] for r in reports] == [27, 1]
     for r in reports:
         assert r.kind == packets.TRUST_REPORT
-        assert (r.src, r.dst, r.created_at) == (9, 0, 2.5)
+        assert (r.src, r.dst) == (9, 0)
 
 
 def test_slander_without_targets_is_silent():
-    assert emit_slander(policy(adversary.SLANDER), own_ch=0, now=0.0) == []
+    assert emit_slander(policy(adversary.SLANDER), own_ch=0) == []
 
 
 # ---- table flooding ----

@@ -1,10 +1,11 @@
 """The gateway candidates and route tables a World keeps between refreshes
 against a fresh designation on the same state.
 
-`World._refresh_backbone` keeps its gateway candidates until the links
-are rebuilt, the membership changes or a node is ejected, its route
-tables while the heads and the edges stay, and their search trees while
-the heads and the usable edge pairs stay. After every refresh, the edges,
+`World._refresh_backbone` keeps its gateway candidates, and the scores
+and winners stored with them, until the links are rebuilt, the membership
+changes or a node is ejected, its route tables while the heads and the
+edges stay, and their search trees while the heads and the usable edge
+pairs stay. After every refresh, the edges,
 each cluster's gateways and each head's routes must equal what the
 all-pairs scan and the route search of `topology_reference.py` give from
 scratch. The worlds are small, static or mobile, with batteries small
@@ -22,24 +23,35 @@ from manetsim import adversary, beacon, clustering
 from manetsim.clustering import Cluster, composite_score
 from manetsim.config import SimConfig
 from manetsim.engine import World
-from test_golden import static_reform_config
+from test_golden import mobile_config, static_reform_config
 from topology_reference import (reference_designate_gateways,
                                 reference_route_tables)
 
 
 class CheckedWorld(World):
     """Checks every refresh against a fresh designation and counts how
-    often the kept candidates and tables were reused."""
+    often the kept candidates, winners and tables were reused. A refresh
+    kept a stored winner when some candidate list that offers a choice
+    had an id it did not score."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.reuse = Counter()
+        self.scored = set()
+
+    def node_metrics(self, nid):
+        self.scored.add(nid)
+        return super().node_metrics(nid)
 
     def _refresh_backbone(self):
         self.reuse["refreshes"] += 1
         self.reuse["candidates_kept"] += self._gateway_candidates is not None
         tables_before = self._route_tables
+        self.scored = set()
         super()._refresh_backbone()
+        self.reuse["winners_kept"] += any(
+            len(ids) > width and not self.scored.issuperset(ids)
+            for _, width, ids in self._gateway_candidates.lists)
         tables_after = self._route_tables
         if tables_before is not None:
             self.reuse["tables_kept"] += tables_after is tables_before
@@ -111,6 +123,19 @@ def test_static_reform_cell_reuses_and_rebuilds():
     assert 0 < reuse["tables_kept"] < reuse["refreshes"]
     assert reuse["trees_kept"] > 0
     assert reuse["ejections"] > 0
+
+
+def test_static_cell_keeps_winners_and_mobile_cell_does_not():
+    """Stored winners outlive a refresh only where the candidates do: on
+    the pinned static cell some refreshes keep one, on a mobile cell, which
+    relinks on every tick, none does."""
+    static = CheckedWorld(static_reform_config())
+    static.run()
+    assert 0 < static.reuse["winners_kept"] < static.reuse["refreshes"]
+    mobile = CheckedWorld(mobile_config(adversary.GREY_HOLE))
+    mobile.run()
+    assert mobile.reuse["refreshes"] > 0
+    assert mobile.reuse["winners_kept"] == 0
 
 
 class PassWatchingWorld(World):

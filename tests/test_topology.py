@@ -87,8 +87,88 @@ def test_designation_matches_all_pairs_scan(case):
                                           adjacency, excluded, scores)[:2]
     clusters = {h: Cluster(h, set(ms)) for h, ms in members.items()}
     assert scored == {m for _, width, ids in gateway_candidates(clusters, adjacency,
-                                                                excluded)
+                                                                excluded).lists
                       if len(ids) > width for m in ids}
+
+
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def score_walks(draw):
+    """A member graph, then refreshes over the same candidates: before each
+    one some ids are marked moved and may score anything, and any other
+    id's score may only fall.  Each step is (moved ids, new scores)."""
+    members, adjacency, excluded, scores = draw(member_graphs())
+    ids = sorted(scores)
+    now, steps = dict(scores), []
+    for _ in range(draw(st.integers(1, 5))):
+        moved = set(draw(st.lists(st.sampled_from(ids), unique=True, max_size=2)))
+        changes = {}
+        for nid in draw(st.lists(st.sampled_from(ids), unique=True)):
+            top = LEVELS[-1] if nid in moved else now[nid]
+            changes[nid] = draw(st.sampled_from([v for v in LEVELS if v <= top]))
+        now.update(changes)
+        steps.append((moved, changes))
+    return members, adjacency, excluded, scores, steps
+
+
+# the runner-up 2 overtakes the winner 1 through a trust gain
+@example(({0: {1, 2}, 5: {6}}, {0: {1, 2}, 1: {0, 5}, 2: {0, 5}, 5: {1, 2, 6}, 6: {5}},
+          set(), {0: 0.5, 1: 0.75, 2: 0.5, 5: 0.5, 6: 0.5},
+          [({2}, {2: 1.0})]))
+# the winner 1 decays past the runner-up 2
+@example(({0: {1, 2}, 5: {6}}, {0: {1, 2}, 1: {0, 5}, 2: {0, 5}, 5: {1, 2, 6}, 6: {5}},
+          set(), {0: 0.5, 1: 0.75, 2: 0.5, 5: 0.5, 6: 0.5},
+          [(set(), {1: 0.25})]))
+# relay pairs 1-6 and 2-7 for (0, 5): 1-6 falls to a tie it wins on ids,
+# then 7 gains and 2-7 wins, then 7 falls back
+@example(({0: {1, 2}, 5: {6, 7}},
+          {0: {1, 2}, 1: {0, 6}, 2: {0, 7}, 5: {6, 7}, 6: {1, 5}, 7: {2, 5}},
+          set(), {0: 0.5, 1: 0.75, 2: 0.5, 5: 0.5, 6: 0.75, 7: 0.5},
+          [(set(), {6: 0.25}), ({7}, {7: 1.0}), (set(), {7: 0.0})]))
+@settings(max_examples=300, deadline=None)
+@given(score_walks())
+def test_memoised_designation_matches_all_pairs_scan(case):
+    """Refreshes that reuse the stored scores and winners pick what a scan
+    from scratch picks on the scores of the moment."""
+    members, adjacency, excluded, scores, steps = case
+    scores = dict(scores)
+    clusters = {h: Cluster(h, set(ms)) for h, ms in members.items()}
+    candidates = gateway_candidates(clusters, adjacency, excluded)
+    for moved, changes in [(set(), {})] + steps:
+        scores.update(changes)
+        candidates.moved |= moved
+        edges = designate_gateways(clusters, candidates, scores.__getitem__)
+        assert ((list(edges.items()), {h: cl.gateways for h, cl in clusters.items()})
+                == designate(reference_designate_gateways, members, adjacency,
+                             excluded, scores)[:2])
+
+
+def test_unchanged_scores_rescore_only_the_winners():
+    """With no score moved or fallen, a later designation scores each
+    winner of a list with a choice and nothing else; a moved id is scored
+    once more, by the next designation only."""
+    clusters = {0: Cluster(0, {1, 2, 3}), 5: Cluster(5, {6, 7}), 9: Cluster(9, {8})}
+    # 1, 2 and 3 bridge (0, 5); relay pairs 6-8 and 7-8 link (5, 9)
+    adjacency = {0: {1, 2, 3}, 1: {0, 5}, 2: {0, 5}, 3: {0, 5}, 5: {1, 2, 3, 6, 7},
+                 6: {5, 8}, 7: {5, 8}, 8: {6, 7, 9}, 9: {8}}
+    scores = {1: 0.25, 2: 0.75, 3: 0.5, 6: 0.5, 7: 0.5, 8: 0.5}
+    candidates = gateway_candidates(clusters, adjacency, set())
+    scored = []
+
+    def score_fn(nid):
+        scored.append(nid)
+        return scores[nid]
+
+    first = designate_gateways(clusters, candidates, score_fn)
+    assert first == {(0, 5): (2,), (5, 9): (6, 8)}
+    assert sorted(scored) == [1, 2, 3, 6, 7, 8]
+    for moved, want in (((), [2, 6, 8]), ((3,), [2, 3, 6, 8]), ((), [2, 6, 8])):
+        candidates.moved.update(moved)
+        scored.clear()
+        assert designate_gateways(clusters, candidates, score_fn) == first
+        assert sorted(scored) == want
 
 
 # ---- route tables ----
