@@ -9,15 +9,24 @@ and a charge succeeds when the uncapped bill stays within it.
 
 Rounds.  Positions move only right before a rebuild, so until the next one
 every round adds the same bytes to each node (one HELLO sent, one received
-per live link), the same distance estimate to each HELLO history, and
-overwrites each residual-energy entry with the sender's energy part-way
-through the round.  So a round only counts itself.  What it would have
-written is brought forward ("folded") when something reads it: `fold`
-does it for one node (its battery, the histories it keeps and the
-residual energies it heard), `Beacons.fold_all` for every node.  Each
-node has one fold point for all the links it hears, and a fold with no
-round since that point costs two comparisons.  A head watching a
-custodian at a handover folds itself like any other reader.
+per live link) and the same distance estimate to each HELLO history, and
+each HELLO carries its sender's residual energy part-way through the
+round.  So a round only counts itself.  What it would have added is
+brought forward ("folded") when something reads it: `fold` does it for
+one node (its battery and the histories it keeps), `Beacons.fold_all` for
+every node.  Each node has one fold point for all the links it hears, and
+a fold with no round since that point costs two comparisons.  A head
+watching a custodian at a handover folds itself like any other reader.
+
+The residual energy a node heard is computed only when read, by
+`Beacons.heard`: the last HELLO on a link carried the sender's transmit
+bill as the last round left it, and the bytes it had received before that
+round plus those it heard in it before the link.  A lay-out keeps the
+links of the epoch it closes (the rounds since the last lay-out) when that
+epoch had a round, with a snapshot of each battery as the epoch's last
+round left it.  The close writes into `neighbor_res` only what a link of
+the epoch before carried that the closing epoch did not renew; a round run
+link by link first writes everything still pending, then each reception.
 
 The distance estimate a receiver derives from a HELLO is computed once
 per link and rebuild, by `World._rebuild_adjacency`, the one place the
@@ -71,7 +80,7 @@ class Battery:
     """
     __slots__ = ("tx_power", "rx_power", "total", "capacity", "clock",
                  "tx", "rx", "txj", "rxj", "spent", "at", "tx_rate", "rx_rate",
-                 "round_j", "end_at", "end_txj", "end_rx")
+                 "round_j", "end_at", "end_txj", "end_rx", "prev_txj", "prev_rx")
 
     def __init__(self, tx_power, rx_power, total, capacity, clock):
         self.tx_power = tx_power    # mW
@@ -86,6 +95,10 @@ class Battery:
         self.round_j = 0.0          # the bill of one round's bytes
         self.end_txj = 0.0          # the transmit bill and the bytes
         self.end_rx = 0             # received as round end_at left them
+        self.prev_txj = 0.0         # the transmit bill, and the bytes
+        self.prev_rx = 0            # received before it, in the last round
+                                    # of the epoch `Beacons._close_epoch`
+                                    # closed last
 
     def bill(self, tx, rx):
         """The uncapped bill of tx bytes sent and rx bytes received."""
@@ -207,8 +220,8 @@ class HelloRuns:
 
 
 def fold(node):
-    """Bring the node's battery, HELLO histories and heard residual
-    energies forward to the last round."""
+    """Bring the node's battery and HELLO histories forward to the last
+    round."""
     b = node.battery
     r = b.clock.rounds
     if b.at != r:
@@ -217,11 +230,9 @@ def fold(node):
     if not k:
         return
     node.links_at = r
-    res = node.neighbor_res
-    # HelloRuns.extend and the residual energy a neighbour heard,
-    # inlined: as calls they cost mobile-beacon 3.4% more wall time
-    # (2-vCPU x86-64 host)
-    for sid, (sender, est, hist, heard) in node.links_in.items():
+    # HelloRuns.extend inlined: as a call it costs mobile-beacon 3.4%
+    # more wall time (2-vCPU x86-64 host)
+    for _, est, hist, _ in node.links_in.values():
         ests = hist.ests
         if ests and ests[-1] == est:
             hist.counts[-1] += k
@@ -233,19 +244,41 @@ def fold(node):
             hist._evict(n - hist.window)
             n = hist.window
         hist.n = n
-        # the residual energy sid sent this node in round r: its transmit
-        # bill at the round's end, and the bytes it had received before the
-        # round plus those it heard in the round before this link
-        if sender.end_at == r:
-            txj, rx = sender.end_txj, sender.end_rx
-        else:
-            if sender.at != r:
-                settle(sender)
-            txj, rx = sender.txj, sender.rx
-        j = txj + sender.rx_power / 1000.0 * (
-            (rx - sender.rx_rate + heard) * 8 / sender.capacity)
-        total = sender.total
-        res[sid] = 1.0 - (j if j < total else total) / total
+
+
+def _heard_now(link, r):
+    """The residual energy the link's sender sent in round r, the last
+    round: its transmit bill at the round's end, and the bytes it had
+    received before the round plus those it heard in the round before
+    this link."""
+    sender = link[0]
+    txj, rx = _left_by(sender, r)
+    return _residual_at(sender, txj, rx - sender.rx_rate + link[3])
+
+
+def _left_by(b, r):
+    """The battery's transmit bill and bytes received as round r, the
+    last round, left them: its `end_*` record if it was charged in that
+    round, else its settled counters."""
+    if b.end_at == r:
+        return b.end_txj, b.end_rx
+    if b.at != r:
+        settle(b)
+    return b.txj, b.rx
+
+
+def _heard_before(link):
+    """The same for the last round of the epoch closed last."""
+    sender = link[0]
+    return _residual_at(sender, sender.prev_txj, sender.prev_rx + link[3])
+
+
+def _residual_at(b, txj, rx):
+    """The battery's residual energy fraction at the transmit bill txj and
+    rx bytes received."""
+    j = txj + b.rx_power / 1000.0 * (rx * 8 / b.capacity)
+    total = b.total
+    return 1.0 - (j if j < total else total) / total
 
 
 class Beacons:
@@ -254,7 +287,8 @@ class Beacons:
     `_lay_out` reads the links of `World._pairs` at the first round after
     a rebuild, after a depletion and after a round run link by link; every
     pair there passed the link rule both ways, so both directions are above
-    the floor, and carries the distance estimate of each direction.
+    the floor, and carries the distance estimate of each direction.  The
+    rounds between two lay-outs are an epoch.
     Nothing here, and nothing a node holds, refers back to the
     World, whose methods pass it in; so a finished run is freed at once.
     """
@@ -264,6 +298,7 @@ class Beacons:
         self.size = hello_size
         self.clock = Clock()
         self._laid_out = False   # since the last rebuild
+        self._laid_out_at = 0    # the round of the last lay-out
         self._heard = 0          # receptions in a skipped round
         self._by_link = False    # inside a round that runs link by link
 
@@ -282,6 +317,21 @@ class Beacons:
             self.fold_all()
             self._lay_out(world)
 
+    def heard(self, node, sid):
+        """The residual energy sid advertised in the last HELLO the node
+        heard from it, None if it never heard one: from the link of this
+        epoch once it has had a round, else from the link of the last
+        epoch that had one, else as a round run link by link or the close
+        of an epoch wrote it."""
+        if self.clock.rounds > self._laid_out_at:
+            link = node.links_in.get(sid)
+            if link is not None:
+                return _heard_now(link, self.clock.rounds)
+        link = node.links_prev.get(sid)
+        if link is not None:
+            return _heard_before(link)
+        return node.neighbor_res.get(sid)
+
     def round(self, world):
         """One beacon exchange: every live node transmits once, every live
         in-range pair hears each other (both directions)."""
@@ -298,10 +348,14 @@ class Beacons:
         """What each round adds from here, every node folded: the bytes per
         battery, the links each receiver folds (with the distance estimate
         the rebuild stored for the link, and the bytes their sender
-        received before them in the round) and the runway.  While a live
-        link carries a spoofed HELLO there is no runway and no link to lay
-        out: every round runs link by link until the next lay-out."""
+        received before them in the round) and the runway, after closing
+        the epoch before.  While a live link carries a spoofed HELLO there
+        is no runway and no link to lay out: every round runs link by link
+        until the next lay-out."""
         nodes, size, r = self.nodes, self.size, self.clock.rounds
+        if r > self._laid_out_at:
+            self._close_epoch(r)
+        self._laid_out_at = r
         for node in nodes.values():
             node.links_in = {}
             node.links_at = r
@@ -316,14 +370,18 @@ class Beacons:
             ba, bb = na.battery, nb.battery
             if not (ba.spent < ba.total and bb.spent < bb.total):
                 continue
-            for sender, receiver, sb, rb, est in ((na, nb, ba, bb, est_ab),
-                                                  (nb, na, bb, ba, est_ba)):
-                sid = sender.node_id
-                hist = receiver.hello.get(sid)
-                if hist is None:
-                    hist = receiver.hello[sid] = HelloRuns(window)
-                receiver.links_in[sid] = (sb, est, hist, sb.rx_rate)
-                rb.rx_rate += size
+            # a's HELLO to b, then b's to a, as a round runs them: the
+            # bytes b heard before its own HELLO include a's
+            hist = nb.hello.get(a)
+            if hist is None:
+                hist = nb.hello[a] = HelloRuns(window)
+            nb.links_in[a] = (ba, est_ab, hist, ba.rx_rate)
+            bb.rx_rate += size
+            hist = na.hello.get(b)
+            if hist is None:
+                hist = na.hello[b] = HelloRuns(window)
+            na.links_in[b] = (bb, est_ba, hist, bb.rx_rate)
+            ba.rx_rate += size
         heard = 0
         safe = 1 << 62
         for node in nodes.values():
@@ -336,10 +394,43 @@ class Beacons:
         self._heard = heard // size
         self.clock.safe_until = r + safe
 
+    def _close_epoch(self, r):
+        """The epoch laid out last had rounds, the last of them r.  A
+        previous link that the epoch did not renew writes the residual
+        energy it carried; then each battery keeps what round r left it
+        and each node's links become its previous ones."""
+        nodes = self.nodes.values()
+        for node in nodes:
+            links, res = node.links_in, node.neighbor_res
+            for sid, link in node.links_prev.items():
+                if sid not in links:
+                    res[sid] = _heard_before(link)
+        for node in nodes:
+            b = node.battery
+            txj, rx = _left_by(b, r)
+            b.prev_txj, b.prev_rx = txj, rx - b.rx_rate
+            node.links_prev = node.links_in
+
+    def _write_heard(self):
+        """Write every residual energy a link would report into
+        `neighbor_res` and drop the links, before a round that writes
+        there itself: close the epoch if it had a round, then write what
+        every previous link carried."""
+        r = self.clock.rounds
+        if r > self._laid_out_at:
+            self._close_epoch(r)
+        for node in self.nodes.values():
+            res = node.neighbor_res
+            for sid, link in node.links_prev.items():
+                res[sid] = _heard_before(link)
+            node.links_prev = {}
+            node.links_in = {}
+
     def _round_by_link(self, world):
         """One round with every charge through `World.consume`, in order, so
         a battery that runs dry mid-round stops hearing right there."""
         self.fold_all()
+        self._write_heard()
         self._by_link = True
         nodes, size = self.nodes, self.size
         for _, node in sorted(nodes.items()):

@@ -53,8 +53,6 @@ class ElectionWeights:
 class Cluster:
     ch_id: int
     members: set = field(default_factory=set)   # excludes the head itself
-    gateways: set = field(default_factory=set)  # subset of members
-    routes: dict = field(default_factory=dict)  # dest CH -> (previous CH, gateways into dest)
 
     def nodes(self):
         return {self.ch_id} | self.members
@@ -141,7 +139,6 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
         for m in sorted(cl.members):
             if m not in alive or m not in adjacency.get(ch_id, ()):
                 cl.members.discard(m)
-                cl.gateways.discard(m)
                 if m in alive:
                     events.append(("member_left", m, ch_id))
 
@@ -271,16 +268,16 @@ def _best(width, ids, scores):
     return max(zip(it, it), key=lambda p: scores[p[0]] + scores[p[1]])
 
 
-def designate_gateways(clusters, candidates, score_fn):
+def designate_gateways(candidates, score_fn):
     """Pick at most two linking members per adjacent cluster pair.
 
-    candidates is what `gateway_candidates` returned for these clusters.
+    candidates is what `gateway_candidates` returned for the clusters.
     A single member in range of both heads beats any relay pair.  Among
     single members the key (score, -id) decides, among relay pairs
     (score_a + score_b, -id_a, -id_b); the highest key wins.  A list of one
     member or one relay pair leaves no choice and is not scored.  Returns
     {(ch_a, ch_b): (gateways...)} with ch_a < ch_b and the gateway tuple
-    ordered from ch_a's side.  Also rewrites each cluster's gateway set.
+    ordered from ch_a's side.
 
     The first call on a candidates record scores every id of the lists
     that offer a choice and stores the scores and the edges in the record.
@@ -294,9 +291,6 @@ def designate_gateways(clusters, candidates, score_fn):
     winner fails that test is scored again in full.  No id is scored twice
     in one call.
     """
-    for cl in clusters.values():
-        cl.gateways = set()
-
     scores, kept = candidates.scores, candidates.edges
     fresh = set()
 
@@ -323,10 +317,4 @@ def designate_gateways(clusters, candidates, score_fn):
         rescore(ids)
         edges[pair] = _best(width, ids, scores)
     candidates.edges = edges
-
-    for (a, b), gws in edges.items():
-        for g in gws:
-            for cl in (clusters[a], clusters[b]):
-                if g in cl.members:
-                    cl.gateways.add(g)
     return edges

@@ -44,7 +44,7 @@ class Node:
     """
     __slots__ = ("node_id", "pos", "waypoint", "tx_power", "rx_power",
                  "battery", "policy", "cluster", "hello", "neighbor_res",
-                 "links_in", "links_at")
+                 "links_in", "links_at", "links_prev")
 
     def __init__(self, node_id, pos, waypoint, tx_power, rx_power, energy_total,
                  policy, capacity=SimConfig.channel_capacity, clock=None):
@@ -60,9 +60,10 @@ class Node:
         self.policy = policy
         self.cluster = None
         self.hello = {}             # claimed neighbor id -> beacon.HelloRuns
-        self.neighbor_res = {}      # link (true) id -> last advertised residual energy
+        self.neighbor_res = {}      # link (true) id -> residual energy heard, see Beacons.heard
         self.links_in = {}          # sender id -> link whose skipped rounds fold in here
         self.links_at = clock.rounds  # the round every link in links_in is folded to
+        self.links_prev = {}        # links_in of the last epoch that had a round
 
     @property
     def alive(self):
@@ -143,7 +144,7 @@ class World:
         self._pairs = []             # linked pairs with their estimates, sorted
         self.beacons = beacon.Beacons(self.nodes, cfg.hello_size)
         self._gateway_candidates = None  # see _refresh_backbone
-        self._route_tables = None    # see protocol.refresh_route_tables
+        self.head_routes = None      # see protocol.refresh_route_tables
         self._dirty_topology = True
         self._membership_settled = False  # see _sweep_topology
 
@@ -297,9 +298,13 @@ class World:
         Candidates come from a uniform grid (the cell-list method): in-range
         pairs lie in the same or adjacent cells. Cells are `radio_range`
         wide plus a part in 1e9, so float rounding at a border cannot put
-        an in-range pair two cells apart. `_pairs` is sorted, which makes
-        it, the adjacency sets' insertion order and `_neighbors` those of
-        an all-pairs scan in id order.
+        an in-range pair two cells apart. Each cell holds an
+        `(id, x, y, tx_power)` record per node, so the candidate loop reads
+        no node. `_pairs` is sorted, which makes it and the adjacency sets'
+        insertion order those of an all-pairs scan in id order. Each
+        `_neighbors` list is filled in that pair order and so comes out in
+        id order: a node's smaller neighbours come from its pairs `(a, x)`,
+        which sort before its pairs `(x, b)`.
         """
         self.beacons.fold_all()
         params, nodes = self.radio, self.nodes
@@ -307,12 +312,15 @@ class World:
                               params.k, params.q)
         rng_r2 = rng_r * rng_r
         inv_q = 1.0 / q
+        min_d = radio.MIN_DISTANCE_M
         width = rng_r * (1 + 1e-9)
         adj = {nid: set() for nid in nodes if nodes[nid].alive}
         cells = {}
         for nid in adj:
-            pos = nodes[nid].pos
-            cells.setdefault((int(pos.x // width), int(pos.y // width)), []).append(nid)
+            n = nodes[nid]
+            x, y = n.pos.x, n.pos.y
+            cells.setdefault((int(x // width), int(y // width)), []).append(
+                (nid, x, y, n.tx_power))
         pairs = []
         for (cx, cy), here in cells.items():
             # this cell with itself, then the four neighbours that come
@@ -322,20 +330,16 @@ class World:
                 there = cells.get(key)
                 if there is not None:
                     near.append((there, False))
-            for i, a in enumerate(here):
-                na = nodes[a]
-                ax, ay, ta = na.pos.x, na.pos.y, na.tx_power
+            for i, (a, ax, ay, ta) in enumerate(here):
                 for there, same in near:
-                    for b in (there[i + 1:] if same else there):
-                        nb = nodes[b]
-                        dx, dy = ax - nb.pos.x, ay - nb.pos.y
+                    for b, bx, by, tb in (there[i + 1:] if same else there):
+                        dx, dy = ax - bx, ay - by
                         if dx * dx + dy * dy > rng_r2:
                             continue
                         d = math.hypot(dx, dy)   # Position.distance_to
                         if d > rng_r:
                             continue
-                        dq = max(d, radio.MIN_DISTANCE_M) ** q
-                        tb = nb.tx_power
+                        dq = max(d, min_d) ** q
                         # Friis received power, both ways
                         pa, pb = k * ta / dq, k * tb / dq
                         if pa >= floor and pb >= floor:
@@ -344,11 +348,14 @@ class World:
                             ea, eb = (k * ta / pa) ** inv_q, (k * tb / pb) ** inv_q
                             pairs.append((a, b, ea, eb) if a < b else (b, a, eb, ea))
         pairs.sort()
+        neighbors = {nid: [] for nid in adj}
         for a, b, _, _ in pairs:
             adj[a].add(b)
             adj[b].add(a)
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         self.adjacency = adj
-        self._neighbors = {nid: sorted(nbs) for nid, nbs in adj.items()}
+        self._neighbors = neighbors
         self._pairs = pairs
         self.beacons.relink()
         self._gateway_candidates = None
@@ -380,7 +387,7 @@ class World:
                                mob, cov)
 
     def _refresh_backbone(self):
-        """Designate gateways and hand every head its route table.
+        """Designate gateways and refresh the heads' route tables.
 
         Gateway candidates read only the links, the members and the
         blacklist, so they are kept until `_rebuild_adjacency`, a membership
@@ -398,9 +405,9 @@ class World:
         rival's stored one stays without its rivals being scored again.
 
         The route tables are kept while the heads and the edges stay, and
-        their search trees while the heads and the usable edge pairs stay
-        (`protocol.refresh_route_tables`); they are handed out again every
-        time, because a re-elected head gets a fresh `Cluster`.
+        their search trees while the heads and the usable edge pairs stay;
+        a head's tree is searched only when its table is first read
+        (`protocol.refresh_route_tables`).
         """
         def score_fn(nid):
             return clustering.composite_score(self.node_metrics(nid), self.weights)
@@ -408,14 +415,10 @@ class World:
         if self._gateway_candidates is None:
             self._gateway_candidates = clustering.gateway_candidates(
                 self.clusters, self.adjacency, self.blacklisted)
-        edges = clustering.designate_gateways(
-            self.clusters, self._gateway_candidates, score_fn)
-        self._route_tables = protocol.refresh_route_tables(
-            self._route_tables, self.clusters, edges, self.blacklisted)
+        edges = clustering.designate_gateways(self._gateway_candidates, score_fn)
+        self.head_routes = protocol.refresh_route_tables(
+            self.head_routes, self.clusters, edges, self.blacklisted)
         self.edges = edges
-        tables = self._route_tables.tables
-        for ch, cl in self.clusters.items():
-            cl.routes = tables[ch]
 
     def _sweep_topology(self):
         """Move the nodes, relink them if anything moved or died, keep the
@@ -495,7 +498,6 @@ class World:
                 self.nodes[m].cluster = None
         for cl in self.clusters.values():
             cl.members.discard(nid)
-            cl.gateways.discard(nid)
         self._gateway_candidates = None
         self._membership_settled = False
         self._refresh_backbone()
@@ -753,7 +755,7 @@ class World:
         folds its own links like any other reader."""
         sid = subject.node_id
         beacon.fold(watcher)
-        res_eng = watcher.neighbor_res.get(sid)
+        res_eng = self.beacons.heard(watcher, sid)
         if res_eng is None:
             res_eng = beacon.residual(subject.battery)
         hist = watcher.hello.get(sid)
@@ -998,7 +1000,7 @@ class World:
             self.consume(self.nodes[ch], "rx", self.cfg.control_size * n)
             kept = n if detection.handle_route_advert(from_member=True) else 0
             self.log("advert_burst", node=nid, at=ch, count=n,
-                     accepted=kept, table_size=len(self.clusters[ch].routes))
+                     accepted=kept, table_size=len(self.head_routes.table(ch)))
         nxt = self.now + self.cfg.flood_interval
         if nxt <= self.cfg.sim_duration:
             self.schedule(nxt, "flood", nid)

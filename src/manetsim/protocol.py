@@ -2,15 +2,14 @@
 
 All traffic is relayed through heads: a member hands its packet to its
 head, the head forwards it across designated gateways to the next head,
-and the destination's head delivers the final hop.  A topology refresh
-that changed the heads or the usable head links runs one breadth-first
-search per head over the head graph and keeps its parent tree as that
-head's route table; forwarding reads each path back from the table, so
-routes minimize head-to-head hops, and blacklisted nodes never appear on
-them.
+and the destination's head delivers the final hop.  A head's route table
+is the parent tree of a breadth-first search from it over the head graph.
+The search runs the first time a packet (or a table-size read) asks for
+that head's table after a topology refresh changed the heads or the
+usable head links, and its tree is kept until the next such change;
+forwarding reads each path back from the table, so routes minimize
+head-to-head hops, and blacklisted nodes never appear on them.
 """
-
-from typing import NamedTuple
 
 from . import trust
 from .errors import NoRoute, RejectedBlacklisted, RejectedUntrusted
@@ -51,27 +50,61 @@ def route_tables(heads, edges, blacklisted):
     parent tree rooted at the head in discovery order, with neighbours
     visited in ascending id order.  The root has no entry.
     """
-    return refresh_route_tables(None, heads, edges, blacklisted).tables
+    record = refresh_route_tables(None, heads, edges, blacklisted)
+    return {ch: record.table(ch) for ch in record.heads}
 
 
-class RouteTables(NamedTuple):
-    """Head route tables and what they were built from."""
-    heads: tuple    # the head ids, in table order
-    pairs: tuple    # the usable edge pairs, in edge order
-    edges: dict
-    tables: dict
+class RouteTables:
+    """Head route tables and what they were built from.
+
+    heads   the head ids, in table order
+    pairs   the usable edge pairs, in edge order
+    edges   the edges the tables take their gateways from
+    out     head -> the heads it has a usable edge to, in ascending order
+    via     (from head, to head) -> the route entry of that edge
+    trees   head -> its table, for the heads whose table was read
+    """
+    __slots__ = ("heads", "pairs", "edges", "out", "via", "trees")
+
+    def __init__(self, heads, pairs, edges, out, via, trees):
+        self.heads = heads
+        self.pairs = pairs
+        self.edges = edges
+        self.out = out
+        self.via = via
+        self.trees = trees
+
+    def table(self, ch):
+        """The head's table (see `route_tables`), searched on its first
+        read and kept with the record."""
+        routes = self.trees.get(ch)
+        if routes is None:
+            out, via = self.out, self.via
+            routes = self.trees[ch] = {}
+            frontier = [ch]
+            while frontier:
+                nxt = []
+                for cur in frontier:
+                    for other in out.get(cur, ()):
+                        if other != ch and other not in routes:
+                            routes[other] = via[cur, other]
+                            nxt.append(other)
+                frontier = nxt
+        return routes
 
 
 def refresh_route_tables(kept, heads, edges, blacklisted):
-    """`route_tables` as a `RouteTables` record, reusing what an earlier
-    record, kept (or None), still holds.
+    """The head route tables as a `RouteTables` record, reusing what an
+    earlier record, kept (or None), still holds.
 
     A head's search tree reads only the heads and the usable pairs, the
     edge pairs with no blacklisted gateway; the gateways only fill its
     entries.  So kept itself is returned while the heads and the edges are
-    its own and the usable pairs unchanged, and its trees are kept, their
-    gateways read again from edges, while only the gateways differ.  Keys
-    and their order are those of a build from scratch either way.
+    its own and the usable pairs unchanged, and the trees it searched are
+    kept, their gateways read again from edges, while only the gateways
+    differ.  A tree is searched when its head's table is first read, so a
+    refresh costs nothing per head that no packet routes from.  Keys and
+    their order are those of a build from scratch either way.
     """
     heads = tuple(heads)
     if blacklisted:
@@ -82,30 +115,16 @@ def refresh_route_tables(kept, heads, edges, blacklisted):
         if kept.edges == edges:
             return kept
         via = _hops(edges)
-        tables = {ch: {dest: via[prev, dest] for dest, (prev, _) in routes.items()}
-                  for ch, routes in kept.tables.items()}
-        return RouteTables(heads, pairs, edges, tables)
-    via = _hops(edges)
+        trees = {ch: {dest: via[prev, dest] for dest, (prev, _) in routes.items()}
+                 for ch, routes in kept.trees.items()}
+        return RouteTables(heads, pairs, edges, kept.out, via, trees)
     out = {}
     for a, b in pairs:
         out.setdefault(a, []).append(b)
         out.setdefault(b, []).append(a)
     for links in out.values():
         links.sort()
-    tables = {}
-    for ch in heads:
-        routes = {}
-        frontier = [ch]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for other in out.get(cur, ()):
-                    if other != ch and other not in routes:
-                        routes[other] = via[cur, other]
-                        nxt.append(other)
-            frontier = nxt
-        tables[ch] = routes
-    return RouteTables(heads, pairs, edges, tables)
+    return RouteTables(heads, pairs, edges, out, _hops(edges), {})
 
 
 def _hops(edges):
@@ -123,8 +142,8 @@ def discover_route(world, src: int, dst: int):
 
     Returns [(ch, gateways_traversed_into_it)], first entry the source
     head with no gateways.  The path is read back from the source head's
-    route table (see `route_tables`), which already leaves out every edge
-    with a blacklisted gateway.
+    route table in `world.head_routes` (see `route_tables`), which already
+    leaves out every edge with a blacklisted gateway.
     """
     ch_s = world.nodes[src].cluster
     ch_d = world.nodes[dst].cluster
@@ -134,7 +153,7 @@ def discover_route(world, src: int, dst: int):
         raise NoRoute(f"destination {dst} unclustered")
     if ch_s == ch_d:
         return [(ch_s, ())]
-    routes = world.clusters[ch_s].routes
+    routes = world.head_routes.table(ch_s)
     if ch_d not in routes:
         raise NoRoute(f"no head path {ch_s} -> {ch_d}")
     path = []

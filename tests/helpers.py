@@ -16,7 +16,7 @@ from manetsim import trust
 from manetsim.clustering import Cluster
 from manetsim.config import SimConfig
 from manetsim.engine import World
-from manetsim.protocol import route_tables
+from manetsim.protocol import refresh_route_tables
 
 BLOB_CENTERS = ((60.0, 250.0), (180.0, 250.0), (300.0, 250.0), (420.0, 250.0))
 BLOB_OFFSETS = ((0, 0), (6, 0), (-6, 0), (0, 6), (0, -6), (4, 4), (-4, -4))
@@ -72,7 +72,7 @@ class StubNode:
 
 class StubWorld:
     """Just enough state for admission and route discovery: the head route
-    tables are built from `edges` the way the engine builds them."""
+    tables are refreshed from `edges` the way the engine refreshes them."""
 
     def __init__(self, clusters, edges, blacklisted=(), records=None):
         # clusters: head -> member ids
@@ -85,6 +85,5 @@ class StubWorld:
         self.blacklisted = set(blacklisted)
         self.trust_registry = records or {n: trust.init_trust(n) for n in self.nodes}
         self.clusters = {ch: Cluster(ch, set(members)) for ch, members in clusters.items()}
-        tables = route_tables(self.clusters, self.edges, self.blacklisted)
-        for ch, cl in self.clusters.items():
-            cl.routes = tables[ch]
+        self.head_routes = refresh_route_tables(None, self.clusters, self.edges,
+                                                self.blacklisted)

@@ -52,10 +52,10 @@ class ReferenceWorld(World):
 
         self.edges = reference_designate_gateways(
             self.clusters, self.adjacency, score_fn, self.blacklisted)
-        # routes are searched per packet; the tables only size flood logs
-        tables = protocol.route_tables(self.clusters, self.edges, self.blacklisted)
-        for ch, cl in self.clusters.items():
-            cl.routes = tables[ch]
+        # routes are searched per packet; the tables, built afresh, only
+        # size flood logs
+        self.head_routes = protocol.refresh_route_tables(
+            None, self.clusters, self.edges, self.blacklisted)
 
     def _hello_round(self):
         reference_hello_round(self)

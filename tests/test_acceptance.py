@@ -156,10 +156,11 @@ def test_criterion_08_overflow_immunity(capsys):
         sizes = {d["table_size"] for _, d in bursts}
         assert len(sizes) == 1           # never grew, never shrank
         ch = flooded_world.nodes[9].cluster
-        assert sizes == {len(honest_world.clusters[ch].routes)}
-        for head in honest_world.clusters:
-            assert sorted(flooded_world.clusters[head].routes) == \
-                sorted(honest_world.clusters[head].routes)
+        honest, flooded = honest_world.head_routes, flooded_world.head_routes
+        assert sizes == {len(honest.table(ch))}
+        assert flooded.heads == honest.heads
+        for head in honest.heads:
+            assert sorted(flooded.table(head)) == sorted(honest.table(head))
 
 
 def test_criterion_09_spoof_flagging(capsys):

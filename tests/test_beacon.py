@@ -39,7 +39,8 @@ def worlds(draw):
                     initial_energy_range=(0.0001, draw(st.floats(0.0002, 0.003))),
                     energy_overrides=overrides, adversaries=placements,
                     hello_window=draw(st.integers(2, 4)))
-    kinds = draw(st.lists(st.sampled_from(("hello", "hello", "topo", "watch", "charge")),
+    kinds = draw(st.lists(st.sampled_from(("hello", "hello", "topo", "watch",
+                                           "watch_all", "charge")),
                           min_size=1, max_size=12))
     ops = [("charge", draw(st.integers(0, n - 1)), draw(st.sampled_from(("tx", "rx"))))
            if kind == "charge" else kind for kind in kinds]
@@ -48,8 +49,11 @@ def worlds(draw):
 
 def drive(cfg, ops, hello_round):
     """Run the ops; each "watch" records what `World._watch` returns for
-    one link, picked by the op's place in the list, and each
-    ("charge", node, role) bills that node `control_size` bytes."""
+    one link, picked by the op's place in the list, each "watch_all" what
+    it returns for every ordered pair of nodes, linked or not, whose
+    subject started with energy (a watch of one that never heard it reads
+    its battery), and each ("charge", node, role) bills that node
+    `control_size` bytes."""
     world = World(cfg)
     world.populate()
     world._sweep_topology()
@@ -62,6 +66,10 @@ def drive(cfg, ops, hello_round):
             if world._pairs:
                 a, b, _, _ = world._pairs[i % len(world._pairs)]
                 world.watched.append(watch(world, *((b, a) if i % 2 else (a, b))))
+        elif op == "watch_all":
+            world.watched.extend(watch(world, a, b) for a in world.nodes
+                                 for b, nb in world.nodes.items()
+                                 if a != b and nb.energy_total > 0)
         elif op == "hello":
             hello_round(world)
         else:
@@ -80,8 +88,18 @@ def beacon_state(world):
     return {nid: (n.energy_expended, n.tx_bytes, n.rx_bytes,
                   # an empty history reads as no history to every reader
                   {k: list(h.dists) for k, h in n.hello.items() if h.dists},
-                  dict(n.neighbor_res))
+                  heard_by(world, n))
             for nid, n in world.nodes.items()}
+
+
+def heard_by(world, node):
+    """Every residual energy the node heard, as `Beacons.heard` reads it."""
+    heard = {}
+    for sid in world.nodes:
+        res = world.beacons.heard(node, sid)
+        if res is not None:
+            heard[sid] = res
+    return heard
 
 
 # a desk-sized cluster where a spoofer sits next to its head and two
@@ -94,6 +112,30 @@ SPOOF_AND_DEPLETION = (
               adversaries=[{"node": 3, "kind": adversary.SPOOF, "victim": 5}],
               hello_window=2),
     ["hello", "hello", "topo", "hello", "watch", "hello", "hello", "watch"])
+
+
+# a moving field: links from before two rebuilds with no round between
+# them are still the ones a watch reads
+TWO_REBUILDS = (
+    SimConfig(node_count=8, area=(100.0, 100.0), seed=6, sim_duration=1.0,
+              radio_range=40.0, speed_range=(20.0, 30.0), hello_window=3),
+    ["hello", "hello", "topo", "topo", "watch_all"])
+
+# the same field: a pair linked in the first epoch only is watched one
+# epoch after it broke, then two
+LEFT_RANGE = (
+    TWO_REBUILDS[0],
+    ["hello", "topo", "hello", "watch_all", "topo", "hello", "watch_all"])
+
+# three moving nodes; node 0 runs low, so the lay-out after the rebuild
+# leaves no runway and the round right after it runs link by link
+BY_LINK_AFTER_LAY_OUT = (
+    SimConfig(node_count=3, area=(60.0, 60.0), seed=417, sim_duration=1.0,
+              radio_range=40.0, speed_range=(20.0, 30.0), hello_window=3,
+              initial_energy_range=(0.0001, 0.003),
+              energy_overrides={0: 0.00034}),
+    ["hello", "hello", ("charge", 2, "tx"), "hello", "topo", "hello",
+     "watch_all", "hello", "watch_all"])
 
 
 def exact_empty_case():
@@ -116,6 +158,9 @@ def exact_empty_case():
           suppress_health_check=[HealthCheck.too_slow])
 @example(SPOOF_AND_DEPLETION)
 @example(exact_empty_case())
+@example(TWO_REBUILDS)
+@example(LEFT_RANGE)
+@example(BY_LINK_AFTER_LAY_OUT)
 @given(worlds())
 def test_cached_round_matches_reference(case):
     cfg, ops = case
@@ -135,6 +180,39 @@ def test_example_reaches_spoof_and_depletion_branches():
     kinds = [kind for _, kind, _ in drive(cfg, ops, World._hello_round).events_log]
     assert "spoof_flagged" in kinds
     assert kinds.count("node_depleted") >= 2
+
+
+def test_examples_reach_every_source_of_a_heard_energy(monkeypatch):
+    """The examples above reach each place `Beacons.heard` reads from: the
+    links of an epoch two rebuilds back, the previous epoch's links, an
+    entry the close of an epoch wrote, and the entries written right
+    before a round run link by link that follows a lay-out."""
+    def unlinked(world, where):
+        return [(a, b) for a, n in world.nodes.items() for b in where(n)
+                if b not in world.adjacency.get(a, ())]
+
+    cfg, ops = TWO_REBUILDS
+    world = drive(cfg, ops[:-1], World._hello_round)
+    assert not world.beacons._laid_out
+    assert unlinked(world, lambda n: n.links_in)
+
+    cfg, ops = LEFT_RANGE
+    world = drive(cfg, ops[:4], World._hello_round)
+    assert unlinked(world, lambda n: n.links_prev)
+    world = drive(cfg, ops, World._hello_round)
+    assert unlinked(world, lambda n: n.neighbor_res.keys() - n.links_prev.keys())
+
+    written = []
+    write_heard = Beacons._write_heard
+
+    def noted(self):
+        written.append((self.clock.rounds == self._laid_out_at,
+                        any(n.links_prev for n in self.nodes.values())))
+        write_heard(self)
+
+    monkeypatch.setattr(Beacons, "_write_heard", noted)
+    drive(*BY_LINK_AFTER_LAY_OUT, World._hello_round)
+    assert (True, True) in written
 
 
 # a static field where every node hears several others

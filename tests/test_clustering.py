@@ -7,6 +7,7 @@ from manetsim.clustering import (Cluster, ElectionMetrics, ElectionWeights,
                                  elect_ch, gateway_candidates,
                                  maintain_membership, mobility_membership)
 from manetsim.errors import InvalidClusterHead, InvalidEnergy, NoCandidates
+from topology_reference import gateway_sets
 
 W = ElectionWeights()
 
@@ -174,8 +175,7 @@ def adjacency_from(edges):
 
 
 def designate(clusters, adj, score_fn, excluded):
-    return designate_gateways(
-        clusters, gateway_candidates(clusters, adj, excluded), score_fn)
+    return designate_gateways(gateway_candidates(clusters, adj, excluded), score_fn)
 
 
 def test_single_node_bridge_beats_relay_pair():
@@ -184,9 +184,8 @@ def test_single_node_bridge_beats_relay_pair():
     adj = adjacency_from([(0, 1), (0, 2), (2, 5), (5, 6), (5, 7), (1, 6)])
     edges = designate(clusters, adj, lambda n: 0.5, set())
     assert edges == {(0, 5): (2,)}
-    # the bridge is a member of cluster 0 only, so only 0 records it
-    assert clusters[0].gateways == {2}
-    assert clusters[5].gateways == set()
+    # the bridge is a member of cluster 0 only, so it serves only 0
+    assert gateway_sets(clusters, edges) == {0: {2}, 5: set()}
 
 
 def test_relay_pair_when_no_single_bridge():
@@ -194,8 +193,7 @@ def test_relay_pair_when_no_single_bridge():
     adj = adjacency_from([(0, 1), (1, 6), (6, 5)])
     edges = designate(clusters, adj, lambda n: 0.5, set())
     assert edges == {(0, 5): (1, 6)}
-    assert clusters[0].gateways == {1}
-    assert clusters[5].gateways == {6}
+    assert gateway_sets(clusters, edges) == {0: {1}, 5: {6}}
 
 
 def test_gateway_choice_prefers_higher_score_then_lower_id():

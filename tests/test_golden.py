@@ -158,16 +158,23 @@ def test_static_beacon_depletion_digest():
     assert m.digest == BEACON_DEPLETION_DIGEST
 
 
-def test_digest_independent_of_hash_seed():
-    """A run is a pure function of its config, in any interpreter."""
+@pytest.mark.parametrize("cell, pin", [
+    ("mobile_config('spoof')", MOBILE_DIGESTS[adversary.SPOOF]),
+    ("mobile_config('grey_hole')", MOBILE_DIGESTS[adversary.GREY_HOLE]),
+    ("depletion_config()", DEPLETION_DIGEST),
+], ids=["spoof", "grey_hole", "depletion"])
+def test_digest_independent_of_hash_seed(cell, pin):
+    """A run is a pure function of its config, in any interpreter.  The
+    grey-hole and depletion cells add the handover watches, the route trees
+    searched on read and the rounds run link by link."""
     here = Path(__file__).resolve().parent
     script = (
-        "from test_golden import mobile_config\n"
+        "from test_golden import mobile_config, depletion_config\n"
         "from manetsim.engine import run\n"
-        "print(run(mobile_config('spoof'))[0].digest)\n")
+        f"print(run({cell})[0].digest)\n")
     env = dict(os.environ, PYTHONHASHSEED="12345",
                PYTHONPATH=os.pathsep.join(
                    [str(here), str(here.parent / "src")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == MOBILE_DIGESTS[adversary.SPOOF]
+    assert out.stdout.strip() == pin

@@ -87,6 +87,11 @@ RING_EDGES = {(0, 7): (27,), (7, 14): (28,), (14, 21): (29,), (0, 30): (31, 32),
               (21, 30): (33,)}
 
 
+def tables_of(record):
+    """Every head's table of a `RouteTables` record, each read once."""
+    return {ch: record.table(ch) for ch in record.heads}
+
+
 def same_tables(got, want):
     """Equal tables with the same keys in the same order."""
     return ([(ch, list(routes.items())) for ch, routes in got.items()]
@@ -95,24 +100,32 @@ def same_tables(got, want):
 
 def test_kept_trees_take_new_gateways():
     kept = refresh_route_tables(None, RING, RING_EDGES, set())
+    # only the trees read so far are searched, and only they are kept
+    assert kept.table(0)[14] == (7, (28,))
+    assert kept.table(30)[0] == (30, (32, 31))
+    assert sorted(kept.trees) == [0, 30]
     edges = dict(RING_EDGES)
     edges[7, 14] = (40,)
     edges[0, 30] = (41, 42)
     new = refresh_route_tables(kept, RING, edges, set())
     assert new.pairs == kept.pairs
-    assert same_tables(new.tables, route_tables(RING, edges, set()))
-    assert new.tables[0][14] == (7, (40,))
-    assert new.tables[30][0] == (30, (42, 41))
-    # nothing moved since: the record itself is kept
+    assert sorted(new.trees) == [0, 30]
+    assert new.table(0)[14] == (7, (40,))
+    assert new.table(30)[0] == (30, (42, 41))
+    assert same_tables(tables_of(new), route_tables(RING, edges, set()))
+    # nothing moved since: the record itself is kept, trees and all
     assert refresh_route_tables(new, RING, dict(edges), set()) is new
+    assert sorted(new.trees) == sorted(RING)
 
 
 def test_newly_blacklisted_gateway_drops_its_edge():
     kept = refresh_route_tables(None, RING, RING_EDGES, set())
+    assert same_tables(tables_of(kept), route_tables(RING, RING_EDGES, set()))
     new = refresh_route_tables(kept, RING, RING_EDGES, {28})
     assert (7, 14) not in new.pairs
-    assert same_tables(new.tables, route_tables(RING, RING_EDGES, {28}))
-    assert new.tables[0][14] == (21, (29,))
+    assert new.trees == {}
+    assert same_tables(tables_of(new), route_tables(RING, RING_EDGES, {28}))
+    assert new.table(0)[14] == (21, (29,))
     # a blacklisted id on no edge leaves every tree alone
     assert refresh_route_tables(kept, RING, RING_EDGES, {99}) is kept
 
@@ -122,7 +135,8 @@ def test_newly_blacklisted_gateway_drops_its_edge():
        data=st.data())
 def test_refreshed_tables_match_a_build_from_scratch(heads, data):
     """Two refreshes in a row, each against the search from scratch of
-    `topology_reference.py`."""
+    `topology_reference.py`: some heads' tables are read before the
+    second refresh, which keeps their trees, and every head's after it."""
     def draw_edges():
         pairs = data.draw(st.lists(st.sampled_from(
             [(a, b) for a in heads for b in heads if a < b]),
@@ -134,7 +148,10 @@ def test_refreshed_tables_match_a_build_from_scratch(heads, data):
     edges = draw_edges()
     blacklisted = data.draw(st.sets(st.integers(20, 26), max_size=2))
     kept = refresh_route_tables(None, heads, edges, blacklisted)
-    assert same_tables(kept.tables, reference_route_tables(heads, edges, blacklisted))
+    want = reference_route_tables(heads, edges, blacklisted)
+    for ch in data.draw(st.lists(st.sampled_from(heads), unique=True)):
+        assert list(kept.table(ch).items()) == list(want[ch].items())
+    kept_trees = dict(kept.trees)
     if data.draw(st.booleans()):
         # the same pairs with other gateways
         edges = {p: data.draw(st.sampled_from((gws, (25,), (26, 20))))
@@ -143,7 +160,9 @@ def test_refreshed_tables_match_a_build_from_scratch(heads, data):
         edges = draw_edges()
     blacklisted = blacklisted | data.draw(st.sets(st.integers(20, 26), max_size=1))
     new = refresh_route_tables(kept, heads, edges, blacklisted)
-    assert same_tables(new.tables, reference_route_tables(heads, edges, blacklisted))
+    assert same_tables(tables_of(new), reference_route_tables(heads, edges, blacklisted))
+    assert same_tables(tables_of(kept), want)
+    assert all(kept.trees[ch] is tree for ch, tree in kept_trees.items())
 
 
 # ---- hop plans ----

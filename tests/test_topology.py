@@ -11,7 +11,8 @@ from helpers import StubNode, StubWorld
 from manetsim.clustering import Cluster, designate_gateways, gateway_candidates
 from manetsim.errors import NoRoute
 from manetsim.protocol import discover_route
-from topology_reference import reference_designate_gateways, reference_discover_route
+from topology_reference import (gateway_sets, reference_designate_gateways,
+                                reference_discover_route)
 
 # ---- gateway designation ----
 
@@ -47,7 +48,7 @@ def member_graphs(draw):
 
 
 def designate(fn, members, adjacency, excluded, scores):
-    clusters = {h: Cluster(h, set(ms), gateways={-1}) for h, ms in members.items()}
+    clusters = {h: Cluster(h, set(ms)) for h, ms in members.items()}
     scored = set()
 
     def score_fn(nid):
@@ -55,14 +56,12 @@ def designate(fn, members, adjacency, excluded, scores):
         return scores[nid]
 
     edges = fn(clusters, adjacency, score_fn, excluded)
-    return (list(edges.items()),
-            {h: cl.gateways for h, cl in clusters.items()},
-            scored)
+    return list(edges.items()), gateway_sets(clusters, edges), scored
 
 
 def link_indexed(clusters, adjacency, score_fn, excluded):
     candidates = gateway_candidates(clusters, adjacency, excluded)
-    return designate_gateways(clusters, candidates, score_fn)
+    return designate_gateways(candidates, score_fn)
 
 
 # member 1 hears heads 0 and 5 but is excluded; 2 (shared by 0 and 5) and
@@ -139,8 +138,8 @@ def test_memoised_designation_matches_all_pairs_scan(case):
     for moved, changes in [(set(), {})] + steps:
         scores.update(changes)
         candidates.moved |= moved
-        edges = designate_gateways(clusters, candidates, scores.__getitem__)
-        assert ((list(edges.items()), {h: cl.gateways for h, cl in clusters.items()})
+        edges = designate_gateways(candidates, scores.__getitem__)
+        assert ((list(edges.items()), gateway_sets(clusters, edges))
                 == designate(reference_designate_gateways, members, adjacency,
                              excluded, scores)[:2])
 
@@ -161,13 +160,13 @@ def test_unchanged_scores_rescore_only_the_winners():
         scored.append(nid)
         return scores[nid]
 
-    first = designate_gateways(clusters, candidates, score_fn)
+    first = designate_gateways(candidates, score_fn)
     assert first == {(0, 5): (2,), (5, 9): (6, 8)}
     assert sorted(scored) == [1, 2, 3, 6, 7, 8]
     for moved, want in (((), [2, 6, 8]), ((3,), [2, 3, 6, 8]), ((), [2, 6, 8])):
         candidates.moved.update(moved)
         scored.clear()
-        assert designate_gateways(clusters, candidates, score_fn) == first
+        assert designate_gateways(candidates, score_fn) == first
         assert sorted(scored) == want
 
 

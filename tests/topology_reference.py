@@ -56,9 +56,6 @@ def reference_adjacency(nodes, params):
 def reference_designate_gateways(clusters, adjacency, score_fn, excluded):
     """Every head pair, every member of both: O(heads^2 * members^2)."""
     edges = {}
-    for cl in clusters.values():
-        cl.gateways = set()
-
     heads = sorted(clusters)
     for i, a in enumerate(heads):
         for b in heads[i + 1:]:
@@ -81,13 +78,19 @@ def reference_designate_gateways(clusters, adjacency, score_fn, excluded):
                         best_pair, best_key = (ma, mb), key
             if best_pair:
                 edges[(a, b)] = best_pair
+    return edges
 
+
+def gateway_sets(clusters, edges):
+    """Head -> the members of its cluster that serve as a gateway on one of
+    the edges."""
+    sets = {ch: set() for ch in clusters}
     for (a, b), gws in edges.items():
         for g in gws:
-            for cl in (clusters[a], clusters[b]):
-                if g in cl.members:
-                    cl.gateways.add(g)
-    return edges
+            for ch in (a, b):
+                if g in clusters[ch].members:
+                    sets[ch].add(g)
+    return sets
 
 
 def _ch_adjacency(edges):
