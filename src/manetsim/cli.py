@@ -37,8 +37,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     level_name = (args.log_level or os.environ.get("MANETSIM_LOG_LEVEL")
                   or "warning")
+    # a level name is one of logging's integer constants; BASIC_FORMAT
+    # is an attribute too, but not a level
     level = getattr(logging, level_name.upper(), None)
-    if level is None:
+    if not isinstance(level, int):
         print(f"error: unknown log level {level_name!r}", file=sys.stderr)
         return 2
     logging.basicConfig(level=level, format="%(levelname)s %(message)s")

@@ -11,7 +11,7 @@ designated gateway members.
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import InvalidClusterHead, NoCandidates
+from .errors import InvalidClusterHead
 
 # Heads need at least 40% battery to take or keep the role (unless nobody
 # qualifies, in which case the least-bad candidate still gets elected).
@@ -82,25 +82,6 @@ def composite_score(m: ElectionMetrics, w: ElectionWeights) -> float:
             + w.mobility * m.mobility + w.dnc * m.dnc)
 
 
-def elect_ch(candidates, weights: ElectionWeights) -> int:
-    """Pick the head: highest composite score, lowest node id on ties.
-
-    Candidates under the energy floor are skipped unless every candidate
-    is under it.
-    """
-    cands = list(candidates)
-    if not cands:
-        raise NoCandidates("no election candidates")
-    fit = [c for c in cands if c.res_eng >= ENERGY_FLOOR] or cands
-    best = fit[0]
-    score = composite_score(best, weights)
-    for c in fit[1:]:
-        s = composite_score(c, weights)
-        if s > score or (s == score and c.node_id < best.node_id):
-            best, score = c, s
-    return best.node_id
-
-
 def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
                         weights, may_head, may_join):
     """One topology upkeep pass over all clusters, in place.
@@ -117,7 +98,9 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
     and fresh elections for nodes left without a reachable head.
 
     A pass runs no beacon round, charges no battery and reassigns no
-    node's cluster, so each node's metrics are fetched once per pass.
+    node's cluster, so each node's metrics are fetched once per pass, and
+    the strays that may head are ranked once: each election is the pick of
+    a full election among the candidates still stray.
     """
     events = []
     fetched = {}
@@ -180,12 +163,16 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
             events.append(("member_joined", n, heads[0]))
 
     # Whoever is left elects heads among themselves, component by component.
+    # Each election takes the first candidate of one ranking that is still
+    # stray: candidates at or above the energy floor before those under it
+    # (unless none is left), the highest score first, the lowest id on ties.
     stray = _unclustered(clusters, alive)
-    while stray:
-        cands = [metrics_of(n) for n in sorted(stray) if may_head(n)]
-        if not cands:
-            break
-        ch = elect_ch(cands, weights)
+    ranking = sorted(
+        (m.res_eng < ENERGY_FLOOR, -composite_score(m, weights), n)
+        for n in sorted(stray) if may_head(n) for m in (metrics_of(n),))
+    for _, _, ch in ranking:
+        if ch not in stray:
+            continue
         members = {n for n in adjacency.get(ch, ()) if n in stray and may_join(n)}
         clusters[ch] = Cluster(ch, members)
         events.append(("head_elected", ch, tuple(sorted(members))))
@@ -209,13 +196,20 @@ class GatewayCandidates:
     lists    ((ch_a, ch_b), width, ids) per linked head pair
     scores   id -> its score when last computed, for the ids of lists
              that offer a choice
+    terms    id -> the `ElectionMetrics` its score was last computed
+             from, for a score function that keeps them (the World's does)
     edges    the last designation's edges, None before the first
     moved    ids whose score may have risen since the last designation
+    rivals   head pair -> the highest key by the stored scores among the
+             candidates other than the pair's winner, () when there is
+             none; None until the designation first reuses the record
     """
     lists: tuple
     scores: dict = field(default_factory=dict)
+    terms: dict = field(default_factory=dict)
     edges: dict = None
     moved: set = field(default_factory=set)
+    rivals: dict = None
 
 
 def gateway_candidates(clusters, adjacency, excluded):
@@ -268,6 +262,25 @@ def _best(width, ids, scores):
     return max(zip(it, it), key=lambda p: scores[p[0]] + scores[p[1]])
 
 
+def _key(width, entry, scores):
+    """The key of a member, (score, -id), or of a relay pair,
+    (score_a + score_b, -id_a, -id_b), by scores."""
+    if width == 1:
+        return (scores[entry[0]], -entry[0])
+    a, b = entry
+    return (scores[a] + scores[b], -a, -b)
+
+
+def _rival(width, ids, winner, scores):
+    """The highest key by scores among the entries of ids other than the
+    winner, () when the winner is all there is (a member listed twice)."""
+    if width == 1:
+        return max(((scores[m], -m) for m in ids if m != winner[0]), default=())
+    it = iter(ids)
+    return max(((scores[a] + scores[b], -a, -b) for a, b in zip(it, it)
+                if (a, b) != winner), default=())
+
+
 def designate_gateways(candidates, score_fn):
     """Pick at most two linking members per adjacent cluster pair.
 
@@ -286,12 +299,20 @@ def designate_gateways(candidates, score_fn):
     stored score is then an upper bound on the id's score now, and so is a
     sum of stored scores on the relay pair's sum now, since float addition
     never falls when a term rises.  So only the moved ids and each list's
-    last winner are scored again: a winner that still has the highest key
-    by the stored scores has it by the scores now, and stays.  A list whose
-    winner fails that test is scored again in full.  No id is scored twice
-    in one call.
+    last winner are scored again: a winner whose fresh key beats the
+    highest key of its rivals by the stored scores beats every rival's key
+    now, and stays.  A list whose winner fails that test is scored again
+    in full.  No id is scored twice in one call.
+
+    The rivals' highest key is stored per list, so a kept winner costs one
+    comparison.  It is computed the first time a call reuses the record
+    (a record that is never reused, as on a mobile field, pays nothing for
+    it) and again after its list was scored in full or one of its ids
+    moved; otherwise it stays an upper bound, as the stored scores do.
+    The moved ids' entries in candidates.terms are dropped, so the score
+    function computes their terms afresh.
     """
-    scores, kept = candidates.scores, candidates.edges
+    scores, kept, moved = candidates.scores, candidates.edges, candidates.moved
     fresh = set()
 
     def rescore(ids):
@@ -301,8 +322,12 @@ def designate_gateways(candidates, score_fn):
                 scores[m] = score_fn(m)
 
     if kept is not None:
-        rescore(sorted(candidates.moved & scores.keys()))
-    candidates.moved.clear()
+        for m in moved:
+            candidates.terms.pop(m, None)
+        rescore(sorted(moved & scores.keys()))
+        if candidates.rivals is None:
+            candidates.rivals = {}
+    rivals = candidates.rivals
 
     edges = {}
     for pair, width, ids in candidates.lists:
@@ -310,11 +335,17 @@ def designate_gateways(candidates, score_fn):
             edges[pair] = ids
             continue
         if kept is not None:
-            rescore(kept[pair])
-            if _best(width, ids, scores) == kept[pair]:
-                edges[pair] = kept[pair]
+            winner = kept[pair]
+            rescore(winner)
+            rival = rivals.get(pair)
+            if rival is None or not moved.isdisjoint(ids):
+                rival = rivals[pair] = _rival(width, ids, winner, scores)
+            if _key(width, winner, scores) > rival:
+                edges[pair] = winner
                 continue
+            del rivals[pair]
         rescore(ids)
         edges[pair] = _best(width, ids, scores)
+    moved.clear()
     candidates.edges = edges
     return edges

@@ -391,30 +391,41 @@ class World:
 
         Gateway candidates read only the links, the members and the
         blacklist, so they are kept until `_rebuild_adjacency`, a membership
-        change or `eject_node` drops them, and with them the scores and the
-        winners that `clustering.designate_gateways` stores in the same
-        record. While the record is kept, a candidate's score can rise only
-        through its trust. A mobile field rebuilds on every tick, so the
-        record outlives a refresh only on a static field, where mobility
-        reads 1.0. Coverage reads only the node's head and the links, and a
-        change to either drops the record. Residual energy never rises,
-        since a battery's spent bytes only grow, and the score adds these
-        up with non-negative weights. `note_trust_change` marks every id
-        whose trust moved, so each other stored score is an upper bound on
-        the id's score now, and a winner whose fresh score still beats every
-        rival's stored one stays without its rivals being scored again.
+        change or `eject_node` drops them, and with them the scores, the
+        election terms, the winners and the rivals' bounds that
+        `clustering.designate_gateways` and the score function here store
+        in the same record. While the record is kept, only two election
+        terms can move. A mobile field rebuilds on every tick, so the record
+        outlives a refresh only on a static field, where mobility reads 1.0.
+        Coverage reads only the node's head and the links, and a change to
+        either drops the record. Residual energy never rises, since a
+        battery's spent bytes only grow, and trust moves only through
+        `note_trust_change`, which marks the id; the designation drops a
+        marked id's stored terms. So an unmarked id with stored terms is
+        rescored from them and a fresh residual energy, by the same
+        `clustering.composite_score` and so to the same float as a fresh
+        `node_metrics` read, and since the score adds the terms up with
+        non-negative weights, its stored score is an upper bound on its
+        score now.
 
         The route tables are kept while the heads and the edges stay, and
         their search trees while the heads and the usable edge pairs stay;
         a head's tree is searched only when its table is first read
         (`protocol.refresh_route_tables`).
         """
-        def score_fn(nid):
-            return clustering.composite_score(self.node_metrics(nid), self.weights)
-
         if self._gateway_candidates is None:
             self._gateway_candidates = clustering.gateway_candidates(
                 self.clusters, self.adjacency, self.blacklisted)
+        terms, nodes, weights = self._gateway_candidates.terms, self.nodes, self.weights
+
+        def score_fn(nid):
+            m = terms.get(nid)
+            if m is None:
+                m = terms[nid] = self.node_metrics(nid)
+            else:
+                m.res_eng = beacon.residual(nodes[nid].battery)
+            return clustering.composite_score(m, weights)
+
         edges = clustering.designate_gateways(self._gateway_candidates, score_fn)
         self.head_routes = protocol.refresh_route_tables(
             self.head_routes, self.clusters, edges, self.blacklisted)
@@ -729,8 +740,7 @@ class World:
         self.generated += 1
         pid = self.next_packet_id()
         packet = packets.Packet(packets.DATA, s.src, s.dst, pid,
-                                self.cfg.packet_size, payload={"session": sid},
-                                path_trace=[s.src])
+                                self.cfg.packet_size, path_trace=[s.src])
         try:
             route = protocol.discover_route(self, s.src, s.dst)
         except NoRoute:

@@ -100,16 +100,30 @@ def _coerce(name: str, raw):
         raise ConfigError(f"{name}: cannot parse {raw!r} ({exc})") from exc
 
 
+def _integral(x):
+    """A sweep count or seed: an int, a float with no fraction, or a
+    string that int() parses; never a bool."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
+def _fraction(x):
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _parse(name: str, raw):
     hints = {f.name: _type_name(f.type) for f in dataclasses.fields(SimConfig)}
-    if name in ("node_counts", "seeds"):
-        if isinstance(raw, (list, tuple)):
-            return tuple(int(x) for x in raw)
-        return tuple(int(x) for x in str(raw).replace(",", " ").split())
-    if name == "malicious_fractions":
-        if isinstance(raw, (list, tuple)):
-            return tuple(float(x) for x in raw)
-        return tuple(float(x) for x in str(raw).replace(",", " ").split())
+    sweeps = {"node_counts": _integral, "seeds": _integral,
+              "malicious_fractions": _fraction}
+    if name in sweeps:
+        if not isinstance(raw, (list, tuple)):
+            raw = str(raw).replace(",", " ").split()
+        return tuple(sweeps[name](x) for x in raw)
     if name == "out":
         return str(raw)
     hint = hints.get(name, "")

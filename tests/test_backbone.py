@@ -1,15 +1,16 @@
 """The gateway candidates and route tables a World keeps between refreshes
 against a fresh designation on the same state.
 
-`World._refresh_backbone` keeps its gateway candidates, and the scores
-and winners stored with them, until the links are rebuilt, the membership
-changes or a node is ejected, its route tables while the heads and the
-edges stay, and their search trees while the heads and the usable edge
-pairs stay. A head's tree is searched when its table is first read. After
-every refresh, the edges and every head's table must equal what the
-all-pairs scan and the route search of `topology_reference.py` give from
-scratch; the check reads the tables through a copy of the record, so it
-searches no tree for the World. The worlds are small, static or mobile,
+`World._refresh_backbone` keeps its gateway candidates, and the scores,
+election terms, winners and rival bounds stored with them, until the
+links are rebuilt, the membership changes or a node is ejected, its route
+tables while the heads and the edges stay, and their search trees while
+the heads and the usable edge pairs stay. A head's tree is searched when
+its table is first read. After every refresh, the edges and every head's
+table must equal what the all-pairs scan and the route search of
+`topology_reference.py` give from scratch, and what the record stores
+must agree with the state of the moment; the check reads the tables
+through a copy of the record, so it searches no tree for the World. The worlds are small, static or mobile,
 with batteries small enough that heads fall under the energy floor and
 nodes run dry, a black or grey hole for `eject_node` to expel, and a HELLO
 spoofer.
@@ -33,21 +34,23 @@ from topology_reference import (reference_designate_gateways,
 
 class CheckedWorld(World):
     """Checks every refresh against a fresh designation and counts how
-    often the kept candidates, winners and tables were reused. A refresh
-    kept a stored winner when some candidate list that offers a choice
-    had an id it did not score. Also counts the head-refreshes (each
-    refresh adds its heads) and the trees the World searched: the trees a
-    route record holds when it is replaced, or the run ends, less those it
-    was made with."""
+    often the kept candidates, winners, election terms and tables were
+    reused. A refresh kept a stored winner when some candidate list that
+    offers a choice had an id it did not score, and scored an id from its
+    stored terms when it scored an id without a `node_metrics` read. Also
+    counts the head-refreshes (each refresh adds its heads) and the trees
+    the World searched: the trees a route record holds when it is
+    replaced, or the run ends, less those it was made with."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.reuse = Counter()
-        self.scored = set()
+        self.scored = set()      # ids the last designation scored
+        self.read = set()        # ids whose metrics it read
         self.trees_at = 0        # trees head_routes held when last counted
 
     def node_metrics(self, nid):
-        self.scored.add(nid)
+        self.read.add(nid)
         return super().node_metrics(nid)
 
     def _refresh_backbone(self):
@@ -56,11 +59,21 @@ class CheckedWorld(World):
         self.reuse["candidates_kept"] += self._gateway_candidates is not None
         tables_before = self.head_routes
         self.count_trees()
-        self.scored = set()
-        super()._refresh_backbone()
+        self.scored, self.read = set(), set()
+        designate = clustering.designate_gateways
+
+        def counted(candidates, score_fn):
+            def counted_score(nid):
+                self.scored.add(nid)
+                return score_fn(nid)
+            return designate(candidates, counted_score)
+
+        with mock.patch.object(clustering, "designate_gateways", counted):
+            super()._refresh_backbone()
         self.reuse["winners_kept"] += any(
             len(ids) > width and not self.scored.issuperset(ids)
             for _, width, ids in self._gateway_candidates.lists)
+        self.reuse["terms_kept"] += not self.read.issuperset(self.scored)
         tables_after = self.head_routes
         self.trees_at = len(tables_after.trees)
         if tables_before is not None:
@@ -84,6 +97,13 @@ class CheckedWorld(World):
 
 
 def check_backbone(world):
+    """Right after a refresh, when no id is marked: the edges and tables
+    equal a fresh designation's and search's; every id's stored election
+    terms other than its residual energy equal a fresh `node_metrics`
+    read, which catches a missed invalidation even where the edges happen
+    to agree; every stored score is an upper bound on the id's score now,
+    and every stored rival bound on the highest key of its list's rivals
+    now."""
     clusters = {ch: Cluster(ch, set(cl.members)) for ch, cl in world.clusters.items()}
 
     def score_fn(nid):
@@ -92,6 +112,18 @@ def check_backbone(world):
     edges = reference_designate_gateways(clusters, world.adjacency, score_fn,
                                          world.blacklisted)
     assert list(world.edges.items()) == list(edges.items())
+    candidates = world._gateway_candidates
+    assert not candidates.moved
+    for nid, m in candidates.terms.items():
+        now = world.node_metrics(nid)
+        assert (m.node_id, m.trust, m.mobility, m.dnc) == (
+            now.node_id, now.trust, now.mobility, now.dnc)
+    scores = {nid: score_fn(nid) for nid in candidates.scores}
+    assert all(candidates.scores[nid] >= s for nid, s in scores.items())
+    lists = {pair: (width, ids) for pair, width, ids in candidates.lists}
+    for pair, rival in (candidates.rivals or {}).items():
+        width, ids = lists[pair]
+        assert rival >= clustering._rival(width, ids, world.edges[pair], scores)
     tables = reference_route_tables(clusters, edges, world.blacklisted)
     kept = world.head_routes
     assert kept.heads == tuple(tables)
@@ -147,16 +179,18 @@ def test_static_reform_cell_reuses_and_rebuilds():
 
 
 def test_static_cell_keeps_winners_and_mobile_cell_does_not():
-    """Stored winners outlive a refresh only where the candidates do: on
-    the pinned static cell some refreshes keep one, on a mobile cell, which
-    relinks on every tick, none does."""
+    """Stored winners and election terms outlive a refresh only where the
+    candidates do: on the pinned static cell some refreshes keep a winner
+    and some score an id from its stored terms, on a mobile cell, which
+    relinks on every tick, none does either."""
     static = CheckedWorld(static_reform_config())
     static.run()
     assert 0 < static.reuse["winners_kept"] < static.reuse["refreshes"]
+    assert 0 < static.reuse["terms_kept"] < static.reuse["refreshes"]
     mobile = CheckedWorld(mobile_config(adversary.GREY_HOLE))
     mobile.run()
     assert mobile.reuse["refreshes"] > 0
-    assert mobile.reuse["winners_kept"] == 0
+    assert mobile.reuse["winners_kept"] == mobile.reuse["terms_kept"] == 0
 
 
 def test_mobile_cell_searches_only_the_trees_it_reads():

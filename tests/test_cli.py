@@ -304,6 +304,48 @@ def test_cli_rejects_unknown_log_level(tmp_path, capsys):
     assert "chatty" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_logging_attribute_that_is_no_level(tmp_path, capsys,
+                                                          monkeypatch):
+    """`logging.BASIC_FORMAT` is a string: as a level it would make
+    basicConfig raise, so it is refused as unknown, by flag or by
+    environment, with exit 2 and the name in the message."""
+    cfg = write_scenario(tmp_path)
+    assert main([cfg, "--log-level", "basic_format", "--out",
+                 str(tmp_path / "x")]) == 2
+    assert "basic_format" in capsys.readouterr().err
+    monkeypatch.setenv("MANETSIM_LOG_LEVEL", "basic_format")
+    assert main([cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "basic_format" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("node_counts: [2.5]", "node_counts"),
+    ("node_counts: [true]", "node_counts"),
+    ("seeds: [1.5]", "seeds"),
+    ("seeds: [true]", "seeds"),
+    ("malicious_fractions: [true]", "malicious_fractions"),
+], ids=["count_fraction", "count_bool", "seed_fraction", "seed_bool",
+        "fraction_bool"])
+def test_cli_rejects_sweep_entries_that_are_no_counts(tmp_path, capsys, line, key):
+    """A sweep entry is not truncated or read as 1: a non-integral count
+    or seed, or a bool anywhere in a sweep, is refused with exit 2 and the
+    key named."""
+    name = line.split(":")[0]
+    text = "\n".join(line if ln.startswith(name + ":") else ln
+                     for ln in TINY.splitlines()) + "\n"
+    cfg = write_scenario(tmp_path, text=text)
+    assert main([cfg, "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_integral_float_sweep_entries_are_counts():
+    sc = scenario_from_dict({"node_counts": [20.0], "seeds": [3.0]})
+    assert (sc.node_counts, sc.seeds) == ((20,), (3,))
+    assert all(type(v) is int for v in sc.node_counts + sc.seeds)
+
+
 def test_cli_env_overrides_apply(tmp_path, monkeypatch):
     monkeypatch.setenv("MANETSIM_SEEDS", "5")
     cfg = write_scenario(tmp_path)

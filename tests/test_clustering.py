@@ -1,13 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from manetsim.beacon import Battery, Clock, residual
 from manetsim.clustering import (Cluster, ElectionMetrics, ElectionWeights,
                                  composite_score, designate_gateways, dnc,
-                                 elect_ch, gateway_candidates,
-                                 maintain_membership, mobility_membership)
+                                 gateway_candidates, maintain_membership,
+                                 mobility_membership)
 from manetsim.errors import InvalidClusterHead, InvalidEnergy, NoCandidates
-from topology_reference import gateway_sets
+from topology_reference import (elect_ch, gateway_sets,
+                                reference_maintain_membership)
 
 W = ElectionWeights()
 
@@ -80,7 +81,7 @@ def test_composite_stays_in_unit_interval(r, t, m, d):
     assert 0.0 <= composite_score(cand(0, r, t, m, d), W) <= 1.0
 
 
-# ---- election ----
+# ---- election (the reference the ranked elections are checked against) ----
 
 def test_elect_highest_score():
     assert elect_ch([cand(1, t=0.5), cand(2, t=0.9)], W) == 2
@@ -162,6 +163,70 @@ def test_isolated_node_heads_itself():
     events = upkeep(clusters, {9}, {})
     assert events == [("head_elected", 9, ())]
     assert clusters[9].members == set()
+
+
+@st.composite
+def membership_states(draw):
+    """Disjoint clusters over up to 14 nodes, some of them dead, random
+    links, bars on heading and joining, and election terms from small
+    sets, so score ties are common; in some states every node is under
+    the energy floor."""
+    n = draw(st.integers(1, 14))
+    ids = list(range(n))
+    alive = set(ids) - set(draw(st.lists(st.sampled_from(ids), unique=True,
+                                          max_size=3)))
+    heads = draw(st.lists(st.sampled_from(ids), unique=True, max_size=n // 2 + 1))
+    members = {h: set() for h in heads}
+    for nid in ids:
+        if nid not in members:
+            h = draw(st.sampled_from([None] + heads))
+            if h is not None:
+                members[h].add(nid)
+    pairs = [(a, b) for a in ids for b in ids if a < b]
+    adjacency = {}
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True,
+                              max_size=len(pairs))) if pairs else ():
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    levels = (0.1, 0.3) if draw(st.booleans()) else (0.1, 0.3, 0.5, 0.9)
+    terms = {nid: (draw(st.sampled_from(levels)), draw(st.sampled_from((0.25, 0.5))),
+                   1.0, draw(st.sampled_from((0.25, 0.5))))
+             for nid in ids}
+    barred_head = set(draw(st.lists(st.sampled_from(ids), unique=True, max_size=3)))
+    barred_join = set(draw(st.lists(st.sampled_from(ids), unique=True, max_size=2)))
+    return members, alive, adjacency, terms, barred_head, barred_join
+
+
+# every stray under the floor, all tied: 0 heads 1, then 2 heads itself
+@example(({}, {0, 1, 2}, {0: {1}, 1: {0, 2}, 2: {1}},
+          dict.fromkeys(range(3), (0.3, 0.5, 1.0, 0.5)), set(), set()))
+# 0 outscores 1 but is under the floor, and 2 scores highest but may not
+# head, so 1 heads 0 and 2
+@example(({}, {0, 1, 2}, {0: {1}, 1: {0, 2}, 2: {1}},
+          {0: (0.3, 0.5, 1.0, 0.5), 1: (0.5, 0.25, 1.0, 0.25),
+           2: (0.9, 0.5, 1.0, 0.5)}, {2}, set()))
+# the head 0 falls under the floor and 1, 2 and 3 tie: 1 heads 0, then 2
+# heads itself, and so does 3, which may not join 1
+@example(({0: {1, 2}}, {0, 1, 2, 3}, {0: {1, 2}, 1: {0, 3}, 2: {0}, 3: {1}},
+          {0: (0.3, 0.5, 1.0, 0.5), 1: (0.5, 0.25, 1.0, 0.25),
+           2: (0.5, 0.25, 1.0, 0.25), 3: (0.5, 0.25, 1.0, 0.25)}, set(), {3}))
+@settings(max_examples=300, deadline=None)
+@given(membership_states())
+def test_ranked_elections_match_an_election_per_head(case):
+    """One ranking per pass elects the heads a full election over the
+    strays still left elects, in the same order: equal events and equal
+    clusters, in insertion order."""
+    members, alive, adjacency, terms, barred_head, barred_join = case
+    runs = []
+    for upkeep_fn in (maintain_membership, reference_maintain_membership):
+        clusters = {h: Cluster(h, set(ms)) for h, ms in members.items()}
+        events = upkeep_fn(clusters, alive, adjacency,
+                           lambda n: ElectionMetrics(n, *terms[n]),
+                           lambda n: terms[n][0], W,
+                           may_head=lambda n: n not in barred_head,
+                           may_join=lambda n: n not in barred_join)
+        runs.append((events, [(ch, cl.members) for ch, cl in clusters.items()]))
+    assert runs[0] == runs[1]
 
 
 # ---- gateway designation ----

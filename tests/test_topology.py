@@ -126,6 +126,10 @@ def score_walks(draw):
           {0: {1, 2}, 1: {0, 6}, 2: {0, 7}, 5: {6, 7}, 6: {1, 5}, 7: {2, 5}},
           set(), {0: 0.5, 1: 0.75, 2: 0.5, 5: 0.5, 6: 0.75, 7: 0.5},
           [(set(), {6: 0.25}), ({7}, {7: 1.0}), (set(), {7: 0.0})]))
+# 2, a member of both heads, is listed twice for (0, 5): the winner is its
+# own only rival
+@example(({0: {2}, 5: {2}}, {0: {2}, 2: {0, 5}, 5: {2}}, set(),
+          {0: 0.5, 2: 0.5, 5: 0.5}, [(set(), {2: 0.25}), ({2}, {2: 1.0})]))
 @settings(max_examples=300, deadline=None)
 @given(score_walks())
 def test_memoised_designation_matches_all_pairs_scan(case):
@@ -168,6 +172,28 @@ def test_unchanged_scores_rescore_only_the_winners():
         scored.clear()
         assert designate_gateways(candidates, score_fn) == first
         assert sorted(scored) == want
+
+
+def test_winner_of_a_list_scored_in_full_is_kept_by_one_rescore():
+    """When a winner falls behind a rival its list is scored in full; the
+    next designation rescores only the new winner, against a bound of the
+    rivals it has now."""
+    clusters = {0: Cluster(0, {1, 2, 3}), 5: Cluster(5, set())}
+    adjacency = {0: {1, 2, 3}, 1: {0, 5}, 2: {0, 5}, 3: {0, 5}, 5: {1, 2, 3}}
+    scores = {1: 0.25, 2: 0.75, 3: 0.5}
+    candidates = gateway_candidates(clusters, adjacency, set())
+    scored = []
+
+    def score_fn(nid):
+        scored.append(nid)
+        return scores[nid]
+
+    assert designate_gateways(candidates, score_fn) == {(0, 5): (2,)}
+    scores[2] = 0.25
+    for want_edges, want_scored in (((3,), [1, 2, 3]), ((3,), [3]), ((3,), [3])):
+        scored.clear()
+        assert designate_gateways(candidates, score_fn) == {(0, 5): want_edges}
+        assert sorted(scored) == want_scored
 
 
 # ---- route tables ----

@@ -4,12 +4,16 @@ check the data plane made on every hop, the all-pairs gateway scan,
 the per-packet route search and the route tables searched afresh on every
 build, which the grid, adjacency lookups, link-indexed designation, the
 head route tables and the kept search trees replaced, kept as the oracles
-for the differential tests.
+for the differential tests; and the membership pass that ran a full
+election (`elect_ch`) over the strays left for every head it elected,
+which one ranking per pass replaced.
 """
 
 from collections import deque
 
-from manetsim.errors import NoRoute
+from manetsim.clustering import (ENERGY_FLOOR, Cluster, _unclustered,
+                                 composite_score)
+from manetsim.errors import NoCandidates, NoRoute
 from manetsim.radio import MIN_DISTANCE_M
 from radio_reference import estimate_distance, friis_recv_power
 
@@ -79,6 +83,99 @@ def reference_designate_gateways(clusters, adjacency, score_fn, excluded):
             if best_pair:
                 edges[(a, b)] = best_pair
     return edges
+
+
+def elect_ch(candidates, weights):
+    """Pick the head: highest composite score, lowest node id on ties.
+
+    Candidates under the energy floor are skipped unless every candidate
+    is under it.
+    """
+    cands = list(candidates)
+    if not cands:
+        raise NoCandidates("no election candidates")
+    fit = [c for c in cands if c.res_eng >= ENERGY_FLOOR] or cands
+    best = fit[0]
+    score = composite_score(best, weights)
+    for c in fit[1:]:
+        s = composite_score(c, weights)
+        if s > score or (s == score and c.node_id < best.node_id):
+            best, score = c, s
+    return best.node_id
+
+
+def reference_maintain_membership(clusters, alive, adjacency, metrics_fn,
+                                  battery, weights, may_head, may_join):
+    """`clustering.maintain_membership` with a full election over the
+    strays still left for every head it elects."""
+    events = []
+    fetched = {}
+
+    def metrics_of(n):
+        m = fetched.get(n)
+        if m is None:
+            m = fetched[n] = metrics_fn(n)
+        return m
+
+    def dissolve(ch_id, reason):
+        cl = clusters.pop(ch_id)
+        events.append(("cluster_dissolved", ch_id, reason))
+        return cl.nodes()
+
+    for ch_id in sorted(clusters):
+        cl = clusters[ch_id]
+        for m in sorted(cl.members):
+            if m not in alive or m not in adjacency.get(ch_id, ()):
+                cl.members.discard(m)
+                if m in alive:
+                    events.append(("member_left", m, ch_id))
+
+    loose = set()
+    for ch_id in sorted(clusters):
+        if ch_id not in alive:
+            loose |= dissolve(ch_id, "head_dead") - {ch_id}
+        elif battery(ch_id) < ENERGY_FLOOR:
+            loose |= dissolve(ch_id, "head_energy_floor")
+
+    merged = True
+    while merged:
+        merged = False
+        for a in sorted(clusters):
+            for b in sorted(adjacency.get(a, ())):
+                if b <= a or b not in clusters:
+                    continue
+                sa = composite_score(metrics_of(a), weights)
+                sb = composite_score(metrics_of(b), weights)
+                win, lose = (a, b) if (sa, -a) >= (sb, -b) else (b, a)
+                loose |= dissolve(lose, f"merged_into_{win}")
+                events.append(("clusters_merged", win, lose))
+                merged = True
+                break
+            if merged:
+                break
+
+    loose = {n for n in loose if n in alive}
+
+    for n in sorted(loose | _unclustered(clusters, alive)):
+        if not may_join(n):
+            continue
+        heads = [c for c in sorted(clusters) if n in adjacency.get(c, ())]
+        if heads:
+            clusters[heads[0]].members.add(n)
+            events.append(("member_joined", n, heads[0]))
+
+    stray = _unclustered(clusters, alive)
+    while stray:
+        cands = [metrics_of(n) for n in sorted(stray) if may_head(n)]
+        if not cands:
+            break
+        ch = elect_ch(cands, weights)
+        members = {n for n in adjacency.get(ch, ()) if n in stray and may_join(n)}
+        clusters[ch] = Cluster(ch, members)
+        events.append(("head_elected", ch, tuple(sorted(members))))
+        stray -= members | {ch}
+
+    return events
 
 
 def gateway_sets(clusters, edges):
