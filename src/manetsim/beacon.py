@@ -17,6 +17,9 @@ one node (its battery and the histories it keeps), `Beacons.fold_all` for
 every node.  Each node has one fold point for all the links it hears, and
 a fold with no round since that point costs two comparisons.  A head
 watching a custodian at a handover folds itself like any other reader.
+An adjacency rebuild folds nothing: until the next round the rounds since
+a node's fold point still belong to the links and rates laid out last,
+and the lay-out at that round folds each node before it replaces them.
 
 The residual energy a node heard is computed only when read, by
 `Beacons.heard`: the last HELLO on a link carried the sender's transmit
@@ -300,21 +303,23 @@ class Beacons:
         self._laid_out = False   # since the last rebuild
         self._laid_out_at = 0    # the round of the last lay-out
         self._heard = 0          # receptions in a skipped round
-        self._by_link = False    # inside a round that runs link by link
+        self.by_link = False     # inside a round that runs link by link
 
     def fold_all(self):
         for node in self.nodes.values():
             fold(node)
 
     def relink(self):
-        """The adjacency was rebuilt; callers fold first."""
+        """The adjacency was rebuilt: the next round lays the links out
+        again.  Nothing is folded here; the rounds since the last fold
+        still belong to the links laid out last, and the lay-out folds
+        them in, node by node."""
         self._laid_out = False
 
     def depleted(self, world):
-        """A battery ran dry outside a round: fold, then recompute what a
-        round adds."""
-        if self._laid_out and not self._by_link:
-            self.fold_all()
+        """A battery ran dry outside a round: recompute what a round adds
+        (the lay-out folds every node first)."""
+        if self._laid_out and not self.by_link:
             self._lay_out(world)
 
     def heard(self, node, sid):
@@ -345,18 +350,20 @@ class Beacons:
         world.log("hello_round", receptions=self._heard)
 
     def _lay_out(self, world):
-        """What each round adds from here, every node folded: the bytes per
-        battery, the links each receiver folds (with the distance estimate
-        the rebuild stored for the link, and the bytes their sender
-        received before them in the round) and the runway, after closing
-        the epoch before.  While a live link carries a spoofed HELLO there
-        is no runway and no link to lay out: every round runs link by link
-        until the next lay-out."""
+        """What each round adds from here: the bytes per battery, the links
+        each receiver folds (with the distance estimate the rebuild stored
+        for the link, and the bytes their sender received before them in
+        the round) and the runway, after closing the epoch before.  Each
+        node is folded by the links and rates laid out last before they are
+        replaced.  While a live link carries a spoofed HELLO there is no
+        runway and no link to lay out: every round runs link by link until
+        the next lay-out."""
         nodes, size, r = self.nodes, self.size, self.clock.rounds
         if r > self._laid_out_at:
             self._close_epoch(r)
         self._laid_out_at = r
         for node in nodes.values():
+            fold(node)
             node.links_in = {}
             node.links_at = r
             node.battery.tx_rate = node.battery.rx_rate = 0
@@ -431,7 +438,7 @@ class Beacons:
         a battery that runs dry mid-round stops hearing right there."""
         self.fold_all()
         self._write_heard()
-        self._by_link = True
+        self.by_link = True
         nodes, size = self.nodes, self.size
         for _, node in sorted(nodes.items()):
             if node.alive:
@@ -457,7 +464,7 @@ class Beacons:
                 if claimed != sid:
                     _flag(world, receiver, sender, claimed)
         world.log("hello_round", receptions=heard)
-        self._by_link = False
+        self.by_link = False
         r = self.clock.rounds = self.clock.rounds + 1
         for node in nodes.values():
             node.battery.at = r

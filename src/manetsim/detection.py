@@ -68,12 +68,20 @@ class SurveillanceLedger:
     moment: `resolved` counts them and `timeouts` keeps the TIMEOUT ones,
     in resolve order. An entry's gateway and context change only while it
     is PENDING, so the index stays what a scan of every entry would find.
+
+    `judge_forwarding` sorts each TIMEOUT entry once into culpable,
+    stingy or neither: `sorts` holds, per gateway, how many of its timeouts
+    are sorted and its culpable and stingy ones in resolve order, under the
+    battery and speed thresholds `sorted_by`.  Judging by other thresholds
+    sorts every entry again.
     """
     ch_id: int
     opened: int = 0                                # entries opened so far
     by_packet: dict = field(default_factory=dict)
     resolved: dict = field(default_factory=dict)   # gateway -> resolved entries
     timeouts: dict = field(default_factory=dict)   # gateway -> its TIMEOUT entries
+    sorted_by: tuple = ()
+    sorts: dict = field(default_factory=dict)      # gateway -> (sorted, culpable, stingy)
 
     def open_entry(self, packet_id, gateway, res_eng, rel_mobility) -> LedgerEntry:
         entry = LedgerEntry(packet_id, gateway, res_eng=res_eng,
@@ -96,12 +104,28 @@ class SurveillanceLedger:
         return entry
 
 
-def _culpable(e, th: DetectionThresholds) -> bool:
-    """A timeout nothing exonerates: link up, battery high, not speeding."""
-    return (e.context == LINK_OK
-            and e.res_eng >= th.energy_high_threshold
-            and e.rel_mobility is not None
-            and abs(e.rel_mobility) <= th.velocity_low_threshold)
+def _sort_timeouts(ledger, gateway, timeouts, th):
+    """The gateway's culpable and stingy timeouts under th, sorting only
+    the timeouts resolved since the last call with the same thresholds.
+
+    Culpable: a timeout nothing exonerates, with the link up, the battery
+    high and the custodian not speeding.  Stingy: the link up and the
+    battery in the band [SELFISH_ENERGY_FLOOR, energy_high_threshold).
+    """
+    high, slow = th.energy_high_threshold, th.velocity_low_threshold
+    if ledger.sorted_by != (high, slow):
+        ledger.sorted_by, ledger.sorts = (high, slow), {}
+    done, culpable, stingy = ledger.sorts.get(gateway) or (0, [], [])
+    for e in timeouts[done:]:
+        if e.context != LINK_OK:
+            continue
+        if e.res_eng >= high:
+            if e.rel_mobility is not None and abs(e.rel_mobility) <= slow:
+                culpable.append(e)
+        elif e.res_eng >= SELFISH_ENERGY_FLOOR:
+            stingy.append(e)
+    ledger.sorts[gateway] = (len(timeouts), culpable, stingy)
+    return culpable, stingy
 
 
 def _in_open_order(entries) -> tuple:
@@ -116,18 +140,20 @@ def judge_forwarding(ledger: SurveillanceLedger, gateway: int,
     culpable; enough of them is malice.  Timeouts in the battery band just
     under "high" read as selfishness when recurring.  Anything else that
     timed out stays inconclusive, and a clean ACKed record is normal.
-    Only the gateway's timeouts can be culpable or stingy, so only they are
-    classified; evidence lists packets in the order their entries opened.
+    Only the gateway's timeouts can be culpable or stingy, and the ledger
+    keeps them sorted into both lists (`_sort_timeouts`), so a judgment
+    looks only at the timeouts resolved since the last one; evidence lists
+    packets in the order their entries opened.
     """
     if not ledger.resolved.get(gateway):
         raise NoEvidence(f"no resolved entries for node {gateway}")
-    timeouts = ledger.timeouts.get(gateway, ())
-    culpable = [e for e in timeouts if _culpable(e, th)]
+    timeouts = ledger.timeouts.get(gateway)
+    if timeouts:
+        culpable, stingy = _sort_timeouts(ledger, gateway, timeouts, th)
+    else:
+        culpable = stingy = ()
     if len(culpable) >= th.accusation_threshold:
         return Verdict(MALICIOUS, gateway, _in_open_order(culpable), "culpable_drops")
-    stingy = [e for e in timeouts
-              if e.context == LINK_OK
-              and SELFISH_ENERGY_FLOOR <= e.res_eng < th.energy_high_threshold]
     if len(stingy) >= th.accusation_threshold:
         return Verdict(SELFISH, gateway, _in_open_order(stingy), "recurring_refusal")
     if timeouts:

@@ -147,6 +147,8 @@ class World:
         self.head_routes = None      # see protocol.refresh_route_tables
         self._dirty_topology = True
         self._membership_settled = False  # see _sweep_topology
+        self._mobility = {}          # node id -> (round, neighbours, term), see node_metrics
+        self._trust_memo = {}        # (loose, earn) -> rounded trust, see _deliver
 
         self.generated = 0
         self.delivered = 0
@@ -305,8 +307,12 @@ class World:
         `_neighbors` list is filled in that pair order and so comes out in
         id order: a node's smaller neighbours come from its pairs `(a, x)`,
         which sort before its pairs `(x, b)`.
+
+        Nothing is folded here: a node's links and rates stay those of the
+        last lay-out until the next round lays the new links out, and
+        `beacon.Beacons._lay_out` folds each node before it replaces them.
+        Only `alive` is read, and it needs no fold.
         """
-        self.beacons.fold_all()
         params, nodes = self.radio, self.nodes
         rng_r, floor, k, q = (params.radio_range, params.recv_power_floor,
                               params.k, params.q)
@@ -361,21 +367,39 @@ class World:
         self._gateway_candidates = None
 
     def node_metrics(self, nid) -> ElectionMetrics:
+        """The node's election terms.
+
+        The mobility term reads the node's neighbour list and the HELLO
+        histories of those neighbours.  Histories grow only by a round, so
+        folded to one round count they stay what they are, except inside a
+        round run link by link, which extends them reception by reception
+        before it counts itself.  The term is therefore kept in `_mobility`
+        with the round count and the neighbour list it came from, and
+        reused while both are the same and no such round is running."""
         n = self.nodes[nid]
         cfg = self.cfg
         v_max = cfg.speed_range[1]
         mob = 1.0
         if v_max > 0:
-            beacon.fold(n)
-            t = cfg.hello_interval
-            hello = n.hello
-            vals = []
-            for nb in self._neighbors.get(nid, ()):
-                hist = hello.get(nb)
-                if hist is not None and hist.n >= 2:
-                    vals.append(hist.mobility(t))
-            if vals:
-                mob = clustering.mobility_membership(radio.avg_mobility(vals), v_max)
+            beacons = self.beacons
+            r = beacons.clock.rounds
+            nbs = self._neighbors.get(nid, ())
+            kept = self._mobility.get(nid)
+            if (kept is not None and kept[0] == r and kept[1] == nbs
+                    and not beacons.by_link):
+                mob = kept[2]
+            else:
+                beacon.fold(n)
+                t = cfg.hello_interval
+                hello = n.hello
+                vals = []
+                for nb in nbs:
+                    hist = hello.get(nb)
+                    if hist is not None and hist.n >= 2:
+                        vals.append(hist.mobility(t))
+                if vals:
+                    mob = clustering.mobility_membership(radio.avg_mobility(vals), v_max)
+                self._mobility[nid] = (r, nbs, mob)
         ch = n.cluster
         ndnb_ch = len(self.adjacency.get(ch, ())) if ch is not None else 0
         if ch is not None and ch != nid and ndnb_ch >= 1:
@@ -741,22 +765,42 @@ class World:
         pid = self.next_packet_id()
         packet = packets.Packet(packets.DATA, s.src, s.dst, pid,
                                 self.cfg.packet_size, path_trace=[s.src])
-        try:
-            route = protocol.discover_route(self, s.src, s.dst)
-        except NoRoute:
+        # a route reads only the head route tables and the two ends' heads,
+        # so the session's last plan holds while the tables are the same
+        # record (`RouteTables` compares by identity) and both heads stay
+        nodes = self.nodes
+        key = (self.head_routes, nodes[s.src].cluster, nodes[s.dst].cluster)
+        kept = s.route
+        if kept is None or kept[0] != key:
+            kept = s.route = self._plan_route(s, key)
+        if kept is None:
             self.log("data_emit", packet=pid, session=sid, plan=())
             self.drop_data(packet, "no_route", sid)
         else:
-            plan, segments = protocol.build_plan(route, s.src, s.dst)
-            timeout_s = protocol.ack_timeout(
-                self.cfg.packet_size, self.cfg.channel_capacity,
-                len(plan) - 1, self.cfg.ack_timeout_factor)
-            self.log("data_emit", packet=pid, session=sid, plan=tuple(plan),
-                     segs=tuple(segments))
+            _, plan, segs, seg_at, timeout_s = kept
+            # the record `log` would build, its keys already in sorted order
+            self.events_log.append((self.now, "data_emit", (
+                ("packet", pid), ("plan", plan), ("segs", segs),
+                ("session", sid))))
             self.schedule(self.now + self.data_airtime, "hop", packet, plan, 0,
-                          protocol.segment_table(plan, segments), sid, timeout_s)
+                          seg_at, sid, timeout_s)
         if s.sent < s.packets_total:
             self.schedule(self.now + self.cfg.cbr_interval, "emit", sid)
+
+    def _plan_route(self, s, key):
+        """The session's route as `(key, plan, segments, segment table, ack
+        timeout)`, key being the head route tables and the two ends' heads
+        it is planned from; None when there is no route."""
+        try:
+            route = protocol.discover_route(self, s.src, s.dst)
+        except NoRoute:
+            return None
+        plan, segments = protocol.build_plan(route, s.src, s.dst)
+        cfg = self.cfg
+        timeout_s = protocol.ack_timeout(cfg.packet_size, cfg.channel_capacity,
+                                         len(plan) - 1, cfg.ack_timeout_factor)
+        return (key, tuple(plan), tuple(segments),
+                protocol.segment_table(plan, segments), timeout_s)
 
     def _watch(self, watcher: Node, subject: Node):
         """What a watching head knows of a custodian from its HELLOs: the
@@ -844,16 +888,41 @@ class World:
                           idx + 1, seg_at, session_id, timeout_s)
 
     def _deliver(self, packet, session_id):
+        """Count the delivery and credit every forwarder on the path.
+
+        A credit's records are those `note_trust_change` appends, with the
+        rounded trust before and after read from `_trust_memo`: a trust
+        value is a function of the record's two counters alone."""
         self.delivered += 1
-        self.log("data_delivered", packet=packet.packet_id, session=session_id,
-                 src=packet.src, dst=packet.dst, path=tuple(packet.path_trace))
-        for fwd in packet.path_trace[1:-1]:
-            rec = self.trust_registry[fwd]
-            before = trust.trust_value(rec)
+        now, events, path = self.now, self.events_log, packet.path_trace
+        events.append((now, "data_delivered", (
+            ("dst", packet.dst), ("packet", packet.packet_id),
+            ("path", tuple(path)), ("session", session_id),
+            ("src", packet.src))))
+        registry, memo = self.trust_registry, self._trust_memo
+        candidates = self._gateway_candidates
+        for fwd in path[1:-1]:
+            rec = registry[fwd]
+            before = memo.get((rec.loose_trust, rec.earn_trust))
+            if before is None:
+                before = self._memo_trust(rec)
             trust.on_forward_success(rec)
-            self.note_trust_change(fwd, before, trust.trust_value(rec),
-                                   "forward_credit")
+            after = memo.get((rec.loose_trust, rec.earn_trust))
+            if after is None:
+                after = self._memo_trust(rec)
+            if candidates is not None:
+                candidates.moved.add(fwd)
+            events.append((now, "trust_change", (
+                ("after", after), ("before", before), ("node", fwd),
+                ("reason", "forward_credit"))))
         self._session_resolve(session_id, delivered=True)
+
+    def _memo_trust(self, rec):
+        """The record's trust rounded as the log holds it, memoized in
+        `_trust_memo` by the record's `(loose, earn)` counters."""
+        value = round(trust.trust_value(rec), 9)
+        self._trust_memo[rec.loose_trust, rec.earn_trust] = value
+        return value
 
     def _send_ack(self, plan, seg, packet):
         aplan = protocol.ack_plan(plan, seg)
@@ -885,8 +954,10 @@ class World:
             return
         entry = st.ledger.resolve(ack.payload["ref"], detection.ACKED)
         if entry is not None:
-            self.log("ack_delivered", ref=ack.payload["ref"], at=to,
-                     gateway=entry.gateway)
+            # the record `log` would build, its keys already in sorted order
+            self.events_log.append((self.now, "ack_delivered", (
+                ("at", to), ("gateway", entry.gateway),
+                ("ref", ack.payload["ref"]))))
             self._judge(to, entry.gateway)
 
     def _ack_timeout(self, ch_id, packet_id):

@@ -17,10 +17,6 @@ class InvalidClusterHead(SimulationError):
     """Cluster head reference is unusable (e.g. zero downlink neighbors)."""
 
 
-class NoCandidates(SimulationError):
-    """Election was asked to pick a head from an empty candidate set."""
-
-
 class RejectedUntrusted(SimulationError):
     """Session request refused: requester has no positive trust."""
 

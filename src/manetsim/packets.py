@@ -35,3 +35,5 @@ class Session:
     failed: int = 0
     last_delivery: float | None = None
     closed: bool = False
+    # the last route planned for the session, see World._emit_packet
+    route: tuple | None = None

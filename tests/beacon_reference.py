@@ -5,6 +5,13 @@ Every reception recomputes the signal from the positions, through the
 per-sample formulas of `radio_reference.py`, and is charged through
 `World.consume`, one call at a time; each sample is added to the history
 on its own.
+
+Like the engine's round run link by link, the reference round marks itself
+as running (`Beacons.by_link`) while it extends the histories and counts
+itself on the run's clock when done: a reader that keeps what it derived
+from the histories by the round count (`World.node_metrics`) sees every
+round.  No battery of a reference world has a rate laid out, so the count
+adds no bytes.
 """
 
 from manetsim import adversary, beacon, detection, packets, radio
@@ -13,6 +20,7 @@ from radio_reference import estimate_distance, friis_recv_power
 
 def reference_hello_round(world):
     cfg = world.cfg
+    world.beacons.by_link = True
     for nid in sorted(world.nodes):
         n = world.nodes[nid]
         if n.alive:
@@ -26,6 +34,8 @@ def reference_hello_round(world):
         heard += _hear_hello(world, na, nb, d)
         heard += _hear_hello(world, nb, na, d)
     world.log("hello_round", receptions=heard)
+    world.beacons.by_link = False
+    world.beacons.clock.rounds += 1
     nxt = world.now + cfg.hello_interval
     if nxt <= cfg.sim_duration:
         world.schedule(nxt, "hello")

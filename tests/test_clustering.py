@@ -6,8 +6,8 @@ from manetsim.clustering import (Cluster, ElectionMetrics, ElectionWeights,
                                  composite_score, designate_gateways, dnc,
                                  gateway_candidates, maintain_membership,
                                  mobility_membership)
-from manetsim.errors import InvalidClusterHead, InvalidEnergy, NoCandidates
-from topology_reference import (elect_ch, gateway_sets,
+from manetsim.errors import InvalidClusterHead, InvalidEnergy
+from topology_reference import (NoCandidates, elect_ch, gateway_sets,
                                 reference_maintain_membership)
 
 W = ElectionWeights()

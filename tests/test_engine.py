@@ -1,4 +1,5 @@
 import gc
+import heapq
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from manetsim.metrics import metrics_from_log
 from manetsim.radio import Position, WaypointState
 from radio_reference import energy_bill
 from reference_world import ReferenceWorld
+from test_golden import depletion_config, mobile_config
 from test_reference_world import whole_runs
 
 
@@ -122,6 +124,49 @@ def test_different_seed_different_digest():
     a, _ = run(SimConfig(node_count=20, sim_duration=5.0, seed=7))
     b, _ = run(SimConfig(node_count=20, sim_duration=5.0, seed=8))
     assert a.digest != b.digest
+
+
+@pytest.mark.parametrize("attack", adversary.KINDS)
+def test_logged_keys_ascend(attack):
+    """Every record's data keys are strictly ascending, the order `World.log`
+    gives: the records appended as literals (`note_trust_change`, the
+    routed `data_emit`, `data_delivered`, `ack_delivered`) keep it too."""
+    cfg = SimConfig(node_count=30, area=(250.0, 250.0), sim_duration=2.0,
+                    seed=3, attack=attack,
+                    malicious_fraction=0.0 if attack == adversary.HONEST else 0.2,
+                    source_fraction=0.5, cbr_interval=0.05, traffic_start=0.5)
+    world, _ = run_world(cfg)
+    kinds = set()
+    for _, kind, data in world.events_log:
+        keys = [k for k, _ in data]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (kind, keys)
+        kinds.add(kind)
+    assert {"data_emit", "data_delivered", "ack_delivered",
+            "trust_change"} <= kinds
+
+
+@pytest.mark.parametrize("cell", [mobile_config(adversary.GREY_HOLE),
+                                  depletion_config()],
+                         ids=["grey_hole", "depletion"])
+def test_folding_changes_nothing_observable(cell, monkeypatch):
+    """Folding brings the HELLO rounds forward to whoever reads them, so
+    when it happens cannot matter: a run that folds every node before
+    every event it dispatches logs what a plain run logs.  The adjacency
+    rebuild folds nothing and leaves the fold to the next lay-out."""
+    plain = run(cell)[0].digest
+    world = World(cell)
+    pop = heapq.heappop
+    folds = []
+
+    def folded_pop(heap):
+        if heap is world._heap:
+            world.beacons.fold_all()
+            folds.append(None)
+        return pop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", folded_pop)
+    assert world.run().digest == plain
+    assert folds
 
 
 def test_detection_toggle_leaves_trajectories_alone():

@@ -13,9 +13,13 @@ from collections import deque
 
 from manetsim.clustering import (ENERGY_FLOOR, Cluster, _unclustered,
                                  composite_score)
-from manetsim.errors import NoCandidates, NoRoute
+from manetsim.errors import NoRoute, SimulationError
 from manetsim.radio import MIN_DISTANCE_M
 from radio_reference import estimate_distance, friis_recv_power
+
+
+class NoCandidates(SimulationError):
+    """Election was asked to pick a head from an empty candidate set."""
 
 
 def reference_link(a, b, params):
