@@ -14,6 +14,12 @@ from .errors import ConfigError
 
 log = logging.getLogger("manetsim")
 
+# (flag, scenario key), in the order the flags are applied: --nodes after
+# --sweep, so it wins
+FLAG_KEYS = (("sweep", "node_counts"), ("nodes", "node_counts"),
+             ("seed", "seeds"), ("malicious", "malicious_fractions"),
+             ("attack", "attack"), ("out", "out"))
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -21,9 +27,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Clustered ad hoc network simulator with head-side "
                     "misbehavior detection.")
     p.add_argument("config", help="scenario file (YAML)")
-    p.add_argument("--seed", type=int, help="single seed, replaces the seed list")
-    p.add_argument("--nodes", type=int, help="single node count, replaces the sweep")
-    p.add_argument("--malicious", type=float,
+    p.add_argument("--seed", help="single seed, replaces the seed list")
+    p.add_argument("--nodes", help="single node count, replaces the sweep")
+    p.add_argument("--malicious",
                    help="malicious fraction, replaces the fraction list")
     p.add_argument("--attack", help="adversary kind for fraction placement")
     p.add_argument("--out", help="output directory")
@@ -48,18 +54,10 @@ def main(argv=None) -> int:
     try:
         sc = scenario.load_scenario(args.config)
         scenario.apply_env(sc)
-        if args.sweep is not None:
-            sc.node_counts = tuple(int(x) for x in args.sweep.split(","))
-        if args.nodes is not None:
-            sc.node_counts = (args.nodes,)
-        if args.seed is not None:
-            sc.seeds = (args.seed,)
-        if args.malicious is not None:
-            sc.malicious_fractions = (args.malicious,)
-        if args.attack is not None:
-            sc.base["attack"] = args.attack
-        if args.out is not None:
-            sc.out = args.out
+        for flag, key in FLAG_KEYS:
+            value = getattr(args, flag)
+            if value is not None:
+                scenario.set_key(sc, key, value, f"from --{flag}")
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,19 +37,6 @@ class ElectionMetrics:
 
 
 @dataclass
-class ElectionWeights:
-    energy: float = 0.25
-    trust: float = 0.25
-    mobility: float = 0.25
-    dnc: float = 0.25
-
-    def __post_init__(self):
-        total = self.energy + self.trust + self.mobility + self.dnc
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"election weights sum to {total}, expected 1")
-
-
-@dataclass
 class Cluster:
     ch_id: int
     members: set = field(default_factory=set)   # excludes the head itself
@@ -77,19 +64,22 @@ def mobility_membership(avg_mob: float, v_max: float) -> float:
     return 1.0 - min(abs(avg_mob) / v_max, 1.0)
 
 
-def composite_score(m: ElectionMetrics, w: ElectionWeights) -> float:
-    return (w.energy * m.res_eng + w.trust * m.trust
-            + w.mobility * m.mobility + w.dnc * m.dnc)
+def composite_score(m: ElectionMetrics, cfg) -> float:
+    """The candidate's terms weighted by the run's `SimConfig`
+    (`weight_energy`, `weight_trust`, `weight_mobility`, `weight_dnc`)."""
+    return (cfg.weight_energy * m.res_eng + cfg.weight_trust * m.trust
+            + cfg.weight_mobility * m.mobility + cfg.weight_dnc * m.dnc)
 
 
 def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
-                        weights, may_head, may_join):
+                        cfg, may_head, may_join):
     """One topology upkeep pass over all clusters, in place.
 
     alive        set of node ids that still have energy
     adjacency    id -> set of current link-neighbor ids
     metrics_fn   node id -> ElectionMetrics
     battery      id -> residual energy fraction, for the head energy floor
+    cfg          the run's `SimConfig`, whose election weights score heads
     may_head     id -> bool, False bars the node from the head role
     may_join     id -> bool, False bars the node from joining any cluster
 
@@ -141,8 +131,8 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
             for b in sorted(adjacency.get(a, ())):
                 if b <= a or b not in clusters:
                     continue
-                sa = composite_score(metrics_of(a), weights)
-                sb = composite_score(metrics_of(b), weights)
+                sa = composite_score(metrics_of(a), cfg)
+                sb = composite_score(metrics_of(b), cfg)
                 win, lose = (a, b) if (sa, -a) >= (sb, -b) else (b, a)
                 loose |= dissolve(lose, f"merged_into_{win}")
                 events.append(("clusters_merged", win, lose))
@@ -168,7 +158,7 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
     # (unless none is left), the highest score first, the lowest id on ties.
     stray = _unclustered(clusters, alive)
     ranking = sorted(
-        (m.res_eng < ENERGY_FLOOR, -composite_score(m, weights), n)
+        (m.res_eng < ENERGY_FLOOR, -composite_score(m, cfg), n)
         for n in sorted(stray) if may_head(n) for m in (metrics_of(n),))
     for _, _, ch in ranking:
         if ch not in stray:

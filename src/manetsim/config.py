@@ -4,8 +4,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 from . import adversary
-from .clustering import ElectionWeights
-from .detection import DetectionThresholds
 from .errors import ConfigError
 
 NODE_COUNT_SWEEP = (20, 40, 60, 80, 100)
@@ -86,18 +84,6 @@ class SimConfig:
     # explicit placement for bench scenarios: [(x, y)] per node id
     positions: list | None = None
 
-    def thresholds(self) -> DetectionThresholds:
-        return DetectionThresholds(
-            accusation_threshold=self.accusation_threshold,
-            energy_high_threshold=self.energy_high_threshold,
-            velocity_low_threshold=self.velocity_low_threshold,
-            nuisance_limit=self.nuisance_limit,
-            blacklist_limit=self.blacklist_limit)
-
-    def weights(self) -> ElectionWeights:
-        return ElectionWeights(self.weight_energy, self.weight_trust,
-                               self.weight_mobility, self.weight_dnc)
-
     def validate(self):
         def positive(name):
             value = getattr(self, name)
@@ -159,10 +145,10 @@ class SimConfig:
             if not (_finite(value) and value >= 0):
                 # NaN and +inf against -inf would slip past the sum check
                 raise ConfigError(f"{name} must be a finite non-negative number")
-        try:
-            self.weights()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        total = (self.weight_energy + self.weight_trust + self.weight_mobility
+                 + self.weight_dnc)
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"election weights sum to {total}, expected 1")
         self._validate_references()
         return self
 

@@ -32,15 +32,6 @@ SELFISH_ENERGY_FLOOR = 0.4
 
 
 @dataclass
-class DetectionThresholds:
-    accusation_threshold: int = 3     # culpable timeouts before MALICIOUS
-    energy_high_threshold: float = 0.5
-    velocity_low_threshold: float = 5.0   # m/s
-    nuisance_limit: int = 5           # tolerated reports per reporter/target
-    blacklist_limit: float = trust.DEFAULT_BLACKLIST_LIMIT
-
-
-@dataclass
 class LedgerEntry:
     packet_id: int
     gateway: int                # current custodian under suspicion
@@ -104,15 +95,16 @@ class SurveillanceLedger:
         return entry
 
 
-def _sort_timeouts(ledger, gateway, timeouts, th):
-    """The gateway's culpable and stingy timeouts under th, sorting only
-    the timeouts resolved since the last call with the same thresholds.
+def _sort_timeouts(ledger, gateway, timeouts, cfg):
+    """The gateway's culpable and stingy timeouts under the run's
+    `SimConfig` cfg, sorting only the timeouts resolved since the last call
+    with the same `energy_high_threshold` and `velocity_low_threshold`.
 
     Culpable: a timeout nothing exonerates, with the link up, the battery
     high and the custodian not speeding.  Stingy: the link up and the
     battery in the band [SELFISH_ENERGY_FLOOR, energy_high_threshold).
     """
-    high, slow = th.energy_high_threshold, th.velocity_low_threshold
+    high, slow = cfg.energy_high_threshold, cfg.velocity_low_threshold
     if ledger.sorted_by != (high, slow):
         ledger.sorted_by, ledger.sorts = (high, slow), {}
     done, culpable, stingy = ledger.sorts.get(gateway) or (0, [], [])
@@ -132,12 +124,12 @@ def _in_open_order(entries) -> tuple:
     return tuple(e.packet_id for e in sorted(entries, key=lambda e: e.seq))
 
 
-def judge_forwarding(ledger: SurveillanceLedger, gateway: int,
-                     th: DetectionThresholds) -> Verdict:
-    """Weigh all resolved evidence against one gateway.
+def judge_forwarding(ledger: SurveillanceLedger, gateway: int, cfg) -> Verdict:
+    """Weigh all resolved evidence against one gateway, under the
+    thresholds of the run's `SimConfig` cfg.
 
     Timeouts with a live link, high battery and low relative speed are
-    culpable; enough of them is malice.  Timeouts in the battery band just
+    culpable; `accusation_threshold` of them is malice.  Timeouts in the battery band just
     under "high" read as selfishness when recurring.  Anything else that
     timed out stays inconclusive, and a clean ACKed record is normal.
     Only the gateway's timeouts can be culpable or stingy, and the ledger
@@ -149,12 +141,12 @@ def judge_forwarding(ledger: SurveillanceLedger, gateway: int,
         raise NoEvidence(f"no resolved entries for node {gateway}")
     timeouts = ledger.timeouts.get(gateway)
     if timeouts:
-        culpable, stingy = _sort_timeouts(ledger, gateway, timeouts, th)
+        culpable, stingy = _sort_timeouts(ledger, gateway, timeouts, cfg)
     else:
         culpable = stingy = ()
-    if len(culpable) >= th.accusation_threshold:
+    if len(culpable) >= cfg.accusation_threshold:
         return Verdict(MALICIOUS, gateway, _in_open_order(culpable), "culpable_drops")
-    if len(stingy) >= th.accusation_threshold:
+    if len(stingy) >= cfg.accusation_threshold:
         return Verdict(SELFISH, gateway, _in_open_order(stingy), "recurring_refusal")
     if timeouts:
         return Verdict(INCONCLUSIVE, gateway, reason="exonerated_timeouts")
@@ -180,7 +172,8 @@ def handle_trust_report(nuisance_counts: dict, report, nuisance_limit: int) -> s
 
     Word of mouth never moves trust here; only the head's own ledger does.
     Returns "discarded", or "reporter_selfish" exactly once, when the same
-    reporter crosses the nuisance limit for the same accused node.
+    reporter crosses nuisance_limit (`SimConfig.nuisance_limit`) for the
+    same accused node.
     """
     key = (report.src, report.payload.get("accused"))
     count = nuisance_counts.get(key, 0) + 1

@@ -38,7 +38,7 @@ from .radio import Position, WaypointState
 class Node:
     """One radio: where it is, how it moves, its battery and what it heard.
 
-    `energy_expended`, `tx_bytes`, `rx_bytes` and `res_eng` fold the HELLO
+    `energy_expended`, `tx_bytes` and `rx_bytes` fold the HELLO
     rounds since the battery's last fold before they answer; `alive`
     needs no fold (see `beacon`).
     """
@@ -88,10 +88,6 @@ class Node:
         beacon.settle(self.battery)
         return self.battery.rx
 
-    @property
-    def res_eng(self):
-        return beacon.residual(self.battery)
-
 
 class ChState:
     """Head-local bookkeeping: surveillance, blacklist view, link registry."""
@@ -113,10 +109,6 @@ class World:
     def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
-        self.radio = radio.RadioParams(cfg.friis_k, cfg.path_loss_q,
-                                       cfg.radio_range, cfg.recv_power_floor)
-        self.thresholds = cfg.thresholds()
-        self.weights = cfg.weights()
         self.rng_init = random.Random(f"{cfg.seed}:init")
         self.rng_mobility = random.Random(f"{cfg.seed}:mobility")
         self.rng_policy = random.Random(f"{cfg.seed}:policy")
@@ -285,17 +277,18 @@ class World:
     def _rebuild_adjacency(self):
         """The link rule, applied to every pair of live nodes.
 
-        Two live nodes are linked when they are within `radio_range` and
-        each hears the other above the sensitivity floor (the Friis power
-        at the distance, clamped to `MIN_DISTANCE_M`, see `radio`). Each
-        linked pair also gets the distance each end estimates from the
-        other's HELLO, the Friis model inverted. This is the only place the
-        rule and the estimate are computed: positions move only right
-        before a rebuild, so the data plane reads links from `adjacency`
-        and the HELLO rounds read the estimates from `_pairs`, whose
-        entries are `(a, b, est_ab, est_ba)` with `a < b`, `est_ab` the
-        estimate b derives from a's HELLO and `est_ba` the one a derives
-        from b's.
+        Two live nodes are linked when they are within the run's
+        `radio_range` and each hears the other at or above its
+        `recv_power_floor` (the Friis power with `friis_k` and
+        `path_loss_q` at the distance, clamped to `MIN_DISTANCE_M`, see
+        `radio`), all four read from `cfg`. Each linked pair also gets the
+        distance each end estimates from the other's HELLO, the Friis model
+        inverted. This is the only place the rule and the estimate are
+        computed: positions move only right before a rebuild, so the data
+        plane reads links from `adjacency` and the HELLO rounds read the
+        estimates from `_pairs`, whose entries are `(a, b, est_ab, est_ba)`
+        with `a < b`, `est_ab` the estimate b derives from a's HELLO and
+        `est_ba` the one a derives from b's.
 
         Candidates come from a uniform grid (the cell-list method): in-range
         pairs lie in the same or adjacent cells. Cells are `radio_range`
@@ -313,9 +306,9 @@ class World:
         `beacon.Beacons._lay_out` folds each node before it replaces them.
         Only `alive` is read, and it needs no fold.
         """
-        params, nodes = self.radio, self.nodes
-        rng_r, floor, k, q = (params.radio_range, params.recv_power_floor,
-                              params.k, params.q)
+        cfg, nodes = self.cfg, self.nodes
+        rng_r, floor, k, q = (cfg.radio_range, cfg.recv_power_floor,
+                              cfg.friis_k, cfg.path_loss_q)
         rng_r2 = rng_r * rng_r
         inv_q = 1.0 / q
         min_d = radio.MIN_DISTANCE_M
@@ -440,7 +433,7 @@ class World:
         if self._gateway_candidates is None:
             self._gateway_candidates = clustering.gateway_candidates(
                 self.clusters, self.adjacency, self.blacklisted)
-        terms, nodes, weights = self._gateway_candidates.terms, self.nodes, self.weights
+        terms, nodes, cfg = self._gateway_candidates.terms, self.nodes, self.cfg
 
         def score_fn(nid):
             m = terms.get(nid)
@@ -448,7 +441,7 @@ class World:
                 m = terms[nid] = self.node_metrics(nid)
             else:
                 m.res_eng = beacon.residual(nodes[nid].battery)
-            return clustering.composite_score(m, weights)
+            return clustering.composite_score(m, cfg)
 
         edges = clustering.designate_gateways(self._gateway_candidates, score_fn)
         self.head_routes = protocol.refresh_route_tables(
@@ -498,7 +491,7 @@ class World:
 
         events = clustering.maintain_membership(
             self.clusters, alive, self.adjacency, self.node_metrics, battery,
-            self.weights, may_head, may_join)
+            self.cfg, may_head, may_join)
         if events:
             # every membership change is reported, except dropping dead
             # members, which follows the rebuild above
@@ -572,7 +565,7 @@ class World:
         trust.on_selfish(rec)
         self.note_trust_change(nid, before, trust.trust_value(rec), reason)
         if (nid not in self.blacklisted
-                and trust.is_blacklisted(rec, self.thresholds.blacklist_limit)):
+                and trust.is_blacklisted(rec, self.cfg.blacklist_limit)):
             self.blacklisted.add(nid)
             self.eject_node(nid)
             self.flood_blacklist(nid, ch_id, "trust_below_limit")
@@ -980,7 +973,7 @@ class World:
             return
         st = self.ch_state[ch_id]
         try:
-            verdict = detection.judge_forwarding(st.ledger, gateway, self.thresholds)
+            verdict = detection.judge_forwarding(st.ledger, gateway, self.cfg)
         except NoEvidence:
             return
         if verdict.label == detection.MALICIOUS:
@@ -1031,7 +1024,7 @@ class World:
                 self.consume(self.nodes[ch], "rx", self.cfg.control_size)
                 st = self.ch_state[ch]
                 outcome = detection.handle_trust_report(
-                    st.nuisance, rep, self.thresholds.nuisance_limit)
+                    st.nuisance, rep, self.cfg.nuisance_limit)
                 self.log("trust_report", reporter=nid, accused=rep.payload["accused"],
                          at=ch, outcome=outcome)
                 if outcome == "reporter_selfish":

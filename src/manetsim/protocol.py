@@ -38,28 +38,14 @@ def drain_order(pending):
     return sorted(pending, key=lambda r: (-r[0], r[1], r[2]))
 
 
-def route_tables(heads, edges, blacklisted):
-    """One breadth-first search per head over the head graph.
-
-    heads        head ids to build a table for
-    edges        {(ch_a, ch_b): gateways ordered from ch_a's side}
-    blacklisted  set of ids that may not carry traffic; an edge with one of
-                 them among its gateways is left out
-
-    Returns {head: {dest: (previous head, gateways into dest)}}, the BFS
-    parent tree rooted at the head in discovery order, with neighbours
-    visited in ascending id order.  The root has no entry.
-    """
-    record = refresh_route_tables(None, heads, edges, blacklisted)
-    return {ch: record.table(ch) for ch in record.heads}
-
-
 class RouteTables:
     """Head route tables and what they were built from.
 
     heads   the head ids, in table order
-    pairs   the usable edge pairs, in edge order
-    edges   the edges the tables take their gateways from
+    pairs   the usable edge pairs, in edge order: those with no
+            blacklisted id among their gateways
+    edges   {(ch_a, ch_b): gateways ordered from ch_a's side}, the edges
+            the tables take their gateways from
     out     head -> the heads it has a usable edge to, in ascending order
     via     (from head, to head) -> the route entry of that edge
     trees   head -> its table, for the heads whose table was read
@@ -75,8 +61,11 @@ class RouteTables:
         self.trees = trees
 
     def table(self, ch):
-        """The head's table (see `route_tables`), searched on its first
-        read and kept with the record."""
+        """The head's table: {dest: (previous head, gateways into dest)},
+        the parent tree of a breadth-first search from the head over the
+        usable edges, in discovery order, with neighbours visited in
+        ascending id order.  The head itself has no entry.  Searched on
+        its first read and kept with the record."""
         routes = self.trees.get(ch)
         if routes is None:
             out, via = self.out, self.via
@@ -142,8 +131,8 @@ def discover_route(world, src: int, dst: int):
 
     Returns [(ch, gateways_traversed_into_it)], first entry the source
     head with no gateways.  The path is read back from the source head's
-    route table in `world.head_routes` (see `route_tables`), which already
-    leaves out every edge with a blacklisted gateway.
+    route table in `world.head_routes` (see `RouteTables.table`), which
+    already leaves out every edge with a blacklisted gateway.
     """
     ch_s = world.nodes[src].cluster
     ch_d = world.nodes[dst].cluster
@@ -216,6 +205,7 @@ def tx_time(size_bytes: int, channel_capacity: float) -> float:
 
 
 def ack_timeout(size_bytes: int, channel_capacity: float, path_hops: int,
-                factor: float = 4.0) -> float:
-    """Patience before a missing edge ACK counts as a timeout."""
+                factor: float) -> float:
+    """Patience before a missing edge ACK counts as a timeout: factor
+    (`SimConfig.ack_timeout_factor`) times the packet's airtime per hop."""
     return factor * tx_time(size_bytes, channel_capacity) * path_hops

@@ -1,14 +1,14 @@
-"""Radio parameters, node movement and the mobility average.
+"""Node movement and the mobility average.
 
 Received power follows the simplified Friis model
 
     recv_power = K * trans_power / dist**q
 
-with a path-loss exponent q in {2, 3, 4} and a constant K folding in
-antenna gains and wavelength.  Inverting the same expression gives the
-distance estimate a receiver derives from a HELLO whose transmit power
-it knows.  Both are computed in one place, `World._rebuild_adjacency`,
-once per linked pair and rebuild.  Relative mobility between two nodes
+with a path-loss exponent q in {2, 3, 4} (`SimConfig.path_loss_q`) and a
+constant K folding in antenna gains and wavelength (`SimConfig.friis_k`).
+Inverting the same expression gives the distance estimate a receiver
+derives from a HELLO whose transmit power it knows.  Both are computed in
+one place, `World._rebuild_adjacency`, once per linked pair and rebuild.  Relative mobility between two nodes
 is the average change of that estimated distance over consecutive HELLO
 rounds (`beacon.HelloRuns.mobility`); `avg_mobility` averages it over a
 node's neighbours.  The per-sample oracles of these formulas live in
@@ -40,21 +40,6 @@ class WaypointState:
     target: Position
     speed: float
     pause_remaining: float = 0.0
-
-
-@dataclass
-class RadioParams:
-    """Channel model knobs shared by all nodes."""
-    k: float = 1.0
-    q: int = 2
-    radio_range: float = 75.0       # meters
-    recv_power_floor: float = 1e-4  # mW, receiver sensitivity
-
-    def __post_init__(self):
-        if self.q not in (2, 3, 4):
-            raise ValueError("path-loss exponent q must be 2, 3 or 4")
-        if self.k <= 0:
-            raise ValueError("K must be positive")
 
 
 def waypoint_step(pos: Position, state: WaypointState, dt: float, area, pause_time: float,

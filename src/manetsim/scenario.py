@@ -2,8 +2,10 @@
 
 A scenario is a YAML document whose keys mirror SimConfig plus the sweep
 lists (node_counts, seeds, malicious_fractions) and an output directory.
-Unknown keys are rejected by name.  Environment variables prefixed
-MANETSIM_ override file values; command-line flags override both.
+Environment variables prefixed MANETSIM_ override file values;
+command-line flags override both.  All three set keys through `set_key`,
+so a value parses the same wherever it comes from, and an unknown key or
+a value that does not parse is rejected by name.
 
 All output files are byte-stable across repeated invocations: wall-clock
 timestamps live in a sidecar (run_meta.txt) that is excluded from the
@@ -91,6 +93,22 @@ def _type_name(t) -> str:
     return getattr(t, "__name__", str(t))
 
 
+def set_key(sc: Scenario, key, raw, origin: str):
+    """Set one key from a file value, an environment variable or a flag.
+
+    A sweep list or `out` goes to the scenario, a SimConfig field to its
+    base, both parsed by `_coerce`.  Any other key is a `ConfigError`
+    naming it and origin, which says where it came from ("in <path>",
+    "from $MANETSIM_<KEY>", "from --<flag>").
+    """
+    if key in SCENARIO_ONLY_KEYS:
+        setattr(sc, key, _coerce(key, raw))
+    elif key in CONFIG_FIELDS:
+        sc.base[key] = _coerce(key, raw)
+    else:
+        raise ConfigError(f"unknown scenario key {key!r} {origin}")
+
+
 def _coerce(name: str, raw):
     """Parse an override (env/flag string or YAML value) into the field's
     type; a value that does not parse is a `ConfigError` naming the key."""
@@ -123,12 +141,15 @@ def _parse(name: str, raw):
     if name in sweeps:
         if not isinstance(raw, (list, tuple)):
             raw = str(raw).replace(",", " ").split()
+        if not raw:
+            raise ValueError("an empty sweep runs no cell")
         return tuple(sweeps[name](x) for x in raw)
     if name == "out":
         return str(raw)
     hint = hints.get(name, "")
     if not isinstance(raw, str):
-        return raw
+        # a YAML list is a tuple exactly where the field is one
+        return tuple(raw) if hint == "tuple" and isinstance(raw, list) else raw
     if hint.startswith("int"):
         return int(raw)
     if hint.startswith("float"):
@@ -157,37 +178,17 @@ def load_scenario(path: str) -> Scenario:
 
 def scenario_from_dict(doc: dict, origin: str = "<dict>") -> Scenario:
     sc = Scenario()
-    base = {}
     for key, value in doc.items():
-        if key in SCENARIO_ONLY_KEYS:
-            setattr(sc, key, _coerce(key, value))
-        elif key in CONFIG_FIELDS:
-            if isinstance(value, str):
-                value = _coerce(key, value)
-            elif isinstance(value, list) and key not in ("traffic", "adversaries",
-                                                         "positions"):
-                value = tuple(value)
-            base[key] = value
-        else:
-            raise ConfigError(f"unknown scenario key {key!r} in {origin}")
-    sc.base = base
+        set_key(sc, key, value, f"in {origin}")
     return sc
 
 
 def apply_env(sc: Scenario, environ=None) -> Scenario:
     environ = os.environ if environ is None else environ
     for key, value in sorted(environ.items()):
-        if not key.startswith(ENV_PREFIX):
-            continue
         name = key[len(ENV_PREFIX):].lower()
-        if name == "log_level":
-            continue
-        if name in SCENARIO_ONLY_KEYS:
-            setattr(sc, name, _coerce(name, value))
-        elif name in CONFIG_FIELDS:
-            sc.base[name] = _coerce(name, value)
-        else:
-            raise ConfigError(f"unknown scenario key {name!r} from ${key}")
+        if key.startswith(ENV_PREFIX) and name != "log_level":
+            set_key(sc, name, value, f"from ${key}")
     return sc
 
 

@@ -16,9 +16,6 @@ from dataclasses import dataclass
 INIT_EARN = 2
 INIT_LOOSE = 1
 
-# Trust below this marks the node for network-wide blacklisting.
-DEFAULT_BLACKLIST_LIMIT = 0.1
-
 
 @dataclass
 class TrustRecord:
@@ -61,6 +58,7 @@ def on_malicious(rec: TrustRecord) -> TrustRecord:
 on_service_charge = on_selfish
 
 
-def is_blacklisted(rec: TrustRecord, limit: float = DEFAULT_BLACKLIST_LIMIT) -> bool:
-    """Strictly below the limit means network-wide refusal."""
+def is_blacklisted(rec: TrustRecord, limit: float) -> bool:
+    """Strictly below the limit (`SimConfig.blacklist_limit`) means
+    network-wide refusal."""
     return trust_value(rec) < limit

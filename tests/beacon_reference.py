@@ -42,21 +42,21 @@ def reference_hello_round(world):
 
 
 def _hear_hello(world, sender, receiver, d):
-    rp = friis_recv_power(sender.tx_power, d, world.radio)
-    if rp < world.radio.recv_power_floor:
+    rp = friis_recv_power(sender.tx_power, d, world.cfg)
+    if rp < world.cfg.recv_power_floor:
         return 0
     if not world.consume(receiver, "rx", world.cfg.hello_size):
         return 0
     claimed = sender.node_id
     if sender.policy.kind == adversary.SPOOF and sender.policy.victim is not None:
         claimed = sender.policy.victim
-    est = estimate_distance(sender.tx_power, rp, world.radio)
+    est = estimate_distance(sender.tx_power, rp, world.cfg)
     hist = receiver.hello.get(claimed)
     if hist is None:
         hist = beacon.HelloRuns(world.cfg.hello_window)
         receiver.hello[claimed] = hist
     hist.extend(est, 1)
-    receiver.neighbor_res[sender.node_id] = sender.res_eng
+    receiver.neighbor_res[sender.node_id] = beacon.residual(sender.battery)
     if claimed != sender.node_id and receiver.node_id in world.clusters:
         st = world.ch_state[receiver.node_id]
         if sender.node_id in st.registry:

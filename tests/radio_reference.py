@@ -27,18 +27,19 @@ class InsufficientSamples(SimulationError):
     """Fewer than two distance samples, no mobility estimate possible."""
 
 
-def friis_recv_power(trans_power, dist, radio):
-    """Received power in the transmitter's units at distance dist."""
+def friis_recv_power(trans_power, dist, cfg):
+    """Received power in the transmitter's units at distance dist, with
+    the `SimConfig` cfg's `friis_k` and `path_loss_q`."""
     if dist <= 0:
         raise DegenerateDistance(f"dist={dist}, nodes co-located or closer")
-    return radio.k * trans_power / dist ** radio.q
+    return cfg.friis_k * trans_power / dist ** cfg.path_loss_q
 
 
-def estimate_distance(trans_power, recv_power, radio):
+def estimate_distance(trans_power, recv_power, cfg):
     """Distance implied by a received-power reading, inverse of the Friis model."""
     if recv_power <= 0:
         raise InvalidSignal(f"recv_power={recv_power}")
-    return (radio.k * trans_power / recv_power) ** (1.0 / radio.q)
+    return (cfg.friis_k * trans_power / recv_power) ** (1.0 / cfg.path_loss_q)
 
 
 @dataclass

@@ -7,11 +7,13 @@ all kept in `tests/*_reference.py`:
   (`beacon_reference.py`);
 - the all-pairs adjacency scan, the all-pairs gateway designation on every
   refresh and a fresh breadth-first route search per packet
-  (`topology_reference.py`);
+  (`topology_reference.py`), no session keeping its last route plan;
 - the forwarding judgment that scans every ledger entry
   (`detection_reference.py`);
 - the membership pass on every topology tick, where the engine runs it
-  only after a rebuild, an ejection or with a head under the energy floor.
+  only after a rebuild, an ejection or with a head under the energy floor;
+- every mobility election term worked out afresh from the histories,
+  where the engine keeps it by round count and neighbour list.
 
 Everything else is the engine's own code, so a run of both worlds on one
 config must give the same event log, the same `Metrics` and the same
@@ -44,11 +46,11 @@ class ReferenceWorld(World):
 
     def _rebuild_adjacency(self):
         self.adjacency, self._neighbors, self._pairs = reference_adjacency(
-            self.nodes, self.radio)
+            self.nodes, self.cfg)
 
     def _refresh_backbone(self):
         def score_fn(nid):
-            return composite_score(self.node_metrics(nid), self.weights)
+            return composite_score(self.node_metrics(nid), self.cfg)
 
         self.edges = reference_designate_gateways(
             self.clusters, self.adjacency, score_fn, self.blacklisted)
@@ -59,6 +61,14 @@ class ReferenceWorld(World):
 
     def _hello_round(self):
         reference_hello_round(self)
+
+    def _emit_packet(self, sid):
+        self.sessions[sid].route = None
+        super()._emit_packet(sid)
+
+    def node_metrics(self, nid):
+        self._mobility.pop(nid, None)
+        return super().node_metrics(nid)
 
     def run(self):
         with mock.patch.object(protocol, "discover_route", reference_discover_route), \

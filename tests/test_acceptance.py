@@ -16,7 +16,6 @@ from manetsim.beacon import HelloRuns
 from manetsim.clustering import dnc
 from manetsim.config import SimConfig
 from manetsim.engine import run
-from manetsim.radio import RadioParams
 from manetsim.scenario import Scenario, run_scenario
 from radio_reference import (HelloHistory, estimate_distance, friis_recv_power,
                              pairwise_mobility, record_hello)
@@ -50,8 +49,8 @@ def test_criterion_02_friis_round_trip(capsys):
         for _ in range(10_000):
             p = rng.uniform(300.0, 600.0)
             d = rng.uniform(0.1, 100.0)
-            params = RadioParams(k=rng.choice((1.0, 2.0)),
-                                 q=rng.choice((2, 3, 4)))
+            params = SimConfig(friis_k=rng.choice((1.0, 2.0)),
+                               path_loss_q=rng.choice((2, 3, 4)))
             back = estimate_distance(p, friis_recv_power(p, d, params), params)
             assert abs(back - d) <= 1e-9 * d
 

@@ -107,7 +107,7 @@ def check_backbone(world):
     clusters = {ch: Cluster(ch, set(cl.members)) for ch, cl in world.clusters.items()}
 
     def score_fn(nid):
-        return composite_score(world.node_metrics(nid), world.weights)
+        return composite_score(world.node_metrics(nid), world.cfg)
 
     edges = reference_designate_gateways(clusters, world.adjacency, score_fn,
                                          world.blacklisted)

@@ -1,10 +1,14 @@
 import gc
+import pathlib
+import re
 import weakref
 
 import pytest
+import yaml
 
 from manetsim import scenario
 from manetsim.cli import main
+from manetsim.config import CONFIG_FIELDS, SimConfig
 from manetsim.engine import World
 from manetsim.errors import ConfigError
 from manetsim.metrics import Metrics
@@ -340,6 +344,41 @@ def test_cli_rejects_sweep_entries_that_are_no_counts(tmp_path, capsys, line, ke
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--sweep", "2.5", "node_counts"),
+    ("--nodes", "twelve", "node_counts"),
+    ("--seed", "1.5", "seeds"),
+    ("--malicious", "abc", "malicious_fractions"),
+], ids=["sweep", "nodes", "seed", "malicious"])
+def test_cli_unparseable_flag_value_names_its_key(tmp_path, capsys, flag, value,
+                                                  key):
+    """A flag value parses as the same value from the environment does, so
+    one that does not parse exits 2 naming the key the flag sets."""
+    cfg = write_scenario(tmp_path)
+    assert main([cfg, flag, value, "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text, env, flags, key", [
+    (TINY.replace("seeds: [1, 2]", "seeds: []"), {}, [], "seeds"),
+    (TINY.replace("malicious_fractions: [0.0]", "malicious_fractions: []"), {},
+     [], "malicious_fractions"),
+    (TINY, {"MANETSIM_NODE_COUNTS": ""}, [], "node_counts"),
+    (TINY, {}, ["--sweep="], "node_counts"),
+], ids=["file_seeds", "file_fractions", "env", "flag"])
+def test_cli_rejects_an_empty_sweep(tmp_path, capsys, monkeypatch, text, env,
+                                    flags, key):
+    """An empty sweep list runs no cell; from the file, the environment or
+    a flag it exits 2 naming the key, and writes no empty table."""
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cfg = write_scenario(tmp_path, text=text)
+    assert main([cfg, "--out", str(tmp_path / "x")] + flags) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_integral_float_sweep_entries_are_counts():
     sc = scenario_from_dict({"node_counts": [20.0], "seeds": [3.0]})
     assert (sc.node_counts, sc.seeds) == ((20,), (3,))
@@ -416,3 +455,20 @@ def test_default_scenario_file_parses():
     sc = load_scenario(str(here / "scenarios" / "default.yaml"))
     assert sc.node_counts == (20, 40, 60, 80, 100)
     assert sc.seeds == tuple(range(1, 11))
+
+
+def test_default_scenario_file_lists_every_default():
+    """Each commented-out `# key: value` line of scenarios/default.yaml that
+    names a SimConfig field, uncommented and parsed as a scenario, gives
+    that field's built-in default, and every field but the two the sweep
+    lists set is listed once."""
+    here = pathlib.Path(__file__).resolve().parent.parent
+    text = (here / "scenarios" / "default.yaml").read_text()
+    listed = [line[2:] for line in text.splitlines()
+              if (m := re.match(r"# (\w+):", line)) and m[1] in CONFIG_FIELDS]
+    sc = scenario_from_dict(yaml.safe_load("\n".join(listed)))
+    assert len(listed) == len(sc.base)
+    assert set(sc.base) == set(CONFIG_FIELDS) - {"node_count", "seed"}
+    default = SimConfig()
+    for key, value in sc.base.items():
+        assert value == getattr(default, key), key

@@ -2,15 +2,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from manetsim.beacon import Battery, Clock, residual
-from manetsim.clustering import (Cluster, ElectionMetrics, ElectionWeights,
-                                 composite_score, designate_gateways, dnc,
-                                 gateway_candidates, maintain_membership,
-                                 mobility_membership)
-from manetsim.errors import InvalidClusterHead, InvalidEnergy
+from manetsim.clustering import (Cluster, ElectionMetrics, composite_score,
+                                 designate_gateways, dnc, gateway_candidates,
+                                 maintain_membership, mobility_membership)
+from manetsim.config import SimConfig
+from manetsim.errors import ConfigError, InvalidClusterHead, InvalidEnergy
 from topology_reference import (NoCandidates, elect_ch, gateway_sets,
                                 reference_maintain_membership)
 
-W = ElectionWeights()
+W = SimConfig()
 
 
 def cand(node_id, r=1.0, t=0.5, m=1.0, d=0.5):
@@ -67,13 +67,15 @@ def test_composite_score_anchor():
 
 def test_composite_is_projection_at_unit_weight():
     m = cand(0, r=0.3, t=0.9, m=0.1, d=0.7)
-    w = ElectionWeights(energy=0.0, trust=1.0, mobility=0.0, dnc=0.0)
+    w = SimConfig(weight_energy=0.0, weight_trust=1.0, weight_mobility=0.0,
+                  weight_dnc=0.0)
     assert composite_score(m, w) == pytest.approx(0.9)
 
 
 def test_weights_must_sum_to_one():
-    with pytest.raises(ValueError):
-        ElectionWeights(energy=0.5, trust=0.5, mobility=0.5, dnc=0.5)
+    with pytest.raises(ConfigError, match="election weights sum to 2.0"):
+        SimConfig(weight_energy=0.5, weight_trust=0.5, weight_mobility=0.5,
+                  weight_dnc=0.5).validate()
 
 
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))

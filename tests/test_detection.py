@@ -4,14 +4,15 @@ from hypothesis import strategies as st
 
 from detection_reference import reference_judge_forwarding
 from manetsim import packets, trust
+from manetsim.config import SimConfig
 from manetsim.detection import (ACKED, INCONCLUSIVE, LINK_BROKEN, LINK_OK,
                                 MALICIOUS, NORMAL, PENDING, SELFISH, TIMEOUT,
-                                DetectionThresholds, SurveillanceLedger,
-                                handle_route_advert, handle_trust_report,
-                                judge_forwarding, punish, verify_identity)
+                                SurveillanceLedger, handle_route_advert,
+                                handle_trust_report, judge_forwarding, punish,
+                                verify_identity)
 from manetsim.errors import NoEvidence, UnknownLink
 
-TH = DetectionThresholds()
+TH = SimConfig()
 
 
 def ledger_with(gateway, outcomes):
@@ -130,7 +131,7 @@ MOBILITY = (None, -5.0, 0.0, 0.0, 5.0, 12.0)
 RESOLUTIONS = (None, (TIMEOUT, None), (TIMEOUT, None), (TIMEOUT, LINK_BROKEN),
                (ACKED, None), (ACKED, LINK_BROKEN))
 
-thresholds = st.builds(DetectionThresholds,
+thresholds = st.builds(SimConfig,
                        accusation_threshold=st.integers(1, 3),
                        energy_high_threshold=st.sampled_from((0.45, 0.5, 0.7)),
                        velocity_low_threshold=st.sampled_from((0.0, 5.0)))

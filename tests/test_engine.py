@@ -54,7 +54,7 @@ def test_depletion_clamps_to_remaining_charge():
     # 0.6144 mJ more, against 0.5976 mJ left
     assert not beacon.charge(node.battery, "tx", 512)
     assert node.energy_expended == 0.0007
-    assert node.res_eng == 0.0
+    assert beacon.residual(node.battery) == 0.0
     assert not node.alive
     assert (node.tx_bytes, node.rx_bytes) == (512, 512)
 

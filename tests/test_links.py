@@ -70,7 +70,7 @@ def test_grid_adjacency_matches_all_pairs_scan(case):
     for nid in dead:
         beacon.charge(world.nodes[nid].battery, "tx", 10 ** 12)   # past any battery
     world._rebuild_adjacency()
-    adjacency, neighbors, pairs = reference_adjacency(world.nodes, world.radio)
+    adjacency, neighbors, pairs = reference_adjacency(world.nodes, world.cfg)
     # the linked pairs and, float for float, each direction's estimate
     assert world._pairs == pairs
     assert world._neighbors == neighbors
@@ -96,7 +96,7 @@ class LinkCheckedWorld(World):
     def _check(self, what, frm, to):
         a, b = self.nodes[frm], self.nodes[to]
         if a.alive and b.alive:
-            want = reference_link(a, b, self.radio)
+            want = reference_link(a, b, self.cfg)
             assert (to in self.adjacency.get(frm, ())) == want, (what, frm, to, self.now)
             self.checked[what] += 1
             self.down += not want

@@ -7,7 +7,7 @@ from manetsim import trust
 from manetsim.errors import NoRoute, RejectedBlacklisted, RejectedUntrusted
 from manetsim.protocol import (ack_plan, ack_timeout, build_plan, discover_route,
                                drain_order, originate_request, refresh_route_tables,
-                               route_tables, segment_table, tx_time)
+                               segment_table, tx_time)
 from topology_reference import reference_route_tables
 
 
@@ -112,7 +112,7 @@ def test_kept_trees_take_new_gateways():
     assert sorted(new.trees) == [0, 30]
     assert new.table(0)[14] == (7, (40,))
     assert new.table(30)[0] == (30, (42, 41))
-    assert same_tables(tables_of(new), route_tables(RING, edges, set()))
+    assert same_tables(tables_of(new), reference_route_tables(RING, edges, set()))
     # nothing moved since: the record itself is kept, trees and all
     assert refresh_route_tables(new, RING, dict(edges), set()) is new
     assert sorted(new.trees) == sorted(RING)
@@ -120,11 +120,11 @@ def test_kept_trees_take_new_gateways():
 
 def test_newly_blacklisted_gateway_drops_its_edge():
     kept = refresh_route_tables(None, RING, RING_EDGES, set())
-    assert same_tables(tables_of(kept), route_tables(RING, RING_EDGES, set()))
+    assert same_tables(tables_of(kept), reference_route_tables(RING, RING_EDGES, set()))
     new = refresh_route_tables(kept, RING, RING_EDGES, {28})
     assert (7, 14) not in new.pairs
     assert new.trees == {}
-    assert same_tables(tables_of(new), route_tables(RING, RING_EDGES, {28}))
+    assert same_tables(tables_of(new), reference_route_tables(RING, RING_EDGES, {28}))
     assert new.table(0)[14] == (21, (29,))
     # a blacklisted id on no edge leaves every tree alone
     assert refresh_route_tables(kept, RING, RING_EDGES, {99}) is kept
@@ -234,6 +234,6 @@ def test_tx_time_anchor():
 
 
 def test_ack_timeout_scales_with_hops():
-    one = ack_timeout(512, 2_000_000, 1)
+    one = ack_timeout(512, 2_000_000, 1, 4.0)
     assert one == pytest.approx(4 * 0.002048)
-    assert ack_timeout(512, 2_000_000, 3) == pytest.approx(3 * one)
+    assert ack_timeout(512, 2_000_000, 3, 4.0) == pytest.approx(3 * one)

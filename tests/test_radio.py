@@ -3,16 +3,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim.errors import NoNeighbors
-from manetsim.radio import (Position, RadioParams, WaypointState, avg_mobility,
-                            waypoint_step)
+from manetsim.config import SimConfig
+from manetsim.errors import ConfigError, NoNeighbors
+from manetsim.radio import Position, WaypointState, avg_mobility, waypoint_step
 from radio_reference import (DegenerateDistance, HelloHistory, InsufficientSamples,
                              InvalidSignal, estimate_distance, friis_recv_power,
                              pairwise_mobility, record_hello)
 
 
 def params(k=1.0, q=2):
-    return RadioParams(k=k, q=q)
+    return SimConfig(friis_k=k, path_loss_q=q)
 
 
 # ---- received power ----
@@ -42,8 +42,8 @@ def test_friis_monotone_decreasing():
 
 
 def test_invalid_exponent_rejected():
-    with pytest.raises(ValueError):
-        RadioParams(k=1.0, q=5)
+    with pytest.raises(ConfigError, match="path_loss_q"):
+        params(k=1.0, q=5).validate()
 
 
 # ---- distance estimation ----

@@ -22,29 +22,29 @@ class NoCandidates(SimulationError):
     """Election was asked to pick a head from an empty candidate set."""
 
 
-def reference_link(a, b, params):
+def reference_link(a, b, cfg):
     """The link rule from current positions: in range, and each node hears
-    the other above the sensitivity floor."""
+    the other above the sensitivity floor, by the `SimConfig` cfg."""
     d = a.pos.distance_to(b.pos)
-    if d > params.radio_range:
+    if d > cfg.radio_range:
         return False
     d = max(d, MIN_DISTANCE_M)
-    return (friis_recv_power(a.tx_power, d, params) >= params.recv_power_floor
-            and friis_recv_power(b.tx_power, d, params) >= params.recv_power_floor)
+    return (friis_recv_power(a.tx_power, d, cfg) >= cfg.recv_power_floor
+            and friis_recv_power(b.tx_power, d, cfg) >= cfg.recv_power_floor)
 
 
-def reference_estimate(sender, receiver, params):
+def reference_estimate(sender, receiver, cfg):
     """The distance the receiver estimates from the sender's HELLO."""
     d = max(sender.pos.distance_to(receiver.pos), MIN_DISTANCE_M)
     return estimate_distance(sender.tx_power,
-                             friis_recv_power(sender.tx_power, d, params), params)
+                             friis_recv_power(sender.tx_power, d, cfg), cfg)
 
 
-def reference_adjacency(nodes, params):
+def reference_adjacency(nodes, cfg):
     """Every pair of live nodes in id order: (adjacency, neighbours in id
     order, linked pairs as `World._pairs` holds them, each with the
     estimate of each direction)."""
-    r = params.radio_range
+    r = cfg.radio_range
     adj = {nid: set() for nid in nodes if nodes[nid].alive}
     ids = sorted(adj)
     pairs = []
@@ -53,11 +53,11 @@ def reference_adjacency(nodes, params):
         for b in ids[i + 1:]:
             nb = nodes[b]
             dx, dy = na.pos.x - nb.pos.x, na.pos.y - nb.pos.y
-            if dx * dx + dy * dy <= r * r and reference_link(na, nb, params):
+            if dx * dx + dy * dy <= r * r and reference_link(na, nb, cfg):
                 adj[a].add(b)
                 adj[b].add(a)
-                pairs.append((a, b, reference_estimate(na, nb, params),
-                              reference_estimate(nb, na, params)))
+                pairs.append((a, b, reference_estimate(na, nb, cfg),
+                              reference_estimate(nb, na, cfg)))
     return adj, {nid: sorted(nbs) for nid, nbs in adj.items()}, pairs
 
 
@@ -89,8 +89,9 @@ def reference_designate_gateways(clusters, adjacency, score_fn, excluded):
     return edges
 
 
-def elect_ch(candidates, weights):
-    """Pick the head: highest composite score, lowest node id on ties.
+def elect_ch(candidates, cfg):
+    """Pick the head: highest composite score by the `SimConfig` cfg's
+    weights, lowest node id on ties.
 
     Candidates under the energy floor are skipped unless every candidate
     is under it.
@@ -100,16 +101,16 @@ def elect_ch(candidates, weights):
         raise NoCandidates("no election candidates")
     fit = [c for c in cands if c.res_eng >= ENERGY_FLOOR] or cands
     best = fit[0]
-    score = composite_score(best, weights)
+    score = composite_score(best, cfg)
     for c in fit[1:]:
-        s = composite_score(c, weights)
+        s = composite_score(c, cfg)
         if s > score or (s == score and c.node_id < best.node_id):
             best, score = c, s
     return best.node_id
 
 
 def reference_maintain_membership(clusters, alive, adjacency, metrics_fn,
-                                  battery, weights, may_head, may_join):
+                                  battery, cfg, may_head, may_join):
     """`clustering.maintain_membership` with a full election over the
     strays still left for every head it elects."""
     events = []
@@ -148,8 +149,8 @@ def reference_maintain_membership(clusters, alive, adjacency, metrics_fn,
             for b in sorted(adjacency.get(a, ())):
                 if b <= a or b not in clusters:
                     continue
-                sa = composite_score(metrics_of(a), weights)
-                sb = composite_score(metrics_of(b), weights)
+                sa = composite_score(metrics_of(a), cfg)
+                sb = composite_score(metrics_of(b), cfg)
                 win, lose = (a, b) if (sa, -a) >= (sb, -b) else (b, a)
                 loose |= dissolve(lose, f"merged_into_{win}")
                 events.append(("clusters_merged", win, lose))
@@ -173,7 +174,7 @@ def reference_maintain_membership(clusters, alive, adjacency, metrics_fn,
         cands = [metrics_of(n) for n in sorted(stray) if may_head(n)]
         if not cands:
             break
-        ch = elect_ch(cands, weights)
+        ch = elect_ch(cands, cfg)
         members = {n for n in adjacency.get(ch, ()) if n in stray and may_join(n)}
         clusters[ch] = Cluster(ch, members)
         events.append(("head_elected", ch, tuple(sorted(members))))
