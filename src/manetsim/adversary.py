@@ -2,10 +2,12 @@
 
 Policies are pure lookup tables from (behavior kind, packet kind) to an
 action; the only cross-event state an attacker keeps is the wormhole peer
-binding carried in the policy itself.
+binding carried in the policy itself.  What a spoofer claims (its victim)
+and what a slanderer accuses (its targets) the engine reads straight off
+the policy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import packets
 
@@ -29,12 +31,12 @@ FABRICATE = "fabricate"
 class Action:
     kind: str
     peer: int | None = None       # tunnel endpoint
-    packet: object = None         # fabricated reply, if any
 
 
-# The two actions that carry nothing, shared by every `intercept` call.
+# The actions that carry nothing, shared by every `intercept` call.
 FORWARD_ACTION = Action(FORWARD)
 DROP_ACTION = Action(DROP)
+FABRICATE_ACTION = Action(FABRICATE)
 
 
 @dataclass
@@ -45,7 +47,6 @@ class BehaviorPolicy:
     targets: tuple = ()                  # slander victims
     rate: float = 100.0                  # table-overflow adverts per second
     drop_rate: float = 1.0               # grey-hole DATA drop probability
-    owner: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -56,16 +57,13 @@ class BehaviorPolicy:
             raise ValueError("spoof policy needs a victim")
 
 
-def intercept(policy: BehaviorPolicy, packet, rng=None) -> Action:
-    """Decide what a node holding this policy does with a packet in transit."""
-    kind = packet.kind
+def intercept(policy: BehaviorPolicy, kind: str, rng=None) -> Action:
+    """Decide what a node holding this policy does with a packet of this
+    kind in transit.  A black hole answers a route request with
+    `FABRICATE_ACTION`, a lure claiming a one-hop path (`World._false_rrep`)."""
     if policy.kind == BLACK_HOLE:
         if kind == packets.RREQ:
-            # Lure: claim a one-hop path to whatever is being asked for.
-            fake = packets.Packet(packets.RREP, policy.owner or 0, packet.src,
-                                  size=32, payload={"claimed_hops": 1,
-                                                    "for": packet.payload.get("dst")})
-            return Action(FABRICATE, packet=fake)
+            return FABRICATE_ACTION
         if kind == packets.DATA:
             return DROP_ACTION
     elif policy.kind == GREY_HOLE:
@@ -76,22 +74,6 @@ def intercept(policy: BehaviorPolicy, packet, rng=None) -> Action:
         if kind in (packets.DATA, packets.RREQ):
             return Action(TUNNEL, peer=policy.peer)
     return FORWARD_ACTION
-
-
-def spoof_identity(policy: BehaviorPolicy, packet):
-    """Rewrite the claimed source to the victim. Physical sender unchanged."""
-    packet.src = policy.victim
-    return packet
-
-
-def emit_slander(policy: BehaviorPolicy, own_ch: int):
-    """One fabricated misbehavior report per configured target."""
-    reports = []
-    for t in policy.targets:
-        reports.append(packets.Packet(
-            packets.TRUST_REPORT, policy.owner or 0, own_ch, size=32,
-            payload={"accused": t, "claim": "dropped my packets"}))
-    return reports
 
 
 def flood_count(policy: BehaviorPolicy, dt: float) -> int:

@@ -153,7 +153,8 @@ class SimConfig:
         return self
 
     def _validate_references(self):
-        """Attack kinds and every node id the config names must exist."""
+        """Attack kinds and every node id the config names must exist, and
+        fraction placement must be able to plant what it is asked to."""
         n = self.node_count
         kinds = ", ".join(adversary.KINDS)
 
@@ -163,11 +164,21 @@ class SimConfig:
 
         if self.attack not in adversary.KINDS:
             raise ConfigError(f"attack {self.attack!r} is not one of {kinds}")
+        if not isinstance(self.adversaries, (list, tuple)):
+            raise ConfigError("adversaries must be a list of placement mappings")
+        if self.traffic is not None and not isinstance(self.traffic, (list, tuple)):
+            raise ConfigError("traffic must be null or a list of [src, dst] pairs")
         if (self.attack == adversary.SPOOF and not self.adversaries
                 and int(round(self.malicious_fraction * n)) >= n):
             # fraction placement picks each spoofer's victim among the rest
             raise ConfigError(f"malicious_fraction {self.malicious_fraction} plants "
                               f"all {n} nodes, leaving attack 'spoof' no victim")
+        if (self.attack == adversary.WORMHOLE and not self.adversaries
+                and int(round(self.malicious_fraction * n)) % 2):
+            # fraction placement pairs the wormholes it plants
+            raise ConfigError(f"malicious_fraction {self.malicious_fraction} plants "
+                              f"an odd number of wormholes in {n} nodes, which "
+                              f"do not pair up")
         for i, spec in enumerate(self.adversaries):
             where = f"adversaries[{i}]"
             if not isinstance(spec, dict):

@@ -66,7 +66,6 @@ class SurveillanceLedger:
     battery and speed thresholds `sorted_by`.  Judging by other thresholds
     sorts every entry again.
     """
-    ch_id: int
     opened: int = 0                                # entries opened so far
     by_packet: dict = field(default_factory=dict)
     resolved: dict = field(default_factory=dict)   # gateway -> resolved entries
@@ -167,17 +166,16 @@ def verify_identity(registry, link_id: int, claimed_id: int) -> Verdict:
     return Verdict(NORMAL, link_id)
 
 
-def handle_trust_report(nuisance_counts: dict, report, nuisance_limit: int) -> str:
+def handle_trust_report(nuisance_counts: dict, report: tuple, nuisance_limit: int) -> str:
     """Log-and-discard policy for member-originated trust reports.
 
-    Word of mouth never moves trust here; only the head's own ledger does.
-    Returns "discarded", or "reporter_selfish" exactly once, when the same
-    reporter crosses nuisance_limit (`SimConfig.nuisance_limit`) for the
-    same accused node.
+    A report is its `(reporter, accused)` pair.  Word of mouth never moves
+    trust here; only the head's own ledger does.  Returns "discarded", or
+    "reporter_selfish" exactly once, when the same reporter crosses
+    nuisance_limit (`SimConfig.nuisance_limit`) for the same accused node.
     """
-    key = (report.src, report.payload.get("accused"))
-    count = nuisance_counts.get(key, 0) + 1
-    nuisance_counts[key] = count
+    count = nuisance_counts.get(report, 0) + 1
+    nuisance_counts[report] = count
     if count == nuisance_limit + 1:
         return "reporter_selfish"
     return "discarded"

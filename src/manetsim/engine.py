@@ -42,9 +42,9 @@ class Node:
     rounds since the battery's last fold before they answer; `alive`
     needs no fold (see `beacon`).
     """
-    __slots__ = ("node_id", "pos", "waypoint", "tx_power", "rx_power",
-                 "battery", "policy", "cluster", "hello", "neighbor_res",
-                 "links_in", "links_at", "links_prev")
+    __slots__ = ("node_id", "pos", "waypoint", "tx_power", "battery",
+                 "policy", "cluster", "hello", "neighbor_res", "links_in",
+                 "links_at", "links_prev")
 
     def __init__(self, node_id, pos, waypoint, tx_power, rx_power, energy_total,
                  policy, capacity=SimConfig.channel_capacity, clock=None):
@@ -54,7 +54,6 @@ class Node:
         self.pos = pos
         self.waypoint = waypoint
         self.tx_power = tx_power    # mW
-        self.rx_power = rx_power    # mW
         self.battery = beacon.Battery(tx_power, rx_power, energy_total,
                                       capacity, clock)
         self.policy = policy
@@ -93,8 +92,7 @@ class ChState:
     """Head-local bookkeeping: surveillance, blacklist view, link registry."""
 
     def __init__(self, ch_id):
-        self.ch_id = ch_id
-        self.ledger = detection.SurveillanceLedger(ch_id)
+        self.ledger = detection.SurveillanceLedger()
         self.blacklist = set()
         self.registry = {ch_id}      # every id that ever associated here
         self.nuisance = {}           # (reporter, accused) -> report count
@@ -157,8 +155,8 @@ class World:
             st = self.ch_state[ch] = ChState(ch)
         return st
 
-    def schedule(self, at, tag, *payload):
-        heapq.heappush(self._heap, (at, self._seq, tag, payload))
+    def schedule(self, at, tag, *args):
+        heapq.heappush(self._heap, (at, self._seq, tag, args))
         self._seq += 1
 
     def log(self, kind, **data):
@@ -168,9 +166,9 @@ class World:
         self._packet_seq += 1
         return self._packet_seq
 
-    def drop_data(self, packet, reason, session_id=None):
+    def drop_data(self, pid, reason, session_id=None):
         self.dropped[reason] = self.dropped.get(reason, 0) + 1
-        self.log("data_drop", packet=packet.packet_id, reason=reason)
+        self.log("data_drop", packet=pid, reason=reason)
         if session_id is not None:
             self._session_resolve(session_id, delivered=False)
 
@@ -208,7 +206,7 @@ class World:
             energy = rng.uniform(*cfg.initial_energy_range)
             energy = cfg.energy_overrides.get(i, energy)
             self.nodes[i] = Node(i, pos, wp, tx, rx, energy,
-                                 adversary.BehaviorPolicy(owner=i),
+                                 adversary.BehaviorPolicy(),
                                  cfg.channel_capacity, self.beacons.clock)
             self.trust_registry[i] = trust.init_trust(i)
         self._place_adversaries()
@@ -239,7 +237,7 @@ class World:
             nid = spec.pop("node")
             kind = spec.pop("kind")
             pol = adversary.BehaviorPolicy(
-                kind=kind, owner=nid,
+                kind=kind,
                 peer=spec.get("peer"), victim=spec.get("victim"),
                 targets=tuple(spec.get("targets", ())),
                 rate=spec.get("rate", self.cfg.flood_rate),
@@ -635,10 +633,10 @@ class World:
             if retry < self.cfg.sim_duration:
                 self.schedule(retry, "sess", src, dst)
             return
-        rreq = packets.Packet(packets.RREQ, src, ch, self.next_packet_id(),
-                              self.cfg.control_size, payload={"dst": dst})
+        # a request is its id and the source it claims
+        rreq_id, claimed = self.next_packet_id(), src
         if node.policy.kind == adversary.SPOOF and node.policy.victim is not None:
-            self._spoof_rreq(node, rreq)
+            claimed = self._spoof_rreq(node)
         self.log("session_request", src=src, dst=dst)
         if ch != src:
             # one-hop broadcast to the head; bystanders overhear it too
@@ -650,12 +648,12 @@ class World:
                 self.consume(nbn, "rx", self.cfg.control_size)
                 if nb == ch:
                     continue
-                act = adversary.intercept(nbn.policy, rreq, self.rng_policy)
+                act = adversary.intercept(nbn.policy, packets.RREQ, self.rng_policy)
                 if act.kind == adversary.FABRICATE:
-                    self._false_rrep(nb, ch, act.packet)
+                    self._false_rrep(nb, ch)
                 elif act.kind == adversary.TUNNEL:
-                    self._tunnel(rreq, nb, act.peer, None)
-        if not self._rreq_identity_holds(src, ch, rreq):
+                    self._tunnel_rreq(rreq_id, claimed, nb, act.peer)
+        if not self._rreq_identity_holds(src, ch, claimed):
             return
         st = self.ch_state[ch]
         value = trust.trust_value(self.trust_registry[src])
@@ -674,38 +672,41 @@ class World:
             return ch
         return None
 
-    def _spoof_rreq(self, node, rreq):
-        """The spoofer claims its victim's id as the RREQ's source."""
-        adversary.spoof_identity(node.policy, rreq)
-        self.log("spoof_attempt", node=node.node_id, claimed=rreq.src,
+    def _spoof_rreq(self, node):
+        """The spoofer claims its victim's id as the RREQ's source; returns
+        the claim. The physical sender stays the spoofer."""
+        claimed = node.policy.victim
+        self.log("spoof_attempt", node=node.node_id, claimed=claimed,
                  packet_kind=packets.RREQ)
         self.acted.add(node.node_id)
+        return claimed
 
-    def _rreq_identity_holds(self, link, ch, rreq):
+    def _rreq_identity_holds(self, link, ch, claimed):
         """The head checks the RREQ's claimed source against the link it
         came in on; False when the link is unknown or the claim convicts
         the link's owner (who is punished)."""
         try:
             verdict = detection.verify_identity(self._head_state(ch).registry,
-                                                link, rreq.src)
+                                                link, claimed)
         except UnknownLink:
             self.log("rreq_unknown_link", link=link, at=ch)
             return False
         if verdict is not None and verdict.label == detection.MALICIOUS:
-            self.log("spoof_flagged", owner=link, claimed=rreq.src, at=ch,
+            self.log("spoof_flagged", owner=link, claimed=claimed, at=ch,
                      packet_kind=packets.RREQ)
             self.punish_verdict(verdict, ch)
             return False
         return True
 
-    def _false_rrep(self, attacker, ch, fake):
-        """A member pushing an unsolicited reply at the head: heads own the
-        topology, so the forged shortcut is discarded on arrival."""
-        fake.packet_id = self.next_packet_id()
+    def _false_rrep(self, attacker, ch):
+        """A black hole's lure: an unsolicited reply claiming a one-hop path
+        to whatever was asked for, pushed at the head.  Heads own the
+        topology, so the forged shortcut is discarded on arrival; the reply
+        still draws its packet id and costs both ends its airtime."""
+        self.next_packet_id()
         self.consume(self.nodes[attacker], "tx", self.cfg.control_size)
         self.consume(self.nodes[ch], "rx", self.cfg.control_size)
-        self.log("rrep_rejected", node=attacker, at=ch,
-                 claimed_hops=fake.payload.get("claimed_hops"))
+        self.log("rrep_rejected", node=attacker, at=ch, claimed_hops=1)
 
     def _drain_admissions(self, ch):
         if ch not in self.ch_state:
@@ -729,7 +730,7 @@ class World:
             self._session_seq += 1
             sid = self._session_seq
             self.sessions[sid] = packets.Session(
-                sid, src, dst, self.now, self.cfg.session_packets)
+                src, dst, self.now, self.cfg.session_packets)
             left = self._sessions_left.get(src)
             if left is not None and left > 0:
                 self._sessions_left[src] = left - 1
@@ -756,8 +757,6 @@ class World:
         s.sent += 1
         self.generated += 1
         pid = self.next_packet_id()
-        packet = packets.Packet(packets.DATA, s.src, s.dst, pid,
-                                self.cfg.packet_size, path_trace=[s.src])
         # a route reads only the head route tables and the two ends' heads,
         # so the session's last plan holds while the tables are the same
         # record (`RouteTables` compares by identity) and both heads stay
@@ -768,14 +767,16 @@ class World:
             kept = s.route = self._plan_route(s, key)
         if kept is None:
             self.log("data_emit", packet=pid, session=sid, plan=())
-            self.drop_data(packet, "no_route", sid)
+            self.drop_data(pid, "no_route", sid)
         else:
             _, plan, segs, seg_at, timeout_s = kept
             # the record `log` would build, its keys already in sorted order
             self.events_log.append((self.now, "data_emit", (
                 ("packet", pid), ("plan", plan), ("segs", segs),
                 ("session", sid))))
-            self.schedule(self.now + self.data_airtime, "hop", packet, plan, 0,
+            # a DATA packet travels as its id and the kept plan, which runs
+            # from the source to the destination
+            self.schedule(self.now + self.data_airtime, "hop", pid, plan, 0,
                           seg_at, sid, timeout_s)
         if s.sent < s.packets_total:
             self.schedule(self.now + self.cfg.cbr_interval, "emit", sid)
@@ -810,7 +811,7 @@ class World:
             return res_eng, None
         return res_eng, hist.mobility(self.cfg.hello_interval)
 
-    def _hop(self, packet, plan, idx, seg_at, session_id, timeout_s):
+    def _hop(self, pid, plan, idx, seg_at, session_id, timeout_s):
         frm, to = plan[idx], plan[idx + 1]
         fn, tn = self.nodes[frm], self.nodes[to]
         seg = seg_at[idx]
@@ -818,20 +819,21 @@ class World:
         if seg is not None:
             st_up = self.ch_state.get(plan[seg[0]])
             if st_up is not None:
-                cand = st_up.ledger.by_packet.get(packet.packet_id)
+                cand = st_up.ledger.by_packet.get(pid)
                 if cand is not None and cand.ack_status == detection.PENDING:
                     entry = cand
 
         # `consume` refuses a dead battery and charges it nothing
-        if not (self.consume(fn, "tx", packet.size)
+        size = self.cfg.packet_size
+        if not (self.consume(fn, "tx", size)
                 and to in self.adjacency.get(frm, ())
-                and self.consume(tn, "rx", packet.size)):
+                and self.consume(tn, "rx", size)):
             # the sender sees the MAC failure; a watching head that saw its
             # custodian attempt the hop clears it of suspicion
             if entry is not None and entry.gateway == frm:
                 entry.context = detection.LINK_BROKEN
-            self.log("hop_fail", packet=packet.packet_id, frm=frm, to=to)
-            self.drop_data(packet, "link_break", session_id)
+            self.log("hop_fail", packet=pid, frm=frm, to=to)
+            self.drop_data(pid, "link_break", session_id)
             return
 
         if seg is not None:
@@ -842,10 +844,9 @@ class World:
                 # the ack clock, snapshotting what the head knew just now
                 res_eng, rel_mobility = self._watch(self.nodes[up_ch], tn)
                 st = self._head_state(up_ch)
-                st.ledger.open_entry(packet.packet_id, to, res_eng=res_eng,
+                st.ledger.open_entry(pid, to, res_eng=res_eng,
                                      rel_mobility=rel_mobility)
-                self.schedule(self.now + timeout_s, "timeout", up_ch,
-                              packet.packet_id)
+                self.schedule(self.now + timeout_s, "timeout", up_ch, pid)
             elif entry is not None and entry.gateway == frm and idx + 1 < q:
                 # custody moves to the far-side gateway, observed by the
                 # downstream head whose vantage supplies the snapshots
@@ -855,46 +856,46 @@ class World:
 
         final = idx + 1 == len(plan) - 1
         if not final:
-            act = adversary.intercept(tn.policy, packet, self.rng_policy)
+            act = adversary.intercept(tn.policy, packets.DATA, self.rng_policy)
             if act.kind == adversary.DROP:
                 self.acted.add(to)
-                self.log("policy_drop", node=to, packet=packet.packet_id,
-                         packet_kind=packet.kind)
-                self.drop_data(packet, "policy", session_id)
+                self.log("policy_drop", node=to, packet=pid,
+                         packet_kind=packets.DATA)
+                self.drop_data(pid, "policy", session_id)
                 return
             if act.kind == adversary.TUNNEL:
-                self._tunnel(packet, to, act.peer, session_id)
+                self._tunnel(pid, plan[-1], to, act.peer, session_id)
                 return
-        packet.path_trace.append(to)
 
         if seg is not None and idx + 1 == seg[1]:
             # crossed into the downstream head: remember the consult answer
             # and push the ack back along the same gateways
             if entry is not None:
                 entry.delivered_downstream = True
-            self._send_ack(plan, seg, packet)
+            self._send_ack(plan, seg, pid)
 
         if final:
-            self._deliver(packet, session_id)
+            self._deliver(pid, plan, session_id)
         else:
-            self.schedule(self.now + self.data_airtime, "hop", packet, plan,
+            self.schedule(self.now + self.data_airtime, "hop", pid, plan,
                           idx + 1, seg_at, session_id, timeout_s)
 
-    def _deliver(self, packet, session_id):
+    def _deliver(self, pid, plan, session_id):
         """Count the delivery and credit every forwarder on the path.
 
-        A credit's records are those `note_trust_change` appends, with the
-        rounded trust before and after read from `_trust_memo`: a trust
-        value is a function of the record's two counters alone."""
+        A delivered packet took every hop of its plan, so the plan is its
+        path: the source, the forwarders and the destination.  A credit's
+        records are those `note_trust_change` appends, with the rounded
+        trust before and after read from `_trust_memo`: a trust value is a
+        function of the record's two counters alone."""
         self.delivered += 1
-        now, events, path = self.now, self.events_log, packet.path_trace
+        now, events = self.now, self.events_log
         events.append((now, "data_delivered", (
-            ("dst", packet.dst), ("packet", packet.packet_id),
-            ("path", tuple(path)), ("session", session_id),
-            ("src", packet.src))))
+            ("dst", plan[-1]), ("packet", pid), ("path", plan),
+            ("session", session_id), ("src", plan[0]))))
         registry, memo = self.trust_registry, self._trust_memo
         candidates = self._gateway_candidates
-        for fwd in path[1:-1]:
+        for fwd in plan[1:-1]:
             rec = registry[fwd]
             before = memo.get((rec.loose_trust, rec.earn_trust))
             if before is None:
@@ -917,40 +918,40 @@ class World:
         self._trust_memo[rec.loose_trust, rec.earn_trust] = value
         return value
 
-    def _send_ack(self, plan, seg, packet):
-        aplan = protocol.ack_plan(plan, seg)
-        ack = packets.Packet(packets.ACK, aplan[0], aplan[-1],
-                             self.next_packet_id(), self.cfg.control_size,
-                             payload={"ref": packet.packet_id})
-        self.schedule(self.now + self.control_airtime, "ackhop", ack,
-                      tuple(aplan), 0)
+    def _send_ack(self, plan, seg, ref):
+        """Send the edge ACK for DATA packet `ref` back up the segment.  An
+        ACK travels as `ref` alone; its own packet id is drawn, since later
+        packet ids count it, but nothing reads it."""
+        self.next_packet_id()
+        self.schedule(self.now + self.control_airtime, "ackhop", ref,
+                      tuple(protocol.ack_plan(plan, seg)), 0)
 
-    def _ack_hop(self, ack, aplan, idx):
+    def _ack_hop(self, ref, aplan, idx):
         frm, to = aplan[idx], aplan[idx + 1]
         fn, tn = self.nodes[frm], self.nodes[to]
-        if not (self.consume(fn, "tx", ack.size)
+        size = self.cfg.control_size
+        if not (self.consume(fn, "tx", size)
                 and to in self.adjacency.get(frm, ())
-                and self.consume(tn, "rx", ack.size)):
-            self.log("ack_lost", ref=ack.payload["ref"], frm=frm, to=to)
+                and self.consume(tn, "rx", size)):
+            self.log("ack_lost", ref=ref, frm=frm, to=to)
             return
         if idx + 1 < len(aplan) - 1:
             # intermediaries relay receipts; the drop policies spare control
-            act = adversary.intercept(tn.policy, ack, self.rng_policy)
+            act = adversary.intercept(tn.policy, packets.ACK, self.rng_policy)
             if act.kind == adversary.DROP:
-                self.log("ack_lost", ref=ack.payload["ref"], frm=frm, to=to)
+                self.log("ack_lost", ref=ref, frm=frm, to=to)
                 return
-            self.schedule(self.now + self.control_airtime, "ackhop", ack, aplan,
+            self.schedule(self.now + self.control_airtime, "ackhop", ref, aplan,
                           idx + 1)
             return
         st = self.ch_state.get(to)
         if st is None:
             return
-        entry = st.ledger.resolve(ack.payload["ref"], detection.ACKED)
+        entry = st.ledger.resolve(ref, detection.ACKED)
         if entry is not None:
             # the record `log` would build, its keys already in sorted order
             self.events_log.append((self.now, "ack_delivered", (
-                ("at", to), ("gateway", entry.gateway),
-                ("ref", ack.payload["ref"]))))
+                ("at", to), ("gateway", entry.gateway), ("ref", ref))))
             self._judge(to, entry.gateway)
 
     def _ack_timeout(self, ch_id, packet_id):
@@ -982,32 +983,37 @@ class World:
             st.selfish_applied.add(gateway)
             self.apply_selfish(gateway, ch_id, "recurring_refusal")
 
-    def _tunnel(self, packet, nid, peer, session_id):
-        self.log("tunnel", node=nid, peer=peer, packet=packet.packet_id,
-                 packet_kind=packet.kind)
+    def _tunnel(self, pid, dst, nid, peer, session_id):
+        """Wormhole `nid` tunnels DATA packet `pid` for `dst` to its peer."""
+        self.log("tunnel", node=nid, peer=peer, packet=pid,
+                 packet_kind=packets.DATA)
+        self.acted.add(nid)
         pn = self.nodes.get(peer)
-        if packet.kind == packets.DATA:
-            self.acted.add(nid)
-            if pn is not None and pn.alive:
-                # far end injects straight at the destination, skipping the
-                # heads; the destination only takes data from its own head
-                self.consume(pn, "tx", packet.size)
-                dn = self.nodes[packet.dst]
-                # a peer that is itself the destination needs no link
-                if dn.alive and (dn is pn or packet.dst in self.adjacency.get(peer, ())):
-                    self.consume(dn, "rx", packet.size)
-                    self.log("tunnel_delivery_rejected", dst=packet.dst,
-                             packet=packet.packet_id)
-                else:
-                    self.log("tunnel_no_outlet", peer=peer, packet=packet.packet_id)
-            self.drop_data(packet, "tunnel", session_id)
-        elif packet.kind == packets.RREQ:
-            if pn is not None and pn.alive and pn.cluster in self.clusters:
-                self.consume(pn, "tx", self.cfg.control_size)
-                self.consume(self.nodes[pn.cluster], "rx", self.cfg.control_size)
-                # a request replayed from a node that was never a member here
-                self.log("wormhole_rreq_rejected", at=pn.cluster, replayed_by=peer,
-                         claimed=packet.src)
+        if pn is not None and pn.alive:
+            # far end injects straight at the destination, skipping the
+            # heads; the destination only takes data from its own head
+            size = self.cfg.packet_size
+            self.consume(pn, "tx", size)
+            dn = self.nodes[dst]
+            # a peer that is itself the destination needs no link
+            if dn.alive and (dn is pn or dst in self.adjacency.get(peer, ())):
+                self.consume(dn, "rx", size)
+                self.log("tunnel_delivery_rejected", dst=dst, packet=pid)
+            else:
+                self.log("tunnel_no_outlet", peer=peer, packet=pid)
+        self.drop_data(pid, "tunnel", session_id)
+
+    def _tunnel_rreq(self, rreq_id, claimed, nid, peer):
+        """Wormhole `nid` replays an overheard request at its peer's head."""
+        self.log("tunnel", node=nid, peer=peer, packet=rreq_id,
+                 packet_kind=packets.RREQ)
+        pn = self.nodes.get(peer)
+        if pn is not None and pn.alive and pn.cluster in self.clusters:
+            self.consume(pn, "tx", self.cfg.control_size)
+            self.consume(self.nodes[pn.cluster], "rx", self.cfg.control_size)
+            # a request replayed from a node that was never a member here
+            self.log("wormhole_rreq_rejected", at=pn.cluster, replayed_by=peer,
+                     claimed=claimed)
 
     # -- adversary ticks --
 
@@ -1017,15 +1023,15 @@ class World:
             return
         ch = self._linked_head(nid)
         if ch is not None and nid not in self.blacklisted:
-            reports = adversary.emit_slander(node.policy, ch)
-            for rep in reports:
-                rep.packet_id = self.next_packet_id()
+            # one fabricated report per target, each drawing a packet id
+            for accused in node.policy.targets:
+                self.next_packet_id()
                 self.consume(node, "tx", self.cfg.control_size)
                 self.consume(self.nodes[ch], "rx", self.cfg.control_size)
                 st = self.ch_state[ch]
                 outcome = detection.handle_trust_report(
-                    st.nuisance, rep, self.cfg.nuisance_limit)
-                self.log("trust_report", reporter=nid, accused=rep.payload["accused"],
+                    st.nuisance, (nid, accused), self.cfg.nuisance_limit)
+                self.log("trust_report", reporter=nid, accused=accused,
                          at=ch, outcome=outcome)
                 if outcome == "reporter_selfish":
                     self.log("trust_report_selfish", reporter=nid, at=ch)
@@ -1050,13 +1056,11 @@ class World:
                     best = (d, cand)
                     ch = cand
         if ch is not None and node.policy.victim is not None:
-            rreq = packets.Packet(packets.RREQ, nid, ch, self.next_packet_id(),
-                                  self.cfg.control_size,
-                                  payload={"dst": node.policy.victim})
-            self._spoof_rreq(node, rreq)
+            self.next_packet_id()   # the request's id, read by nobody
+            claimed = self._spoof_rreq(node)
             self.consume(node, "tx", self.cfg.control_size)
             self.consume(self.nodes[ch], "rx", self.cfg.control_size)
-            self._rreq_identity_holds(nid, ch, rreq)
+            self._rreq_identity_holds(nid, ch, claimed)
         nxt = self.now + self.cfg.spoof_interval
         if nxt <= self.cfg.sim_duration:
             self.schedule(nxt, "spoof", nid)
@@ -1130,11 +1134,11 @@ class World:
             "bl": self._blacklist_rx,
         }
         while self._heap:
-            at, _, tag, payload = heapq.heappop(self._heap)
+            at, _, tag, args = heapq.heappop(self._heap)
             if at > cfg.sim_duration:
                 break
             self.now = at
-            handlers[tag](*payload)
+            handlers[tag](*args)
         self.now = cfg.sim_duration
         return self.collect()
 

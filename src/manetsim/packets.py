@@ -1,31 +1,20 @@
-"""Packet and session records passed around the event loop."""
+"""Packet kinds and the session record.
 
-from dataclasses import dataclass, field
+A message travels as the values its readers use, not as an object: a DATA
+hop carries its packet id and the session's route plan, an ACK the id it
+acknowledges, a route request its id and claimed source (see `engine`).
+"""
+
+from dataclasses import dataclass
 
 DATA = "DATA"
 ACK = "ACK"
 HELLO = "HELLO"
 RREQ = "RREQ"
-RREP = "RREP"
-TRUST_REPORT = "TRUST_REPORT"
-
-
-@dataclass
-class Packet:
-    kind: str
-    src: int            # claimed originator (spoofing rewrites this)
-    dst: int
-    packet_id: int = 0  # assigned from a per-run counter, never globally
-    size: int = 512
-    payload: dict = field(default_factory=dict)
-    # ids appended by each node that handled the packet; tunneling
-    # deliberately skips the append, which is what audits look for.
-    path_trace: list = field(default_factory=list)
 
 
 @dataclass
 class Session:
-    session_id: int
     src: int
     dst: int
     started_at: float

@@ -114,7 +114,7 @@ def _coerce(name: str, raw):
     type; a value that does not parse is a `ConfigError` naming the key."""
     try:
         return _parse(name, raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"{name}: cannot parse {raw!r} ({exc})") from exc
 
 
@@ -147,6 +147,9 @@ def _parse(name: str, raw):
     if name == "out":
         return str(raw)
     hint = hints.get(name, "")
+    if hint == "bool" and not isinstance(raw, bool):
+        # a file's 1 or 0 is an int; every other value is a word to check
+        raw = str(raw)
     if not isinstance(raw, str):
         # a YAML list is a tuple exactly where the field is one
         return tuple(raw) if hint == "tuple" and isinstance(raw, list) else raw
@@ -155,7 +158,15 @@ def _parse(name: str, raw):
     if hint.startswith("float"):
         return float(raw)
     if hint.startswith("bool"):
-        return raw.lower() in ("1", "true", "yes", "on")
+        word = raw.lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ValueError("not one of 1/true/yes/on or 0/false/no/off")
+    if hint.startswith(("list", "dict")):
+        # the file's own grammar, e.g. '{1: 2.0}' or '[[0, 1]]'
+        return yaml.safe_load(raw)
     if hint.startswith("tuple"):
         parts = raw.replace(",", " ").split()
         return tuple(float(x) if "." in x or "e" in x.lower() else int(x)
@@ -284,9 +295,9 @@ def emit_plotdata(table: ResultsTable, metric_name: str):
 def write_outputs(out_dir: str, table: ResultsTable, summary: str, extras: dict):
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    payload = {"results.csv": table.to_csv(), "summary.txt": summary}
-    payload.update(extras)
-    for name, content in sorted(payload.items()):
+    files = {"results.csv": table.to_csv(), "summary.txt": summary}
+    files.update(extras)
+    for name, content in sorted(files.items()):
         p = os.path.join(out_dir, name)
         with open(p, "w") as fh:
             fh.write(content)

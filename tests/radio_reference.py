@@ -86,5 +86,5 @@ def energy_bill(node, role, nbytes, cfg):
     """Joules one send ("tx") or receive of nbytes costs the node: power
     (mW) times airtime (s), the airtime being nbytes * 8 / channel
     capacity."""
-    power_mw = node.tx_power if role == "tx" else node.rx_power
+    power_mw = node.tx_power if role == "tx" else node.battery.rx_power
     return power_mw / 1000.0 * (nbytes * 8 / cfg.channel_capacity)

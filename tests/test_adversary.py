@@ -3,86 +3,66 @@ import random
 
 import pytest
 
+from helpers import desk_config, events_of, run_world
 from manetsim import adversary, packets
-from manetsim.adversary import (Action, BehaviorPolicy, emit_slander,
-                                flood_count, intercept, spoof_identity)
-
-
-def pkt(kind, src=1, dst=2, **payload):
-    return packets.Packet(kind, src, dst, size=512, payload=payload)
-
-
-def policy(kind, **kw):
-    return BehaviorPolicy(kind=kind, owner=9, **kw)
+from manetsim.adversary import Action, BehaviorPolicy, flood_count, intercept
 
 
 # ---- interception table ----
 
-def test_honest_forwards_everything():
-    p = policy(adversary.HONEST)
-    for kind in (packets.DATA, packets.RREQ, packets.RREP, packets.HELLO):
-        assert intercept(p, pkt(kind)).kind == adversary.FORWARD
+F, D, T, L = (adversary.FORWARD, adversary.DROP, adversary.TUNNEL,
+              adversary.FABRICATE)
+PACKET_KINDS = (packets.DATA, packets.RREQ, packets.ACK, packets.HELLO)
+# what a node holding each policy does with each packet kind in transit, in
+# PACKET_KINDS order; grey holes drop every DATA packet at the default rate
+# 1.0, which needs no random draw
+INTERCEPT_TABLE = {
+    adversary.HONEST:         (F, F, F, F),
+    adversary.BLACK_HOLE:     (D, L, F, F),
+    adversary.GREY_HOLE:      (D, F, F, F),
+    adversary.WORMHOLE:       (T, T, F, F),
+    adversary.SPOOF:          (F, F, F, F),
+    adversary.SLANDER:        (F, F, F, F),
+    adversary.TABLE_OVERFLOW: (F, F, F, F),
+}
+POLICY_ARGS = {adversary.WORMHOLE: {"peer": 25}, adversary.SPOOF: {"victim": 3}}
 
 
-def test_black_hole_drops_data():
-    assert intercept(policy(adversary.BLACK_HOLE), pkt(packets.DATA)).kind == adversary.DROP
+@pytest.mark.parametrize("kind, packet_kind, want", [
+    (kind, packet_kind, want)
+    for kind, row in INTERCEPT_TABLE.items()
+    for packet_kind, want in zip(PACKET_KINDS, row)])
+def test_intercept_table(kind, packet_kind, want):
+    act = intercept(BehaviorPolicy(kind, **POLICY_ARGS.get(kind, {})), packet_kind)
+    assert act.kind == want
+    assert act.peer == (25 if want == adversary.TUNNEL else None)
 
 
 def test_black_hole_fabricates_route_reply():
-    act = intercept(policy(adversary.BLACK_HOLE), pkt(packets.RREQ, src=4, dst=0, dst_node=22))
-    assert act.kind == adversary.FABRICATE
-    assert act.packet.kind == packets.RREP
-    assert act.packet.src == 9
-    assert act.packet.dst == 4
-    assert act.packet.payload["claimed_hops"] == 1
-
-
-def test_black_hole_forwards_control_chatter():
-    assert intercept(policy(adversary.BLACK_HOLE), pkt(packets.HELLO)).kind == adversary.FORWARD
-
-
-def test_grey_hole_full_rate_drops_without_rng():
-    p = policy(adversary.GREY_HOLE, drop_rate=1.0)
-    assert intercept(p, pkt(packets.DATA)).kind == adversary.DROP
-    assert intercept(p, pkt(packets.RREQ)).kind == adversary.FORWARD
+    # the lure is one shared action; `World._false_rrep` sends the reply
+    act = intercept(BehaviorPolicy(adversary.BLACK_HOLE), packets.RREQ)
+    assert act is adversary.FABRICATE_ACTION
 
 
 def test_grey_hole_partial_rate_follows_rng():
-    p = policy(adversary.GREY_HOLE, drop_rate=0.5)
+    p = BehaviorPolicy(adversary.GREY_HOLE, drop_rate=0.5)
     rng = random.Random(3)
-    kinds = {intercept(p, pkt(packets.DATA), rng).kind for _ in range(50)}
+    kinds = {intercept(p, packets.DATA, rng).kind for _ in range(50)}
     assert kinds == {adversary.DROP, adversary.FORWARD}
 
 
-def test_wormhole_tunnels_data_and_route_requests():
-    p = policy(adversary.WORMHOLE, peer=25)
-    for kind in (packets.DATA, packets.RREQ):
-        act = intercept(p, pkt(kind))
-        assert act.kind == adversary.TUNNEL
-        assert act.peer == 25
-    assert intercept(p, pkt(packets.ACK)).kind == adversary.FORWARD
-
-
-def test_spoof_and_slander_do_not_touch_transit_traffic():
-    for k in (adversary.SPOOF, adversary.SLANDER, adversary.TABLE_OVERFLOW):
-        kw = {"victim": 3} if k == adversary.SPOOF else {}
-        assert intercept(policy(k, **kw), pkt(packets.DATA)).kind == adversary.FORWARD
-
-
 def test_intercept_shares_frozen_forward_and_drop_actions():
-    data = pkt(packets.DATA)
-    assert intercept(policy(adversary.HONEST), data) is adversary.FORWARD_ACTION
-    assert intercept(policy(adversary.BLACK_HOLE), data) is adversary.DROP_ACTION
-    assert intercept(policy(adversary.GREY_HOLE), data) is adversary.DROP_ACTION
+    data = packets.DATA
+    assert intercept(BehaviorPolicy(adversary.HONEST), data) is adversary.FORWARD_ACTION
+    assert intercept(BehaviorPolicy(adversary.BLACK_HOLE), data) is adversary.DROP_ACTION
+    assert intercept(BehaviorPolicy(adversary.GREY_HOLE), data) is adversary.DROP_ACTION
     assert adversary.FORWARD_ACTION == Action(adversary.FORWARD)
     assert adversary.DROP_ACTION == Action(adversary.DROP)
-    for shared in (adversary.FORWARD_ACTION, adversary.DROP_ACTION):
+    assert adversary.FABRICATE_ACTION == Action(adversary.FABRICATE)
+    for shared in (adversary.FORWARD_ACTION, adversary.DROP_ACTION,
+                   adversary.FABRICATE_ACTION):
         with pytest.raises(dataclasses.FrozenInstanceError):
             shared.kind = adversary.TUNNEL
-    # the actions that carry a packet or a peer are built per call
-    rreq = pkt(packets.RREQ)
-    lure = policy(adversary.BLACK_HOLE)
-    assert intercept(lure, rreq) is not intercept(lure, rreq)
 
 
 # ---- policy validation ----
@@ -102,38 +82,57 @@ def test_spoof_needs_victim():
         BehaviorPolicy(kind=adversary.SPOOF)
 
 
-# ---- identity spoofing ----
+# ---- identity spoofing, on the desk bench (see helpers.py) ----
+
+def spoofer_run(victim):
+    return run_world(desk_config(sim_duration=2.0, spoof_interval=0.25, adversaries=[
+        {"node": 10, "kind": adversary.SPOOF, "victim": victim}]))
+
 
 def test_spoof_rewrites_source():
-    p = policy(adversary.SPOOF, victim=11)
-    out = spoof_identity(p, pkt(packets.HELLO, src=9))
-    assert out.src == 11
+    """Spoofer 10 claims its victim's id; the head pins the claim on the
+    link it came in on."""
+    world, m = spoofer_run(11)
+    attempts = events_of(world.events_log, "spoof_attempt")
+    flags = events_of(world.events_log, "spoof_flagged")
+    assert attempts and {d["claimed"] for _, d in attempts} == {11}
+    assert {(d["owner"], d["claimed"]) for _, d in flags} == {(10, 11)}
+    assert 10 in m.blacklisted
 
 
 def test_spoof_of_own_id_is_a_no_op():
-    p = policy(adversary.SPOOF, victim=9)
-    assert spoof_identity(p, pkt(packets.HELLO, src=9)).src == 9
+    world, m = spoofer_run(10)
+    attempts = events_of(world.events_log, "spoof_attempt")
+    assert attempts and {d["claimed"] for _, d in attempts} == {10}
+    assert not events_of(world.events_log, "spoof_flagged")
+    assert not m.blacklisted
 
 
-# ---- slander ----
+# ---- slander, on the desk bench ----
+
+def slander_reports(targets):
+    world, _ = run_world(desk_config(sim_duration=2.0, adversaries=[
+        {"node": 8, "kind": adversary.SLANDER, "targets": targets}]))
+    return events_of(world.events_log, "trust_report")
+
 
 def test_slander_one_report_per_target():
-    p = policy(adversary.SLANDER, targets=(27, 1))
-    reports = emit_slander(p, own_ch=0)
-    assert [r.payload["accused"] for r in reports] == [27, 1]
-    for r in reports:
-        assert r.kind == packets.TRUST_REPORT
-        assert (r.src, r.dst) == (9, 0)
+    reports = slander_reports((27, 1))
+    # one report per target per tick, in target order, to the member's head
+    assert len(reports) >= 4
+    assert [d["accused"] for _, d in reports] == [27, 1] * (len(reports) // 2)
+    assert {(d["reporter"], d["at"]) for _, d in reports} == {(8, 7)}
+    assert [t for t, _ in reports[::2]] == [t for t, _ in reports[1::2]]
 
 
 def test_slander_without_targets_is_silent():
-    assert emit_slander(policy(adversary.SLANDER), own_ch=0) == []
+    assert slander_reports(()) == []
 
 
 # ---- table flooding ----
 
 def test_flood_count_arithmetic():
-    p = policy(adversary.TABLE_OVERFLOW, rate=2500.0)
+    p = BehaviorPolicy(adversary.TABLE_OVERFLOW, rate=2500.0)
     assert flood_count(p, 0.1) == 250
     assert flood_count(p, 0.0) == 0
     assert flood_count(BehaviorPolicy(kind=adversary.TABLE_OVERFLOW, rate=100.0), 0.05) == 5

@@ -181,9 +181,11 @@ def test_cli_rejects_single_sample_hello_window(tmp_path, capsys):
     ("traffic: [[3]]\n", [], "traffic"),
     ("energy_overrides: {77: 1.0}\n", [], "energy_overrides"),
     ("", ["--attack", "spoof", "--malicious", "1.0"], "malicious_fraction"),
+    # one wormhole in ten nodes would be planted without a peer
+    ("", ["--attack", "wormhole", "--malicious", "0.1"], "malicious_fraction"),
 ], ids=["attack", "kind", "node", "peer", "peer_missing", "victim", "targets",
         "traffic_range", "traffic_self", "traffic_shape", "energy_overrides",
-        "spoof_no_victim"])
+        "spoof_no_victim", "wormhole_odd"])
 def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     cfg = write_scenario(tmp_path, text=TINY + extra)
     assert main([cfg, "--out", str(tmp_path / "x")] + flags) == 2
@@ -244,6 +246,10 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     ("nuisance_limit: -1\n", "nuisance_limit"),
     ("blacklist_limit: .nan\n", "blacklist_limit"),
     ("energy_high_threshold: -1\n", "energy_high_threshold"),
+    ("traffic: 5\n", "traffic"),
+    ("adversaries: null\n", "adversaries"),
+    ("detection_enabled: ture\n", "detection_enabled"),
+    ("detection_enabled: 7\n", "detection_enabled"),
 ], ids=["area_three", "area_scalar", "area_text", "speed_one", "tx_scalar",
         "energy_nan", "positions_points", "positions_scalar", "overrides_list",
         "overrides_text", "duration_inf", "duration_nan", "hello_nan",
@@ -256,7 +262,8 @@ def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
         "friis_negative", "friis_nan", "floor_nan", "floor_inf", "floor_zero",
         "packets_inf", "window_fraction", "accusations_fraction",
         "accusations_nan", "nuisance_nan", "nuisance_negative",
-        "blacklist_limit_nan", "energy_high_negative"])
+        "blacklist_limit_nan", "energy_high_negative", "traffic_scalar",
+        "adversaries_null", "bool_typo", "bool_number"])
 def test_cli_rejects_malformed_values(tmp_path, capsys, extra, key):
     text = TINY.replace("node_counts: [10]", "node_counts: [3]") + extra
     cfg = write_scenario(tmp_path, text=text)
@@ -265,17 +272,59 @@ def test_cli_rejects_malformed_values(tmp_path, capsys, extra, key):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("var, key", [
-    ("MANETSIM_RADIO_RANGE", "radio_range"),
-    ("MANETSIM_SEEDS", "seeds"),
-    ("MANETSIM_AREA", "area"),
-])
+BAD_ENV = (
+    ("MANETSIM_RADIO_RANGE", "abc", "radio_range"),
+    ("MANETSIM_SEEDS", "abc", "seeds"),
+    ("MANETSIM_AREA", "abc", "area"),
+    ("MANETSIM_DETECTION_ENABLED", "ture", "detection_enabled"),
+    ("MANETSIM_ENERGY_OVERRIDES", "{1: 2.0", "energy_overrides"),
+    ("MANETSIM_TRAFFIC", "[[0, 1]", "traffic"),
+)
+
+
+@pytest.mark.parametrize("var, value, key", BAD_ENV,
+                         ids=[f"{var}-{key}" for var, _, key in BAD_ENV])
 def test_cli_unparseable_env_value_names_its_key(tmp_path, capsys, monkeypatch,
-                                                 var, key):
-    monkeypatch.setenv(var, "abc")
+                                                 var, value, key):
+    monkeypatch.setenv(var, value)
     cfg = write_scenario(tmp_path)
     assert main([cfg, "--out", str(tmp_path / "x")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("words, want", [
+    (("1", "true", "TRUE", "Yes", "on"), True),
+    (("0", "false", "False", "NO", "Off"), False),
+], ids=["true", "false"])
+def test_bool_words_parse_in_any_case(words, want):
+    for word in words:
+        sc = apply_env(Scenario(), environ={"MANETSIM_DETECTION_ENABLED": word})
+        assert sc.base["detection_enabled"] is want, word
+    # a file's YAML reads 1 and 0 as numbers, and yes and off as bools
+    for word in words[0], words[3], words[4]:
+        sc = scenario_from_dict(yaml.safe_load(f"detection_enabled: {word}"))
+        assert sc.base["detection_enabled"] is want, word
+
+
+def test_env_sets_list_and_mapping_fields(tmp_path, monkeypatch):
+    """The environment sets the list and mapping fields in the file's own
+    YAML grammar."""
+    env = {"MANETSIM_ENERGY_OVERRIDES": "{1: 2.0}",
+           "MANETSIM_TRAFFIC": "[[0, 2]]",
+           "MANETSIM_ADVERSARIES": "[{node: 1, kind: grey_hole}]",
+           "MANETSIM_POSITIONS": "[[0, 0], [40, 0], [80, 0]]"}
+    cfg = apply_env(Scenario(), environ=env).config_for(3, 1, 0.0).validate()
+    assert cfg.energy_overrides == {1: 2.0}
+    assert cfg.traffic == [[0, 2]]
+    assert cfg.adversaries == [{"node": 1, "kind": "grey_hole"}]
+    assert cfg.positions == [[0, 0], [40, 0], [80, 0]]
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    out = tmp_path / "env"
+    assert main([write_scenario(tmp_path), "--nodes", "3", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert (out / "results.csv").read_text().splitlines()[1].startswith("3,1,")
 
 
 def test_cli_runs_a_field_wider_than_tall(tmp_path):

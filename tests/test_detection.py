@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detection_reference import reference_judge_forwarding
-from manetsim import packets, trust
+from manetsim import trust
 from manetsim.config import SimConfig
 from manetsim.detection import (ACKED, INCONCLUSIVE, LINK_BROKEN, LINK_OK,
                                 MALICIOUS, NORMAL, PENDING, SELFISH, TIMEOUT,
@@ -17,7 +17,7 @@ TH = SimConfig()
 
 def ledger_with(gateway, outcomes):
     """outcomes: list of (status, context, res_eng, rel_mobility)."""
-    led = SurveillanceLedger(ch_id=0)
+    led = SurveillanceLedger()
     for pid, (status, ctx, res, mob) in enumerate(outcomes):
         led.open_entry(pid, gateway, res_eng=res, rel_mobility=mob)
         if status != PENDING:
@@ -28,14 +28,14 @@ def ledger_with(gateway, outcomes):
 # ---- ledger mechanics ----
 
 def test_entries_open_pending():
-    led = SurveillanceLedger(ch_id=0)
+    led = SurveillanceLedger()
     e = led.open_entry(5, gateway=27, res_eng=0.9, rel_mobility=0.0)
     assert e.ack_status == PENDING
     assert led.by_packet[5] is e
 
 
 def test_resolve_is_first_writer_wins():
-    led = SurveillanceLedger(ch_id=0)
+    led = SurveillanceLedger()
     led.open_entry(5, 27, res_eng=0.9, rel_mobility=0.0)
     assert led.resolve(5, ACKED).ack_status == ACKED
     assert led.resolve(5, TIMEOUT) is None
@@ -43,7 +43,7 @@ def test_resolve_is_first_writer_wins():
 
 
 def test_resolve_unknown_packet_is_none():
-    assert SurveillanceLedger(ch_id=0).resolve(99, ACKED) is None
+    assert SurveillanceLedger().resolve(99, ACKED) is None
 
 
 def test_resolved_index_excludes_pending():
@@ -171,7 +171,7 @@ def test_indexed_judgment_matches_full_scan(history, th, final_th):
     scan over all entries in open order: after each resolve, as the engine
     judges, and at the end for every gateway and one never seen."""
     plans, order = history
-    led = SurveillanceLedger(ch_id=0)
+    led = SurveillanceLedger()
     entries = {}           # plan index -> entry, in open order
     moved = set()          # plan indices whose pending change was applied
     for i in order:
@@ -218,9 +218,8 @@ def test_unregistered_link_raises():
 
 # ---- trust reports ----
 
-def report(src, accused):
-    return packets.Packet(packets.TRUST_REPORT, src, 0, size=32,
-                          payload={"accused": accused})
+def report(reporter, accused):
+    return (reporter, accused)
 
 
 def test_reports_discarded_until_limit():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import desk_config, events_of, run_world
-from manetsim import adversary, beacon, packets
+from manetsim import adversary, beacon
 from manetsim.config import SimConfig
 from manetsim.engine import World
 from topology_reference import reference_adjacency, reference_link
@@ -101,18 +101,18 @@ class LinkCheckedWorld(World):
             self.checked[what] += 1
             self.down += not want
 
-    def _hop(self, packet, plan, idx, *rest):
+    def _hop(self, pid, plan, idx, *rest):
         self._check("hop", plan[idx], plan[idx + 1])
-        return super()._hop(packet, plan, idx, *rest)
+        return super()._hop(pid, plan, idx, *rest)
 
-    def _ack_hop(self, ack, aplan, idx):
+    def _ack_hop(self, ref, aplan, idx):
         self._check("ack", aplan[idx], aplan[idx + 1])
-        return super()._ack_hop(ack, aplan, idx)
+        return super()._ack_hop(ref, aplan, idx)
 
-    def _tunnel(self, packet, nid, peer, session_id):
-        if packet.kind == packets.DATA and peer != packet.dst:
-            self._check("tunnel", peer, packet.dst)
-        return super()._tunnel(packet, nid, peer, session_id)
+    def _tunnel(self, pid, dst, nid, peer, session_id):
+        if peer != dst:
+            self._check("tunnel", peer, dst)
+        return super()._tunnel(pid, dst, nid, peer, session_id)
 
 
 def test_hop_links_follow_current_positions():
