@@ -17,6 +17,9 @@ would scan the cell's objects and free nothing.
 A topology tick runs the cluster membership pass only when its result can
 change: after the adjacency was rebuilt, after a node was ejected, or with
 a head under the energy floor (`World._sweep_topology` gives the reason).
+
+The event-log digest is fed as records are logged (`World._record`), and
+the hot traffic records build their text from pieces formatted once.
 """
 
 import contextlib
@@ -33,6 +36,9 @@ from .config import SimConfig
 from .errors import (NoEvidence, NoRoute, RejectedBlacklisted,
                      RejectedUntrusted, UnknownLink)
 from .radio import Position, WaypointState
+
+# digest lines held before they are hashed, see World._record
+DIGEST_BATCH = 512
 
 
 class Node:
@@ -121,6 +127,15 @@ class World:
         self._packet_seq = 0
         self._session_seq = 0
         self.events_log = []
+        self._sha = hashlib.sha256()  # the digest, fed by _record
+        self._lines = []             # digest lines not hashed yet
+        self._hashed = 0             # digest lines hashed so far
+        self._stamp_at = None        # the time last formatted, and its text
+        self._stamp = ""
+        # each node's ("node", id), ("at", id) and ("gateway", id) pairs,
+        # shared by the hot records that name it
+        self._id_pairs = [(("node", i), ("at", i), ("gateway", i))
+                          for i in range(cfg.node_count)]
 
         self.nodes = {}
         self.clusters = {}           # ch id -> Cluster
@@ -138,7 +153,7 @@ class World:
         self._dirty_topology = True
         self._membership_settled = False  # see _sweep_topology
         self._mobility = {}          # node id -> (round, neighbours, term), see node_metrics
-        self._trust_memo = {}        # (loose, earn) -> rounded trust, see _deliver
+        self._trust_memo = {}        # (loose, earn) -> pairs and text, see _memo_trust
 
         self.generated = 0
         self.delivered = 0
@@ -160,7 +175,36 @@ class World:
         self._seq += 1
 
     def log(self, kind, **data):
-        self.events_log.append((self.now, kind, tuple(sorted(data.items()))))
+        data = tuple(sorted(data.items()))
+        self._record(kind, data, repr(data))
+
+    def _record(self, kind, data, text):
+        """Append the record `(now, kind, data)` to `events_log` and feed
+        its line to the digest; `text` must equal `repr(data)`.
+
+        Every record is appended here. Its line is the time to nine places,
+        the kind and `text`, joined by `|` and ended by a newline; the
+        lines are hashed `DIGEST_BATCH` at a time, and the time's text is
+        kept while the clock stands still, since the records of one event
+        share its time.
+        `log` passes `repr(data)`; the hot records build the same text from
+        ints and from texts made once (see `_emit_packet`, `_deliver`,
+        `_ack_hop`)."""
+        now = self.now
+        self.events_log.append((now, kind, data))
+        if now != self._stamp_at:
+            self._stamp_at = now
+            self._stamp = f"{now:.9f}"
+        lines = self._lines
+        lines.append(f"{self._stamp}|{kind}|{text}\n")
+        if len(lines) >= DIGEST_BATCH:
+            self._hash_lines()
+
+    def _hash_lines(self):
+        lines = self._lines
+        self._sha.update("".join(lines).encode())
+        self._hashed += len(lines)
+        lines.clear()
 
     def next_packet_id(self):
         self._packet_seq += 1
@@ -512,9 +556,12 @@ class World:
         if self._gateway_candidates is not None:
             self._gateway_candidates.moved.add(nid)
         # the record `log` would build, its keys already in sorted order
-        self.events_log.append((self.now, "trust_change", (
-            ("after", round(after, 9)), ("before", round(before, 9)),
-            ("node", nid), ("reason", reason))))
+        after, before = round(after, 9), round(before, 9)
+        self._record("trust_change", (
+            ("after", after), ("before", before), self._id_pairs[nid][0],
+            ("reason", reason)),
+            f"(('after', {after!r}), ('before', {before!r}), "
+            f"('node', {nid}), ('reason', {reason!r}))")
 
     def eject_node(self, nid):
         self.nodes[nid].cluster = None
@@ -764,27 +811,35 @@ class World:
         key = (self.head_routes, nodes[s.src].cluster, nodes[s.dst].cluster)
         kept = s.route
         if kept is None or kept[0] != key:
-            kept = s.route = self._plan_route(s, key)
+            kept = s.route = self._plan_route(s, sid, key)
         if kept is None:
             self.log("data_emit", packet=pid, session=sid, plan=())
             self.drop_data(pid, "no_route", sid)
         else:
-            _, plan, segs, seg_at, timeout_s = kept
+            (_, plan, _, _, _, _, plan_text, segs_text,
+             plan_pair, segs_pair, session_pair, _, _, _) = kept
             # the record `log` would build, its keys already in sorted order
-            self.events_log.append((self.now, "data_emit", (
-                ("packet", pid), ("plan", plan), ("segs", segs),
-                ("session", sid))))
-            # a DATA packet travels as its id and the kept plan, which runs
-            # from the source to the destination
+            self._record("data_emit", (
+                ("packet", pid), plan_pair, segs_pair, session_pair),
+                f"(('packet', {pid}), ('plan', {plan_text}), "
+                f"('segs', {segs_text}), ('session', {sid}))")
+            # a DATA packet travels as its id, the kept plan, which runs
+            # from the source to the destination, and the route record
             self.schedule(self.now + self.data_airtime, "hop", pid, plan, 0,
-                          seg_at, sid, timeout_s)
+                          kept)
         if s.sent < s.packets_total:
             self.schedule(self.now + self.cfg.cbr_interval, "emit", sid)
 
-    def _plan_route(self, s, key):
-        """The session's route as `(key, plan, segments, segment table, ack
-        timeout)`, key being the head route tables and the two ends' heads
-        it is planned from; None when there is no route."""
+    def _plan_route(self, s, sid, key):
+        """Session `sid`'s route record, or None when there is no route.
+
+        The record is `(key, plan, segments, segment table, ack timeout,
+        sid)`, key being the head route tables and the two ends' heads it
+        is planned from, followed by what the route's `data_emit` and
+        `data_delivered` records are built from: `repr(plan)` and
+        `repr(segments)`, then the pairs `("plan", plan)`, `("segs",
+        segments)`, `("session", sid)`, `("dst", plan[-1])`, `("path",
+        plan)` and `("src", plan[0])`, shared by all those records."""
         try:
             route = protocol.discover_route(self, s.src, s.dst)
         except NoRoute:
@@ -793,8 +848,12 @@ class World:
         cfg = self.cfg
         timeout_s = protocol.ack_timeout(cfg.packet_size, cfg.channel_capacity,
                                          len(plan) - 1, cfg.ack_timeout_factor)
-        return (key, tuple(plan), tuple(segments),
-                protocol.segment_table(plan, segments), timeout_s)
+        seg_at = protocol.segment_table(plan, segments)
+        plan, segments = tuple(plan), tuple(segments)
+        return (key, plan, segments, seg_at, timeout_s, sid,
+                repr(plan), repr(segments),
+                ("plan", plan), ("segs", segments), ("session", sid),
+                ("dst", plan[-1]), ("path", plan), ("src", plan[0]))
 
     def _watch(self, watcher: Node, subject: Node):
         """What a watching head knows of a custodian from its HELLOs: the
@@ -811,7 +870,10 @@ class World:
             return res_eng, None
         return res_eng, hist.mobility(self.cfg.hello_interval)
 
-    def _hop(self, pid, plan, idx, seg_at, session_id, timeout_s):
+    def _hop(self, pid, plan, idx, route):
+        """DATA packet `pid` takes hop `idx` of `plan`, the plan of the
+        session route record `route` (see `_plan_route`) it was sent on."""
+        seg_at, timeout_s, session_id = route[3], route[4], route[5]
         frm, to = plan[idx], plan[idx + 1]
         fn, tn = self.nodes[frm], self.nodes[to]
         seg = seg_at[idx]
@@ -875,12 +937,12 @@ class World:
             self._send_ack(plan, seg, pid)
 
         if final:
-            self._deliver(pid, plan, session_id)
+            self._deliver(pid, route)
         else:
             self.schedule(self.now + self.data_airtime, "hop", pid, plan,
-                          idx + 1, seg_at, session_id, timeout_s)
+                          idx + 1, route)
 
-    def _deliver(self, pid, plan, session_id):
+    def _deliver(self, pid, route):
         """Count the delivery and credit every forwarder on the path.
 
         A delivered packet took every hop of its plan, so the plan is its
@@ -888,13 +950,16 @@ class World:
         records are those `note_trust_change` appends, with the rounded
         trust before and after read from `_trust_memo`: a trust value is a
         function of the record's two counters alone."""
+        (_, plan, _, _, _, sid, plan_text, _,
+         _, _, session_pair, dst_pair, path_pair, src_pair) = route
         self.delivered += 1
-        now, events = self.now, self.events_log
-        events.append((now, "data_delivered", (
-            ("dst", plan[-1]), ("packet", pid), ("path", plan),
-            ("session", session_id), ("src", plan[0]))))
+        record = self._record
+        record("data_delivered", (
+            dst_pair, ("packet", pid), path_pair, session_pair, src_pair),
+            f"(('dst', {plan[-1]}), ('packet', {pid}), ('path', {plan_text}), "
+            f"('session', {sid}), ('src', {plan[0]}))")
         registry, memo = self.trust_registry, self._trust_memo
-        candidates = self._gateway_candidates
+        id_pairs, candidates = self._id_pairs, self._gateway_candidates
         for fwd in plan[1:-1]:
             rec = registry[fwd]
             before = memo.get((rec.loose_trust, rec.earn_trust))
@@ -906,17 +971,22 @@ class World:
                 after = self._memo_trust(rec)
             if candidates is not None:
                 candidates.moved.add(fwd)
-            events.append((now, "trust_change", (
-                ("after", after), ("before", before), ("node", fwd),
-                ("reason", "forward_credit"))))
-        self._session_resolve(session_id, delivered=True)
+            record("trust_change", (
+                after[0], before[1], id_pairs[fwd][0],
+                ("reason", "forward_credit")),
+                f"(('after', {after[2]}), ('before', {before[2]}), "
+                f"('node', {fwd}), ('reason', 'forward_credit'))")
+        self._session_resolve(sid, delivered=True)
 
     def _memo_trust(self, rec):
-        """The record's trust rounded as the log holds it, memoized in
-        `_trust_memo` by the record's `(loose, earn)` counters."""
+        """The record's trust rounded as the log holds it, as the pairs
+        `("after", value)` and `("before", value)` and the text
+        `repr(value)`, memoized in `_trust_memo` by the record's
+        `(loose, earn)` counters."""
         value = round(trust.trust_value(rec), 9)
-        self._trust_memo[rec.loose_trust, rec.earn_trust] = value
-        return value
+        entry = ("after", value), ("before", value), repr(value)
+        self._trust_memo[rec.loose_trust, rec.earn_trust] = entry
+        return entry
 
     def _send_ack(self, plan, seg, ref):
         """Send the edge ACK for DATA packet `ref` back up the segment.  An
@@ -949,10 +1019,12 @@ class World:
             return
         entry = st.ledger.resolve(ref, detection.ACKED)
         if entry is not None:
+            gw, id_pairs = entry.gateway, self._id_pairs
             # the record `log` would build, its keys already in sorted order
-            self.events_log.append((self.now, "ack_delivered", (
-                ("at", to), ("gateway", entry.gateway), ("ref", ref))))
-            self._judge(to, entry.gateway)
+            self._record("ack_delivered", (
+                id_pairs[to][1], id_pairs[gw][2], ("ref", ref)),
+                f"(('at', {to}), ('gateway', {gw}), ('ref', {ref}))")
+            self._judge(to, gw)
 
     def _ack_timeout(self, ch_id, packet_id):
         st = self.ch_state.get(ch_id)
@@ -1145,10 +1217,16 @@ class World:
     # ---- results ----
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for at, kind, data in self.events_log:
-            h.update(f"{at:.9f}|{kind}|{data!r}\n".encode())
-        return h.hexdigest()
+        """The sha256 of the event log's lines (see `_record`), in hex.
+        Raises RuntimeError when the log holds a record that was appended
+        around `_record`, whose line the digest never saw."""
+        self._hash_lines()
+        if self._hashed != len(self.events_log):
+            raise RuntimeError(
+                f"the event log holds {len(self.events_log)} records but "
+                f"{self._hashed} were digested: a record was appended "
+                f"around World._record")
+        return self._sha.hexdigest()
 
     def collect(self) -> "metrics.Metrics":
         cfg = self.cfg

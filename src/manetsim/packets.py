@@ -1,7 +1,7 @@
 """Packet kinds and the session record.
 
 A message travels as the values its readers use, not as an object: a DATA
-hop carries its packet id and the session's route plan, an ACK the id it
+hop carries its packet id and the session's route record, an ACK the id it
 acknowledges, a route request its id and claimed source (see `engine`).
 """
 
@@ -24,5 +24,6 @@ class Session:
     failed: int = 0
     last_delivery: float | None = None
     closed: bool = False
-    # the last route planned for the session, see World._emit_packet
+    # the last route record planned for the session, with the texts and
+    # pairs its log records share, see World._plan_route
     route: tuple | None = None

@@ -115,7 +115,20 @@ def _coerce(name: str, raw):
     try:
         return _parse(name, raw)
     except (TypeError, ValueError, yaml.YAMLError) as exc:
-        raise ConfigError(f"{name}: cannot parse {raw!r} ({exc})") from exc
+        why = _yaml_problem(exc) if isinstance(exc, yaml.YAMLError) else exc
+        raise ConfigError(f"{name}: cannot parse {raw!r} ({why})") from exc
+
+
+def _yaml_problem(exc):
+    """A PyYAML error on one line: what went wrong and at which line and
+    column, without the source excerpt and caret PyYAML prints under each
+    mark."""
+    problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+    if problem is None or mark is None:
+        return " ".join(str(exc).split())
+    context = getattr(exc, "context", None)
+    what = f"{context}: {problem}" if context else problem
+    return f"{what} at line {mark.line + 1}, column {mark.column + 1}"
 
 
 def _integral(x):
@@ -179,7 +192,8 @@ def load_scenario(path: str) -> Scenario:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"scenario parse failure in {path}: {exc}") from exc
+        raise ConfigError(
+            f"scenario parse failure in {path}: {_yaml_problem(exc)}") from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

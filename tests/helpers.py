@@ -10,7 +10,11 @@ three bridges.
 
 `StubWorld` is a hand-built head graph without an engine, for the
 admission and routing tests.
+
+`legacy_digest` is the event-log digest's reference formula.
 """
+
+import hashlib
 
 from manetsim import trust
 from manetsim.clustering import Cluster
@@ -63,6 +67,16 @@ def run_world(cfg):
 
 def events_of(log, kind):
     return [(t, dict(d)) for t, k, d in log if k == kind]
+
+
+def legacy_digest(events_log):
+    """The event-log digest from the log itself: the sha256 of one line per
+    record, its time to nine places, its kind and `repr` of its data.
+    `World.digest` hashes the same lines as the records are logged."""
+    h = hashlib.sha256()
+    for at, kind, data in events_log:
+        h.update(f"{at:.9f}|{kind}|{data!r}\n".encode())
+    return h.hexdigest()
 
 
 class StubNode:

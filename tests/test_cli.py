@@ -347,6 +347,25 @@ def test_cli_rejects_malformed_yaml(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["env", "file"])
+def test_cli_yaml_error_is_one_line(tmp_path, capsys, monkeypatch, source):
+    """A value or a scenario file that is no YAML is reported on one line,
+    with the line and column PyYAML found the problem at, naming the key
+    or the file, and exits 2 before any cell runs."""
+    if source == "env":
+        monkeypatch.setenv("MANETSIM_ENERGY_OVERRIDES", "{1: 2.0")
+        cfg = write_scenario(tmp_path)
+        named, where = "energy_overrides", "line 1, column 8"
+    else:
+        cfg = write_scenario(tmp_path, text="node_counts: [20\n")
+        named, where = cfg, "line 2, column 1"
+    assert main([cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert named in err and where in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_rejects_missing_file(tmp_path, capsys):
     assert main([str(tmp_path / "absent.yaml")]) == 2
 

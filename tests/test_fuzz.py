@@ -1,6 +1,6 @@
 """Any small configuration that passes validation runs to completion, and the
 metrics re-derived from its event log agree with the ones `collect()`
-returns.  Rates and the waypoint pause are drawn finite and must run; the
+returns, as its digest agrees with the log's reference digest.  Rates and the waypoint pause are drawn finite and must run; the
 same keys set to a value that is not finite must fail validation, and so
 must the radio constants, the integer counts and the detection thresholds."""
 
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import legacy_digest
 from manetsim import adversary
 from manetsim.config import SimConfig
 from manetsim.engine import World
@@ -65,6 +66,7 @@ def test_valid_small_configs_run_and_agree_with_their_log(cfg):
     assert derived["false_positives"] == m.false_positives
     assert derived["blacklisted"] == m.blacklisted
     assert derived["mean_e2e_delay"] == pytest.approx(m.mean_e2e_delay)
+    assert world.digest() == m.digest == legacy_digest(world.events_log)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -15,8 +15,17 @@ batteries between rebuilds, next to a spoofer. The spoof cells (110 and
 `node_depleted` events) reach the beacon rounds that run link by link,
 because a battery runs dry in them or a live link carries a spoofed
 HELLO, which no benchmark workload does.
+
+The by-link cell is a spoof cell at the traffic-greyhole benchmark's rates
+whose election weighs mobility alone: convictions in rounds run link by
+link read mobility terms after the histories hold two samples, and the
+mobility term decides the elections that follow.
+
+`World.digest` hashes each record's line as it is logged; every cell here
+also checks it against `helpers.legacy_digest`, the formula over the log.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import desk_config, events_of, run_world
+from helpers import desk_config, events_of, legacy_digest, run_world
 from manetsim import adversary
 from manetsim.config import SimConfig
 
@@ -81,6 +90,9 @@ STATIC_REFORM_DIGEST = \
 BEACON_DEPLETION_DIGEST = \
     "7046d5cf8aba83bb06f16236d8926b5f4eaed59307b8b50abe8c39b08bb80a00"
 
+BY_LINK_DIGEST = \
+    "986b0ca59c084ab05c7dfb1430aaab454735bb5a870a85986bdd963dab2bfbb3"
+
 
 def mobile_config(attack):
     return SimConfig(node_count=40, area=(300.0, 300.0), sim_duration=3.0,
@@ -109,10 +121,23 @@ def beacon_depletion_config():
                      adversaries=[{"node": 4, "kind": adversary.SPOOF, "victim": 9}])
 
 
+def by_link_config():
+    return dataclasses.replace(
+        mobile_config(adversary.SPOOF), seed=7, source_fraction=0.5,
+        cbr_interval=0.05, hello_interval=0.1, weight_energy=0.0,
+        weight_trust=0.0, weight_mobility=1.0, weight_dnc=0.0)
+
+
+def digest_of(world, m):
+    """The run's digest, once it agrees with the log's reference digest."""
+    assert world.digest() == m.digest == legacy_digest(world.events_log)
+    return m.digest
+
+
 @pytest.mark.parametrize("kind", adversary.KINDS)
 def test_desk_digest(kind):
     world, m = run_world(desk_config(adversaries=DESK_ADVERSARIES[kind]))
-    assert m.digest == DESK_DIGESTS[kind]
+    assert digest_of(world, m) == DESK_DIGESTS[kind]
     if kind == adversary.SPOOF:
         assert len(events_of(world.events_log, "spoof_flagged")) == 110
 
@@ -121,7 +146,7 @@ def test_desk_digest(kind):
                                     if k != adversary.HONEST])
 def test_mobile_digest(attack):
     world, m = run_world(mobile_config(attack))
-    assert m.digest == MOBILE_DIGESTS[attack]
+    assert digest_of(world, m) == MOBILE_DIGESTS[attack]
     if attack == adversary.SPOOF:
         assert len(events_of(world.events_log, "spoof_flagged")) == 805
 
@@ -129,7 +154,7 @@ def test_mobile_digest(attack):
 def test_depletion_digest():
     world, m = run_world(depletion_config())
     assert len(events_of(world.events_log, "node_depleted")) == 40
-    assert m.digest == DEPLETION_DIGEST
+    assert digest_of(world, m) == DEPLETION_DIGEST
 
 
 def test_static_reform_digest():
@@ -139,7 +164,7 @@ def test_static_reform_digest():
     assert len(floor) == 66
     assert len(events_of(world.events_log, "node_depleted")) == 9
     assert sorted(world.blacklisted) == [9, 36, 38, 53, 58, 59]
-    assert m.digest == STATIC_REFORM_DIGEST
+    assert digest_of(world, m) == STATIC_REFORM_DIGEST
 
 
 def test_static_beacon_depletion_digest():
@@ -155,7 +180,27 @@ def test_static_beacon_depletion_digest():
     assert (len(died), len(between)) == (16, 13)
     assert len(events_of(world.events_log, "spoof_flagged")) == 61
     assert sorted(world.blacklisted) == [4]
-    assert m.digest == BEACON_DEPLETION_DIGEST
+    assert digest_of(world, m) == BEACON_DEPLETION_DIGEST
+
+
+def test_by_link_digest():
+    """Mobility terms read inside rounds run link by link: a mobility
+    term kept from before such a round, though the round has extended the
+    histories since, moves this digest."""
+    world, m = run_world(by_link_config())
+    assert len(events_of(world.events_log, "spoof_flagged")) == 105
+    assert sorted(world.blacklisted) == [11, 18, 30, 38]
+    assert digest_of(world, m) == BY_LINK_DIGEST
+
+
+def test_digest_refuses_a_record_logged_around_it():
+    """A record appended to the log without its line being hashed makes
+    the digest raise instead of returning a digest of part of the log."""
+    world, m = run_world(desk_config())
+    assert world.digest() == m.digest
+    world.events_log.append((world.now, "forged", ()))
+    with pytest.raises(RuntimeError, match="appended around"):
+        world.digest()
 
 
 @pytest.mark.parametrize("cell, pin", [

@@ -1,7 +1,8 @@
 """The route plans and mobility terms a World keeps against fresh ones.
 
 A session keeps its last route plan (the plan, the segments, the segment
-table and the ack timeout) while `World.head_routes` is the same record and
+table, the ack timeout, and the texts and pairs its records are built
+from) while `World.head_routes` is the same record and
 both ends keep their heads, and `World.node_metrics` keeps each node's
 mobility term with the HELLO round count and the neighbour list it came
 from. `CheckedWorld` compares each of them, at every use, with what a
@@ -36,7 +37,7 @@ class CheckedWorld(World):
         kept = s.route
         self.reuse["plan_kept" if kept is not None and kept is before
                    else "plan_fresh"] += 1
-        assert (kept[1:] if kept is not None else None) == fresh_plan(self, s)
+        assert (kept[1:] if kept is not None else None) == fresh_plan(self, s, sid)
 
     def node_metrics(self, nid):
         self.reuse["read_by_link"] += self.beacons.by_link
@@ -49,18 +50,23 @@ class CheckedWorld(World):
         return m
 
 
-def fresh_plan(world, s):
+def fresh_plan(world, s, sid):
     """The plan, segments, segment table and ack timeout a search from
-    scratch gives now, or None when there is no route."""
+    scratch gives now, with the session id and the texts and pairs of the
+    session's route records built afresh, or None when there is no route."""
     try:
         route = protocol.discover_route(world, s.src, s.dst)
     except NoRoute:
         return None
     plan, segments = protocol.build_plan(route, s.src, s.dst)
     cfg = world.cfg
-    return (tuple(plan), tuple(segments), protocol.segment_table(plan, segments),
+    plan, segments = tuple(plan), tuple(segments)
+    return (plan, segments, protocol.segment_table(plan, segments),
             protocol.ack_timeout(cfg.packet_size, cfg.channel_capacity,
-                                 len(plan) - 1, cfg.ack_timeout_factor))
+                                 len(plan) - 1, cfg.ack_timeout_factor),
+            sid, repr(plan), repr(segments),
+            ("plan", plan), ("segs", segments), ("session", sid),
+            ("dst", plan[-1]), ("path", plan), ("src", plan[0]))
 
 
 def fresh_mobility(world, nid):
