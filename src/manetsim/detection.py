@@ -189,19 +189,17 @@ def handle_route_advert(from_member: bool) -> bool:
 def punish(world, verdict: Verdict, issuing_ch: int) -> bool:
     """Apply a MALICIOUS verdict network-wide. Idempotent.
 
-    Zeroes the node's trust, strips it from its cluster and any gateway
-    role, and floods a blacklist notice to every head.  Returns False when
-    the node was already blacklisted (nothing further happens).
+    Zeroes the node's trust through `world.change_trust`, strips it from
+    its cluster and any gateway role, and floods a blacklist notice to
+    every head.  Returns False when the node was already blacklisted
+    (nothing further happens).
     """
     if verdict.label != MALICIOUS:
         return False
     target = verdict.target
     if target in world.blacklisted:
         return False
-    rec = world.trust_registry[target]
-    before = trust.trust_value(rec)
-    trust.on_malicious(rec)
-    world.note_trust_change(target, before, trust.trust_value(rec), verdict.reason)
+    world.change_trust(target, trust.on_malicious, verdict.reason)
     world.blacklisted.add(target)
     world.eject_node(target)
     world.flood_blacklist(target, issuing_ch, verdict.reason)

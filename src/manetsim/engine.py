@@ -188,8 +188,8 @@ class World:
         kept while the clock stands still, since the records of one event
         share its time.
         `log` passes `repr(data)`; the hot records build the same text from
-        ints and from texts made once (see `_emit_packet`, `_deliver`,
-        `_ack_hop`)."""
+        ints and from texts made once (see `change_trust`, `_emit_packet`,
+        `_deliver`, `_ack_hop`)."""
         now = self.now
         self.events_log.append((now, kind, data))
         if now != self._stamp_at:
@@ -210,11 +210,10 @@ class World:
         self._packet_seq += 1
         return self._packet_seq
 
-    def drop_data(self, pid, reason, session_id=None):
+    def drop_data(self, pid, reason, session_id):
         self.dropped[reason] = self.dropped.get(reason, 0) + 1
         self.log("data_drop", packet=pid, reason=reason)
-        if session_id is not None:
-            self._session_resolve(session_id, delivered=False)
+        self._session_resolve(session_id, delivered=False)
 
     def distance(self, a: Node, b: Node) -> float:
         return a.pos.distance_to(b.pos)
@@ -459,7 +458,7 @@ class World:
         Coverage reads only the node's head and the links, and a change to
         either drops the record. Residual energy never rises, since a
         battery's spent bytes only grow, and trust moves only through
-        `note_trust_change`, which marks the id; the designation drops a
+        `change_trust`, which marks the id; the designation drops a
         marked id's stored terms. So an unmarked id with stored terms is
         rescored from them and a fresh residual energy, by the same
         `clustering.composite_score` and so to the same float as a fresh
@@ -552,16 +551,40 @@ class World:
 
     # ---- punishment hooks used by detection.punish ----
 
-    def note_trust_change(self, nid, before, after, reason):
+    def change_trust(self, nid, update, reason):
+        """Apply `update` (a `trust.on_*` function) to the node's trust
+        record, mark the id in the gateway candidates and log the change.
+
+        Every trust update goes through here. The record is `trust_change`,
+        with the trust before and after rounded to nine places, both read
+        from `_trust_memo`: a trust value is a function of the record's two
+        counters alone."""
+        rec = self.trust_registry[nid]
+        memo = self._trust_memo
+        before = memo.get((rec.loose_trust, rec.earn_trust))
+        if before is None:
+            before = self._memo_trust(rec)
+        update(rec)
+        after = memo.get((rec.loose_trust, rec.earn_trust))
+        if after is None:
+            after = self._memo_trust(rec)
         if self._gateway_candidates is not None:
             self._gateway_candidates.moved.add(nid)
         # the record `log` would build, its keys already in sorted order
-        after, before = round(after, 9), round(before, 9)
         self._record("trust_change", (
-            ("after", after), ("before", before), self._id_pairs[nid][0],
-            ("reason", reason)),
-            f"(('after', {after!r}), ('before', {before!r}), "
+            after[0], before[1], self._id_pairs[nid][0], ("reason", reason)),
+            f"(('after', {after[2]}), ('before', {before[2]}), "
             f"('node', {nid}), ('reason', {reason!r}))")
+
+    def _memo_trust(self, rec):
+        """The record's trust rounded as the log holds it, as the pairs
+        `("after", value)` and `("before", value)` and the text
+        `repr(value)`, memoized in `_trust_memo` by the record's
+        `(loose, earn)` counters."""
+        value = round(trust.trust_value(rec), 9)
+        entry = ("after", value), ("before", value), repr(value)
+        self._trust_memo[rec.loose_trust, rec.earn_trust] = entry
+        return entry
 
     def eject_node(self, nid):
         self.nodes[nid].cluster = None
@@ -605,12 +628,9 @@ class World:
         blacklist limit, which is the only non-malice path onto it."""
         if not self.cfg.detection_enabled:
             return
-        rec = self.trust_registry[nid]
-        before = trust.trust_value(rec)
-        trust.on_selfish(rec)
-        self.note_trust_change(nid, before, trust.trust_value(rec), reason)
-        if (nid not in self.blacklisted
-                and trust.is_blacklisted(rec, self.cfg.blacklist_limit)):
+        self.change_trust(nid, trust.on_selfish, reason)
+        if (nid not in self.blacklisted and trust.is_blacklisted(
+                self.trust_registry[nid], self.cfg.blacklist_limit)):
             self.blacklisted.add(nid)
             self.eject_node(nid)
             self.flood_blacklist(nid, ch_id, "trust_below_limit")
@@ -618,8 +638,8 @@ class World:
     # ---- session bookkeeping ----
 
     def _session_resolve(self, session_id, delivered):
-        s = self.sessions.get(session_id)
-        if s is None or s.closed:
+        s = self.sessions[session_id]
+        if s.closed:
             return
         if delivered:
             s.delivered += 1
@@ -627,16 +647,13 @@ class World:
         else:
             s.failed += 1
         if s.delivered + s.failed >= s.packets_total:
-            s.closed = True
+            s.closed, s.route = True, None
             success = s.delivered == s.packets_total
             if success:
-                rec = self.trust_registry[s.src]
-                before = trust.trust_value(rec)
-                trust.on_service_charge(rec)
                 # the transfer fee is bookkeeping, not an accusation: it
                 # never trips the blacklist check
-                self.note_trust_change(s.src, before, trust.trust_value(rec),
-                                       "service_charge")
+                self.change_trust(s.src, trust.on_service_charge,
+                                  "service_charge")
             self.log("session_complete", session=session_id, success=success,
                      delivered=s.delivered)
             self._schedule_followup(s)
@@ -793,12 +810,12 @@ class World:
             return
         node = self.nodes[s.src]
         if not node.alive:
-            s.closed = True
+            s.closed, s.route = True, None
             self.log("session_abandoned", session=sid)
             return
         if s.src in self.blacklisted or s.dst in self.blacklisted:
             # network-wide refusal cuts the node off mid-session too
-            s.closed = True
+            s.closed, s.route = True, None
             self.log("session_refused", session=sid, reason="blacklisted")
             return
         s.sent += 1
@@ -809,37 +826,29 @@ class World:
         # record (`RouteTables` compares by identity) and both heads stay
         nodes = self.nodes
         key = (self.head_routes, nodes[s.src].cluster, nodes[s.dst].cluster)
-        kept = s.route
-        if kept is None or kept[0] != key:
-            kept = s.route = self._plan_route(s, sid, key)
-        if kept is None:
+        route = s.route
+        if route is None or route.key != key:
+            route = s.route = self._plan_route(s, sid, key)
+        if route is None:
             self.log("data_emit", packet=pid, session=sid, plan=())
             self.drop_data(pid, "no_route", sid)
         else:
-            (_, plan, _, _, _, _, plan_text, segs_text,
-             plan_pair, segs_pair, session_pair, _, _, _) = kept
             # the record `log` would build, its keys already in sorted order
             self._record("data_emit", (
-                ("packet", pid), plan_pair, segs_pair, session_pair),
-                f"(('packet', {pid}), ('plan', {plan_text}), "
-                f"('segs', {segs_text}), ('session', {sid}))")
-            # a DATA packet travels as its id, the kept plan, which runs
-            # from the source to the destination, and the route record
-            self.schedule(self.now + self.data_airtime, "hop", pid, plan, 0,
-                          kept)
+                ("packet", pid), route.plan_pair, route.segs_pair,
+                route.session_pair),
+                f"(('packet', {pid}), ('plan', {route.plan_text}), "
+                f"('segs', {route.segs_text}), ('session', {sid}))")
+            # a DATA packet travels as its id, the index of its next hop
+            # and the route
+            self.schedule(self.now + self.data_airtime, "hop", pid, 0, route)
         if s.sent < s.packets_total:
             self.schedule(self.now + self.cfg.cbr_interval, "emit", sid)
 
     def _plan_route(self, s, sid, key):
-        """Session `sid`'s route record, or None when there is no route.
-
-        The record is `(key, plan, segments, segment table, ack timeout,
-        sid)`, key being the head route tables and the two ends' heads it
-        is planned from, followed by what the route's `data_emit` and
-        `data_delivered` records are built from: `repr(plan)` and
-        `repr(segments)`, then the pairs `("plan", plan)`, `("segs",
-        segments)`, `("session", sid)`, `("dst", plan[-1])`, `("path",
-        plan)` and `("src", plan[0])`, shared by all those records."""
+        """Session `sid`'s `packets.Route`, planned from `key` (the head
+        route tables and the two ends' heads), or None when there is no
+        route."""
         try:
             route = protocol.discover_route(self, s.src, s.dst)
         except NoRoute:
@@ -849,11 +858,8 @@ class World:
         timeout_s = protocol.ack_timeout(cfg.packet_size, cfg.channel_capacity,
                                          len(plan) - 1, cfg.ack_timeout_factor)
         seg_at = protocol.segment_table(plan, segments)
-        plan, segments = tuple(plan), tuple(segments)
-        return (key, plan, segments, seg_at, timeout_s, sid,
-                repr(plan), repr(segments),
-                ("plan", plan), ("segs", segments), ("session", sid),
-                ("dst", plan[-1]), ("path", plan), ("src", plan[0]))
+        return packets.Route(key, sid, tuple(plan), tuple(segments), seg_at,
+                             timeout_s)
 
     def _watch(self, watcher: Node, subject: Node):
         """What a watching head knows of a custodian from its HELLOs: the
@@ -870,13 +876,13 @@ class World:
             return res_eng, None
         return res_eng, hist.mobility(self.cfg.hello_interval)
 
-    def _hop(self, pid, plan, idx, route):
-        """DATA packet `pid` takes hop `idx` of `plan`, the plan of the
-        session route record `route` (see `_plan_route`) it was sent on."""
-        seg_at, timeout_s, session_id = route[3], route[4], route[5]
+    def _hop(self, pid, idx, route):
+        """DATA packet `pid` takes hop `idx` of the plan of `route`, the
+        session's `packets.Route` it was sent on."""
+        plan = route.plan
         frm, to = plan[idx], plan[idx + 1]
         fn, tn = self.nodes[frm], self.nodes[to]
-        seg = seg_at[idx]
+        seg = route.seg_at[idx]
         entry = None
         if seg is not None:
             st_up = self.ch_state.get(plan[seg[0]])
@@ -895,7 +901,7 @@ class World:
             if entry is not None and entry.gateway == frm:
                 entry.context = detection.LINK_BROKEN
             self.log("hop_fail", packet=pid, frm=frm, to=to)
-            self.drop_data(pid, "link_break", session_id)
+            self.drop_data(pid, "link_break", route.sid)
             return
 
         if seg is not None:
@@ -908,7 +914,7 @@ class World:
                 st = self._head_state(up_ch)
                 st.ledger.open_entry(pid, to, res_eng=res_eng,
                                      rel_mobility=rel_mobility)
-                self.schedule(self.now + timeout_s, "timeout", up_ch, pid)
+                self.schedule(self.now + route.timeout_s, "timeout", up_ch, pid)
             elif entry is not None and entry.gateway == frm and idx + 1 < q:
                 # custody moves to the far-side gateway, observed by the
                 # downstream head whose vantage supplies the snapshots
@@ -923,10 +929,10 @@ class World:
                 self.acted.add(to)
                 self.log("policy_drop", node=to, packet=pid,
                          packet_kind=packets.DATA)
-                self.drop_data(pid, "policy", session_id)
+                self.drop_data(pid, "policy", route.sid)
                 return
             if act.kind == adversary.TUNNEL:
-                self._tunnel(pid, plan[-1], to, act.peer, session_id)
+                self._tunnel(pid, route, to, act.peer)
                 return
 
         if seg is not None and idx + 1 == seg[1]:
@@ -939,54 +945,28 @@ class World:
         if final:
             self._deliver(pid, route)
         else:
-            self.schedule(self.now + self.data_airtime, "hop", pid, plan,
-                          idx + 1, route)
+            self.schedule(self.now + self.data_airtime, "hop", pid, idx + 1,
+                          route)
 
     def _deliver(self, pid, route):
-        """Count the delivery and credit every forwarder on the path.
+        """Count the delivery and credit every forwarder on the path
+        through `change_trust`.
 
         A delivered packet took every hop of its plan, so the plan is its
-        path: the source, the forwarders and the destination.  A credit's
-        records are those `note_trust_change` appends, with the rounded
-        trust before and after read from `_trust_memo`: a trust value is a
-        function of the record's two counters alone."""
-        (_, plan, _, _, _, sid, plan_text, _,
-         _, _, session_pair, dst_pair, path_pair, src_pair) = route
+        path: the source, the forwarders and the destination."""
+        plan, sid = route.plan, route.sid
         self.delivered += 1
-        record = self._record
-        record("data_delivered", (
-            dst_pair, ("packet", pid), path_pair, session_pair, src_pair),
-            f"(('dst', {plan[-1]}), ('packet', {pid}), ('path', {plan_text}), "
-            f"('session', {sid}), ('src', {plan[0]}))")
-        registry, memo = self.trust_registry, self._trust_memo
-        id_pairs, candidates = self._id_pairs, self._gateway_candidates
+        # the record `log` would build, its keys already in sorted order
+        self._record("data_delivered", (
+            route.dst_pair, ("packet", pid), route.path_pair,
+            route.session_pair, route.src_pair),
+            f"(('dst', {plan[-1]}), ('packet', {pid}), "
+            f"('path', {route.plan_text}), ('session', {sid}), "
+            f"('src', {plan[0]}))")
+        change = self.change_trust
         for fwd in plan[1:-1]:
-            rec = registry[fwd]
-            before = memo.get((rec.loose_trust, rec.earn_trust))
-            if before is None:
-                before = self._memo_trust(rec)
-            trust.on_forward_success(rec)
-            after = memo.get((rec.loose_trust, rec.earn_trust))
-            if after is None:
-                after = self._memo_trust(rec)
-            if candidates is not None:
-                candidates.moved.add(fwd)
-            record("trust_change", (
-                after[0], before[1], id_pairs[fwd][0],
-                ("reason", "forward_credit")),
-                f"(('after', {after[2]}), ('before', {before[2]}), "
-                f"('node', {fwd}), ('reason', 'forward_credit'))")
+            change(fwd, trust.on_forward_success, "forward_credit")
         self._session_resolve(sid, delivered=True)
-
-    def _memo_trust(self, rec):
-        """The record's trust rounded as the log holds it, as the pairs
-        `("after", value)` and `("before", value)` and the text
-        `repr(value)`, memoized in `_trust_memo` by the record's
-        `(loose, earn)` counters."""
-        value = round(trust.trust_value(rec), 9)
-        entry = ("after", value), ("before", value), repr(value)
-        self._trust_memo[rec.loose_trust, rec.earn_trust] = entry
-        return entry
 
     def _send_ack(self, plan, seg, ref):
         """Send the edge ACK for DATA packet `ref` back up the segment.  An
@@ -1055,8 +1035,10 @@ class World:
             st.selfish_applied.add(gateway)
             self.apply_selfish(gateway, ch_id, "recurring_refusal")
 
-    def _tunnel(self, pid, dst, nid, peer, session_id):
-        """Wormhole `nid` tunnels DATA packet `pid` for `dst` to its peer."""
+    def _tunnel(self, pid, route, nid, peer):
+        """Wormhole `nid` tunnels DATA packet `pid`, sent on `route`, to its
+        peer, which injects it at the route's destination."""
+        dst = route.plan[-1]
         self.log("tunnel", node=nid, peer=peer, packet=pid,
                  packet_kind=packets.DATA)
         self.acted.add(nid)
@@ -1073,7 +1055,7 @@ class World:
                 self.log("tunnel_delivery_rejected", dst=dst, packet=pid)
             else:
                 self.log("tunnel_no_outlet", peer=peer, packet=pid)
-        self.drop_data(pid, "tunnel", session_id)
+        self.drop_data(pid, "tunnel", route.sid)
 
     def _tunnel_rreq(self, rreq_id, claimed, nid, peer):
         """Wormhole `nid` replays an overheard request at its peer's head."""

@@ -1,8 +1,9 @@
-"""Packet kinds and the session record.
+"""Packet kinds, the session record and a session's route.
 
 A message travels as the values its readers use, not as an object: a DATA
-hop carries its packet id and the session's route record, an ACK the id it
-acknowledges, a route request its id and claimed source (see `engine`).
+hop carries its packet id, the index of the hop and the session's `Route`,
+an ACK the id it acknowledges, a route request its id and claimed source
+(see `engine`).
 """
 
 from dataclasses import dataclass
@@ -11,6 +12,39 @@ DATA = "DATA"
 ACK = "ACK"
 HELLO = "HELLO"
 RREQ = "RREQ"
+
+
+class Route:
+    """A session's route, as `World._plan_route` plans it.
+
+    `key` is what the plan was read from: the head route tables and the
+    two ends' heads. `plan` runs from the source to the destination,
+    `segments` are its head-to-head segments, `seg_at` maps each hop to its
+    segment (`protocol.segment_table`), and `timeout_s` is the ack timeout
+    of the plan's length. The rest is what the route's `data_emit` and
+    `data_delivered` records are built from, made once here and shared by
+    all of them: `repr` of the plan and of the segments, and the pairs
+    those records hold.
+    """
+    __slots__ = ("key", "sid", "plan", "segments", "seg_at", "timeout_s",
+                 "plan_text", "segs_text", "plan_pair", "segs_pair",
+                 "session_pair", "dst_pair", "path_pair", "src_pair")
+
+    def __init__(self, key, sid, plan, segments, seg_at, timeout_s):
+        self.key = key
+        self.sid = sid
+        self.plan = plan
+        self.segments = segments
+        self.seg_at = seg_at
+        self.timeout_s = timeout_s
+        self.plan_text = repr(plan)
+        self.segs_text = repr(segments)
+        self.plan_pair = ("plan", plan)
+        self.segs_pair = ("segs", segments)
+        self.session_pair = ("session", sid)
+        self.dst_pair = ("dst", plan[-1])
+        self.path_pair = ("path", plan)
+        self.src_pair = ("src", plan[0])
 
 
 @dataclass
@@ -24,6 +58,5 @@ class Session:
     failed: int = 0
     last_delivery: float | None = None
     closed: bool = False
-    # the last route record planned for the session, with the texts and
-    # pairs its log records share, see World._plan_route
-    route: tuple | None = None
+    # the last route planned for the open session; a closed one drops it
+    route: Route | None = None

@@ -30,6 +30,10 @@ ENV_PREFIX = "MANETSIM_"
 
 SCENARIO_ONLY_KEYS = ("node_counts", "seeds", "malicious_fractions", "out")
 
+# the words YAML reads as null; an optional field takes them from the
+# environment and flags as the file's null
+YAML_NULLS = ("", "~", "null", "Null", "NULL")
+
 CSV_COLUMNS = ("node_count", "seed", "malicious_fraction", "attack_kinds",
                "detection_rate", "false_positives", "throughput",
                "mean_e2e_delay")
@@ -160,6 +164,8 @@ def _parse(name: str, raw):
     if name == "out":
         return str(raw)
     hint = hints.get(name, "")
+    if hint.endswith("| None") and raw in YAML_NULLS:
+        return None
     if hint == "bool" and not isinstance(raw, bool):
         # a file's 1 or 0 is an int; every other value is a word to check
         raw = str(raw)
@@ -261,23 +267,32 @@ def run_scenario(sc: Scenario, write_logs: bool = False):
     return table, summary, extras
 
 
-def summarize(table: ResultsTable) -> str:
-    """Mean and stddev of each metric per node_count, as aligned text."""
+def _aggregate(table: ResultsTable, metric_name: str):
+    """`(node_count, runs, mean, stddev)` of the metric per node count, in
+    node count order; runs counts the cells with a value, and a count
+    without any has mean and stddev None."""
     by_n = {}
     for m in table.rows:
-        by_n.setdefault(m.node_count, []).append(m)
+        by_n.setdefault(m.node_count, []).append(getattr(m, metric_name))
+    stats = []
+    for n in sorted(by_n):
+        vals = [v for v in by_n[n] if v is not None]
+        if not vals:
+            stats.append((n, 0, None, None))
+            continue
+        sd = statistics.stdev(vals) if len(vals) > 1 else 0.0
+        stats.append((n, len(vals), statistics.fmean(vals), sd))
+    return stats
+
+
+def summarize(table: ResultsTable) -> str:
+    """Mean and stddev of each metric per node_count, as aligned text."""
     lines = [f"{'metric':<16} {'nodes':>5} {'runs':>4} {'mean':>12} {'stddev':>12}"]
     for metric_name in PLOT_METRICS:
-        for n in sorted(by_n):
-            vals = [getattr(m, metric_name) for m in by_n[n]]
-            vals = [v for v in vals if v is not None]
-            if not vals:
-                lines.append(f"{metric_name:<16} {n:>5} {0:>4} {'na':>12} {'na':>12}")
-                continue
-            mean = statistics.fmean(vals)
-            sd = statistics.stdev(vals) if len(vals) > 1 else 0.0
-            lines.append(f"{metric_name:<16} {n:>5} {len(vals):>4} "
-                         f"{mean:>12.4f} {sd:>12.4f}")
+        for n, runs, mean, sd in _aggregate(table, metric_name):
+            cols = (f"{mean:>12.4f} {sd:>12.4f}" if runs
+                    else f"{'na':>12} {'na':>12}")
+            lines.append(f"{metric_name:<16} {n:>5} {runs:>4} {cols}")
     return "\n".join(lines) + "\n"
 
 
@@ -290,17 +305,8 @@ def emit_plotdata(table: ResultsTable, metric_name: str):
     if metric_name not in PLOT_METRICS:
         raise ConfigError(
             f"unknown metric {metric_name!r}; valid: {', '.join(PLOT_METRICS)}")
-    by_n = {}
-    for m in table.rows:
-        by_n.setdefault(m.node_count, []).append(getattr(m, metric_name))
-    points = []
-    for n in sorted(by_n):
-        vals = [v for v in by_n[n] if v is not None]
-        if not vals:
-            continue
-        mean = statistics.fmean(vals)
-        sd = statistics.stdev(vals) if len(vals) > 1 else 0.0
-        points.append(f"{n} {_num(mean)} {_num(sd)}")
+    points = [f"{n} {_num(mean)} {_num(sd)}"
+              for n, runs, mean, sd in _aggregate(table, metric_name) if runs]
     if not points:
         return None, f"{metric_name}: no values in any cell; series omitted"
     return "# x y err\n" + "\n".join(points) + "\n", None

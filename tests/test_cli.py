@@ -309,21 +309,25 @@ def test_bool_words_parse_in_any_case(words, want):
 
 def test_env_sets_list_and_mapping_fields(tmp_path, monkeypatch):
     """The environment sets the list and mapping fields in the file's own
-    YAML grammar."""
+    YAML grammar, and resets an optional integer the file set to null."""
     env = {"MANETSIM_ENERGY_OVERRIDES": "{1: 2.0}",
            "MANETSIM_TRAFFIC": "[[0, 2]]",
            "MANETSIM_ADVERSARIES": "[{node: 1, kind: grey_hole}]",
-           "MANETSIM_POSITIONS": "[[0, 0], [40, 0], [80, 0]]"}
-    cfg = apply_env(Scenario(), environ=env).config_for(3, 1, 0.0).validate()
+           "MANETSIM_POSITIONS": "[[0, 0], [40, 0], [80, 0]]",
+           "MANETSIM_SESSIONS_PER_SOURCE": "null"}
+    sc = Scenario(base={"sessions_per_source": 2})
+    cfg = apply_env(sc, environ=env).config_for(3, 1, 0.0).validate()
     assert cfg.energy_overrides == {1: 2.0}
     assert cfg.traffic == [[0, 2]]
     assert cfg.adversaries == [{"node": 1, "kind": "grey_hole"}]
     assert cfg.positions == [[0, 0], [40, 0], [80, 0]]
+    assert cfg.sessions_per_source is None
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     out = tmp_path / "env"
-    assert main([write_scenario(tmp_path), "--nodes", "3", "--seed", "1",
-                 "--out", str(out)]) == 0
+    text = TINY + "sessions_per_source: 2\n"
+    assert main([write_scenario(tmp_path, text=text), "--nodes", "3",
+                 "--seed", "1", "--out", str(out)]) == 0
     assert (out / "results.csv").read_text().splitlines()[1].startswith("3,1,")
 
 

@@ -255,8 +255,11 @@ class StubWorld:
         self.ejected = []
         self.floods = []
 
-    def note_trust_change(self, node, before, after, reason):
-        self.changes.append((node, before, after, reason))
+    def change_trust(self, node, update, reason):
+        rec = self.trust_registry[node]
+        before = trust.trust_value(rec)
+        update(rec)
+        self.changes.append((node, before, trust.trust_value(rec), reason))
 
     def eject_node(self, node):
         self.ejected.append(node)

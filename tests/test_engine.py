@@ -129,7 +129,7 @@ def test_different_seed_different_digest():
 @pytest.mark.parametrize("attack", adversary.KINDS)
 def test_logged_keys_ascend(attack):
     """Every record's data keys are strictly ascending, the order `World.log`
-    gives: the records appended as literals (`note_trust_change`, the
+    gives: the records appended as literals (`change_trust`, the
     routed `data_emit`, `data_delivered`, `ack_delivered`) keep it too."""
     cfg = SimConfig(node_count=30, area=(250.0, 250.0), sim_duration=2.0,
                     seed=3, attack=attack,

@@ -36,6 +36,7 @@ import pytest
 from helpers import desk_config, events_of, legacy_digest, run_world
 from manetsim import adversary
 from manetsim.config import SimConfig
+from manetsim.engine import World
 
 DESK_ADVERSARIES = {
     adversary.HONEST: [],
@@ -191,6 +192,40 @@ def test_by_link_digest():
     assert len(events_of(world.events_log, "spoof_flagged")) == 105
     assert sorted(world.blacklisted) == [11, 18, 30, 38]
     assert digest_of(world, m) == BY_LINK_DIGEST
+
+
+@pytest.mark.parametrize("cell, pin, reasons", [
+    (desk_config(adversaries=DESK_ADVERSARIES[adversary.GREY_HOLE]),
+     DESK_DIGESTS[adversary.GREY_HOLE], {"culpable_drops"}),
+    (desk_config(adversaries=DESK_ADVERSARIES[adversary.SLANDER]),
+     DESK_DIGESTS[adversary.SLANDER], {"forward_credit", "baseless_accusations"}),
+    (mobile_config(adversary.GREY_HOLE), MOBILE_DIGESTS[adversary.GREY_HOLE],
+     {"forward_credit"}),
+    (mobile_config(adversary.SLANDER), MOBILE_DIGESTS[adversary.SLANDER],
+     {"forward_credit"}),
+    (static_reform_config(), STATIC_REFORM_DIGEST,
+     {"forward_credit", "service_charge", "culpable_drops"}),
+], ids=["desk_grey_hole", "desk_slander", "mobile_grey_hole", "mobile_slander",
+        "static_reform"])
+def test_every_trust_change_goes_through_change_trust(cell, pin, reasons,
+                                                      monkeypatch):
+    """Forward credits, service charges, selfishness hits and convictions
+    all move trust through `World.change_trust`: on the golden grey-hole
+    and slander cells it is called once per `trust_change` record, with the
+    record's reason."""
+    calls = []
+    change = World.change_trust
+
+    def counted(world, nid, update, reason):
+        calls.append(reason)
+        return change(world, nid, update, reason)
+
+    monkeypatch.setattr(World, "change_trust", counted)
+    world, m = run_world(cell)
+    assert digest_of(world, m) == pin
+    logged = [d["reason"] for _, d in events_of(world.events_log, "trust_change")]
+    assert calls == logged
+    assert set(calls) == reasons
 
 
 def test_digest_refuses_a_record_logged_around_it():

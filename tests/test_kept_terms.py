@@ -1,8 +1,8 @@
 """The route plans and mobility terms a World keeps against fresh ones.
 
-A session keeps its last route plan (the plan, the segments, the segment
-table, the ack timeout, and the texts and pairs its records are built
-from) while `World.head_routes` is the same record and
+A session keeps its last route (`packets.Route`: the plan, the segments,
+the segment table, the ack timeout, and the texts and pairs its records
+are built from) while `World.head_routes` is the same record and
 both ends keep their heads, and `World.node_metrics` keeps each node's
 mobility term with the HELLO round count and the neighbour list it came
 from. `CheckedWorld` compares each of them, at every use, with what a
@@ -19,6 +19,7 @@ import pytest
 from manetsim import adversary, beacon, clustering, protocol, radio
 from manetsim.engine import World
 from manetsim.errors import NoRoute
+from manetsim.packets import Route
 from test_golden import mobile_config
 
 
@@ -37,7 +38,7 @@ class CheckedWorld(World):
         kept = s.route
         self.reuse["plan_kept" if kept is not None and kept is before
                    else "plan_fresh"] += 1
-        assert (kept[1:] if kept is not None else None) == fresh_plan(self, s, sid)
+        assert route_fields(kept) == fresh_plan(self, s, sid)
 
     def node_metrics(self, nid):
         self.reuse["read_by_link"] += self.beacons.by_link
@@ -50,10 +51,20 @@ class CheckedWorld(World):
         return m
 
 
+def route_fields(route):
+    """The route's fields by name, but for the key it was planned from, or
+    None for no route."""
+    if route is None:
+        return None
+    return {name: getattr(route, name) for name in Route.__slots__
+            if name != "key"}
+
+
 def fresh_plan(world, s, sid):
-    """The plan, segments, segment table and ack timeout a search from
-    scratch gives now, with the session id and the texts and pairs of the
-    session's route records built afresh, or None when there is no route."""
+    """The fields of the session's route (`route_fields`) built from a
+    search from scratch now: the plan, segments, segment table and ack
+    timeout, with the session id and the texts and pairs of the route's
+    records built afresh, or None when there is no route."""
     try:
         route = protocol.discover_route(world, s.src, s.dst)
     except NoRoute:
@@ -61,12 +72,15 @@ def fresh_plan(world, s, sid):
     plan, segments = protocol.build_plan(route, s.src, s.dst)
     cfg = world.cfg
     plan, segments = tuple(plan), tuple(segments)
-    return (plan, segments, protocol.segment_table(plan, segments),
-            protocol.ack_timeout(cfg.packet_size, cfg.channel_capacity,
-                                 len(plan) - 1, cfg.ack_timeout_factor),
-            sid, repr(plan), repr(segments),
-            ("plan", plan), ("segs", segments), ("session", sid),
-            ("dst", plan[-1]), ("path", plan), ("src", plan[0]))
+    return {"sid": sid, "plan": plan, "segments": segments,
+            "seg_at": protocol.segment_table(plan, segments),
+            "timeout_s": protocol.ack_timeout(
+                cfg.packet_size, cfg.channel_capacity, len(plan) - 1,
+                cfg.ack_timeout_factor),
+            "plan_text": repr(plan), "segs_text": repr(segments),
+            "plan_pair": ("plan", plan), "segs_pair": ("segs", segments),
+            "session_pair": ("session", sid), "dst_pair": ("dst", plan[-1]),
+            "path_pair": ("path", plan), "src_pair": ("src", plan[0])}
 
 
 def fresh_mobility(world, nid):
@@ -102,4 +116,7 @@ def test_kept_plans_and_terms_equal_fresh_ones(attack, seed):
     world.run()
     for name in ("plan_kept", "plan_fresh", "mobility_kept", "mobility_fresh"):
         assert world.reuse[name] > 0, (name, world.reuse)
+    # a closed session drops its route; packets in flight hold their own
+    closed = [s for s in world.sessions.values() if s.closed]
+    assert closed and all(s.route is None for s in closed)
     assert world.reuse["read_by_link"] > 0 or attack != adversary.SPOOF

@@ -101,18 +101,19 @@ class LinkCheckedWorld(World):
             self.checked[what] += 1
             self.down += not want
 
-    def _hop(self, pid, plan, idx, *rest):
-        self._check("hop", plan[idx], plan[idx + 1])
-        return super()._hop(pid, plan, idx, *rest)
+    def _hop(self, pid, idx, route):
+        self._check("hop", route.plan[idx], route.plan[idx + 1])
+        return super()._hop(pid, idx, route)
 
     def _ack_hop(self, ref, aplan, idx):
         self._check("ack", aplan[idx], aplan[idx + 1])
         return super()._ack_hop(ref, aplan, idx)
 
-    def _tunnel(self, pid, dst, nid, peer, session_id):
+    def _tunnel(self, pid, route, nid, peer):
+        dst = route.plan[-1]
         if peer != dst:
             self._check("tunnel", peer, dst)
-        return super()._tunnel(pid, dst, nid, peer, session_id)
+        return super()._tunnel(pid, route, nid, peer)
 
 
 def test_hop_links_follow_current_positions():
