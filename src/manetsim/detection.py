@@ -55,10 +55,13 @@ class Verdict:
 class SurveillanceLedger:
     """One head's watched handovers, indexed by packet and by gateway.
 
-    `resolve` files each entry under the gateway holding custody at that
-    moment: `resolved` counts them and `timeouts` keeps the TIMEOUT ones,
-    in resolve order. An entry's gateway and context change only while it
-    is PENDING, so the index stays what a scan of every entry would find.
+    `by_packet` holds only the PENDING entries: `resolve` takes each entry
+    out of it and files it under the gateway holding custody at that
+    moment, where `resolved` counts it and `timeouts` keeps it if it timed
+    out, in resolve order. An ACKED entry is then dropped, since a judgment
+    reads only the count. An entry's gateway and context change only while
+    it is PENDING, so the index stays what a scan of every entry would
+    find, and a packet id missing from `by_packet` is unknown or resolved.
 
     `judge_forwarding` sorts each TIMEOUT entry once into culpable,
     stingy or neither: `sorts` holds, per gateway, how many of its timeouts
@@ -67,7 +70,7 @@ class SurveillanceLedger:
     sorts every entry again.
     """
     opened: int = 0                                # entries opened so far
-    by_packet: dict = field(default_factory=dict)
+    by_packet: dict = field(default_factory=dict)  # packet id -> PENDING entry
     resolved: dict = field(default_factory=dict)   # gateway -> resolved entries
     timeouts: dict = field(default_factory=dict)   # gateway -> its TIMEOUT entries
     sorted_by: tuple = ()
@@ -81,8 +84,8 @@ class SurveillanceLedger:
         return entry
 
     def resolve(self, packet_id, status, context=None):
-        entry = self.by_packet.get(packet_id)
-        if entry is None or entry.ack_status != PENDING:
+        entry = self.by_packet.pop(packet_id, None)
+        if entry is None:
             return None
         entry.ack_status = status
         if context is not None:

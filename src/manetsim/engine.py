@@ -132,9 +132,10 @@ class World:
         self._hashed = 0             # digest lines hashed so far
         self._stamp_at = None        # the time last formatted, and its text
         self._stamp = ""
-        # each node's ("node", id), ("at", id) and ("gateway", id) pairs,
-        # shared by the hot records that name it
-        self._id_pairs = [(("node", i), ("at", i), ("gateway", i))
+        # each node's ("node", id), ("at", id), ("gateway", id), ("src", id)
+        # and ("dst", id) pairs, shared by the hot records that name it
+        self._id_pairs = [(("node", i), ("at", i), ("gateway", i),
+                           ("src", i), ("dst", i))
                           for i in range(cfg.node_count)]
 
         self.nodes = {}
@@ -154,6 +155,7 @@ class World:
         self._membership_settled = False  # see _sweep_topology
         self._mobility = {}          # node id -> (round, neighbours, term), see node_metrics
         self._trust_memo = {}        # (loose, earn) -> pairs and text, see _memo_trust
+        self._reason_pairs = {}      # reason -> ("reason", reason), see change_trust
 
         self.generated = 0
         self.delivered = 0
@@ -558,7 +560,8 @@ class World:
         Every trust update goes through here. The record is `trust_change`,
         with the trust before and after rounded to nine places, both read
         from `_trust_memo`: a trust value is a function of the record's two
-        counters alone."""
+        counters alone. The records of one reason share its
+        `("reason", reason)` pair from `_reason_pairs`."""
         rec = self.trust_registry[nid]
         memo = self._trust_memo
         before = memo.get((rec.loose_trust, rec.earn_trust))
@@ -570,9 +573,12 @@ class World:
             after = self._memo_trust(rec)
         if self._gateway_candidates is not None:
             self._gateway_candidates.moved.add(nid)
+        reason_pair = self._reason_pairs.get(reason)
+        if reason_pair is None:
+            reason_pair = self._reason_pairs[reason] = ("reason", reason)
         # the record `log` would build, its keys already in sorted order
         self._record("trust_change", (
-            after[0], before[1], self._id_pairs[nid][0], ("reason", reason)),
+            after[0], before[1], self._id_pairs[nid][0], reason_pair),
             f"(('after', {after[2]}), ('before', {before[2]}), "
             f"('node', {nid}), ('reason', {reason!r}))")
 
@@ -794,7 +800,7 @@ class World:
             self._session_seq += 1
             sid = self._session_seq
             self.sessions[sid] = packets.Session(
-                src, dst, self.now, self.cfg.session_packets)
+                src, dst, self.now, self.cfg.session_packets, ("session", sid))
             left = self._sessions_left.get(src)
             if left is not None and left > 0:
                 self._sessions_left[src] = left - 1
@@ -828,7 +834,7 @@ class World:
         key = (self.head_routes, nodes[s.src].cluster, nodes[s.dst].cluster)
         route = s.route
         if route is None or route.key != key:
-            route = s.route = self._plan_route(s, sid, key)
+            route = s.route = self._plan_route(s, key)
         if route is None:
             self.log("data_emit", packet=pid, session=sid, plan=())
             self.drop_data(pid, "no_route", sid)
@@ -845,10 +851,9 @@ class World:
         if s.sent < s.packets_total:
             self.schedule(self.now + self.cfg.cbr_interval, "emit", sid)
 
-    def _plan_route(self, s, sid, key):
-        """Session `sid`'s `packets.Route`, planned from `key` (the head
-        route tables and the two ends' heads), or None when there is no
-        route."""
+    def _plan_route(self, s, key):
+        """Session s's `packets.Route`, planned from `key` (the head route
+        tables and the two ends' heads), or None when there is no route."""
         try:
             route = protocol.discover_route(self, s.src, s.dst)
         except NoRoute:
@@ -858,8 +863,10 @@ class World:
         timeout_s = protocol.ack_timeout(cfg.packet_size, cfg.channel_capacity,
                                          len(plan) - 1, cfg.ack_timeout_factor)
         seg_at = protocol.segment_table(plan, segments)
-        return packets.Route(key, sid, tuple(plan), tuple(segments), seg_at,
-                             timeout_s)
+        id_pairs = self._id_pairs
+        return packets.Route(key, s.id_pair, tuple(plan), tuple(segments),
+                             seg_at, timeout_s, id_pairs[s.src][3],
+                             id_pairs[s.dst][4])
 
     def _watch(self, watcher: Node, subject: Node):
         """What a watching head knows of a custodian from its HELLOs: the
@@ -885,11 +892,10 @@ class World:
         seg = route.seg_at[idx]
         entry = None
         if seg is not None:
+            # the upstream head's watch on the packet, while it is PENDING
             st_up = self.ch_state.get(plan[seg[0]])
             if st_up is not None:
-                cand = st_up.ledger.by_packet.get(pid)
-                if cand is not None and cand.ack_status == detection.PENDING:
-                    entry = cand
+                entry = st_up.ledger.by_packet.get(pid)
 
         # `consume` refuses a dead battery and charges it nothing
         size = self.cfg.packet_size
@@ -1011,7 +1017,7 @@ class World:
         if st is None:
             return
         entry = st.ledger.by_packet.get(packet_id)
-        if entry is None or entry.ack_status != detection.PENDING:
+        if entry is None:
             return
         if entry.delivered_downstream:
             # the far head saw it; only the receipt went missing

@@ -229,10 +229,15 @@ def run_scenario(sc: Scenario, write_logs: bool = False):
     extras maps filename -> content for digests and per-metric plot data.
     Cells run in deterministic (fraction, node_count, seed) order; a
     failing cell is re-raised with its identity attached.
+
+    With write_logs, each cell's event log is written to `sc.out` line by
+    line when the cell ends (`_write_log`) and dropped before the next
+    cell runs, so no two logs are held at once. The directory is made at
+    the first write, after every cell config has validated, and a failing
+    cell leaves the logs of the cells before it.
     """
     table = ResultsTable()
     digests = []
-    event_logs = {}
     # a cell config that fails validation is a usage error, reported as
     # such before any cell runs
     cells = [(n, seed, frac, sc.config_for(n, seed, frac).validate())
@@ -251,9 +256,8 @@ def run_scenario(sc: Scenario, write_logs: bool = False):
             table.rows.append(result)
             digests.append(f"{n},{seed},{_num(frac)},{result.digest}")
             if write_logs:
-                name = f"events_n{n}_s{seed}_m{_num(frac)}.log"
-                event_logs[name] = "".join(
-                    f"{t:.9f} {kind} {dict(data)!r}\n" for t, kind, data in events)
+                _write_log(sc.out, f"events_n{n}_s{seed}_m{_num(frac)}.log",
+                           events)
             del events
     summary = summarize(table)
     extras = {"digests.txt": "\n".join(digests) + "\n"}
@@ -263,8 +267,16 @@ def run_scenario(sc: Scenario, write_logs: bool = False):
             summary += f"\n# {notice}\n"
         else:
             extras[f"plot_{metric_name}.txt"] = series
-    extras.update(event_logs)
     return table, summary, extras
+
+
+def _write_log(out_dir: str, name: str, events):
+    """Write one cell's event log to `out_dir/name`, one line per record:
+    its time to nine places, its kind and `repr` of its data as a dict."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.writelines(f"{t:.9f} {kind} {dict(data)!r}\n"
+                      for t, kind, data in events)
 
 
 def _aggregate(table: ResultsTable, metric_name: str):

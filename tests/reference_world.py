@@ -8,8 +8,9 @@ all kept in `tests/*_reference.py`:
 - the all-pairs adjacency scan, the all-pairs gateway designation on every
   refresh and a fresh breadth-first route search per packet
   (`topology_reference.py`), no session keeping its last route plan;
-- the forwarding judgment that scans every ledger entry
-  (`detection_reference.py`);
+- the forwarding judgment that scans every ledger entry the head opened
+  (`detection_reference.py`), as `keeping_opened_entries` collects them,
+  since the ledger itself lets resolved entries go;
 - the membership pass on every topology tick, where the engine runs it
   only after a rebuild, an ejection or with a head under the energy floor;
 - every mobility election term worked out afresh from the histories,
@@ -21,6 +22,7 @@ batteries. Each piece also has its own differential test; this one catches
 faults where two fast paths meet.
 """
 
+import contextlib
 from unittest import mock
 
 from beacon_reference import reference_hello_round
@@ -33,9 +35,30 @@ from topology_reference import (reference_adjacency,
                                 reference_discover_route)
 
 
+def opened_entries(ledger):
+    """Every entry the ledger opened under `keeping_opened_entries`, by
+    packet id in open order: what `by_packet` held before resolved entries
+    left it."""
+    return ledger.__dict__.setdefault("opened_entries", {})
+
+
+@contextlib.contextmanager
+def keeping_opened_entries():
+    """Keep each ledger's opened entries (`opened_entries`) for the block."""
+    open_entry = detection.SurveillanceLedger.open_entry
+
+    def keeping(ledger, packet_id, *args, **kwargs):
+        entry = open_entry(ledger, packet_id, *args, **kwargs)
+        opened_entries(ledger)[packet_id] = entry
+        return entry
+
+    with mock.patch.object(detection.SurveillanceLedger, "open_entry", keeping):
+        yield
+
+
 def _judge_by_scan(ledger, gateway, th):
-    # by_packet keeps the entries in the order they were opened
-    return reference_judge_forwarding(list(ledger.by_packet.values()), gateway, th)
+    return reference_judge_forwarding(list(opened_entries(ledger).values()),
+                                      gateway, th)
 
 
 class ReferenceWorld(World):
@@ -72,5 +95,6 @@ class ReferenceWorld(World):
 
     def run(self):
         with mock.patch.object(protocol, "discover_route", reference_discover_route), \
-                mock.patch.object(detection, "judge_forwarding", _judge_by_scan):
+                mock.patch.object(detection, "judge_forwarding", _judge_by_scan), \
+                keeping_opened_entries():
             return super().run()

@@ -6,7 +6,7 @@ import weakref
 import pytest
 import yaml
 
-from manetsim import scenario
+from manetsim import engine, scenario
 from manetsim.cli import main
 from manetsim.config import CONFIG_FIELDS, SimConfig
 from manetsim.engine import World
@@ -484,14 +484,68 @@ def test_debug_level_writes_event_logs(tmp_path):
     assert "run_start" in logs[0].read_text()
 
 
+DEBUG_SWEEP = "node_counts: [8]\nseeds: [1, 2]\nsim_duration: 1.0\nsource_fraction: 0.5\n"
+
+
+def test_debug_sweep_logs_equal_the_engine_logs(tmp_path):
+    """Each log file a debug sweep writes as its cell ends is, byte for
+    byte, one line per record of `engine.run`'s log: the time to nine
+    places, the kind and `repr` of the data as a dict."""
+    cfg = write_scenario(tmp_path, text=DEBUG_SWEEP)
+    out = tmp_path / "dbg"
+    assert main([cfg, "--out", str(out), "--log-level", "debug"]) == 0
+    sc = load_scenario(cfg)
+    want = {}
+    for n, seed, frac in sc.cells():
+        _, events = engine.run(sc.config_for(n, seed, frac))
+        want[f"events_n{n}_s{seed}_m0.log"] = "".join(
+            f"{t:.9f} {kind} {dict(data)!r}\n" for t, kind, data in events
+        ).encode()
+    got = {p.name: p.read_bytes() for p in out.glob("events_*.log")}
+    assert sorted(got) == ["events_n8_s1_m0.log", "events_n8_s2_m0.log"]
+    assert got == want
+
+
+def test_failing_cell_keeps_the_logs_before_it(tmp_path, capsys, monkeypatch):
+    """A debug sweep whose second cell fails exits 1 naming that cell; the
+    first cell's log is on disk already, and nothing else is written."""
+    run = engine.run
+
+    def failing(cfg):
+        if cfg.seed == 2:
+            raise ValueError("boom")
+        return run(cfg)
+
+    monkeypatch.setattr(engine, "run", failing)
+    cfg = write_scenario(tmp_path, text=DEBUG_SWEEP)
+    out = tmp_path / "dbg"
+    assert main([cfg, "--out", str(out), "--log-level", "debug"]) == 1
+    assert "nodes=8 seed=2" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["events_n8_s1_m0.log"]
+
+
+def test_debug_usage_error_writes_nothing(tmp_path, capsys):
+    """Every cell config validates before the first log is written: a
+    sweep whose second node count cannot carry its traffic exits 2 and
+    leaves no output directory."""
+    cfg = write_scenario(tmp_path, text="node_counts: [8, 4]\nseeds: [1]\n"
+                                        "sim_duration: 1.0\ntraffic: [[0, 5]]\n")
+    out = tmp_path / "dbg"
+    assert main([cfg, "--out", str(out), "--log-level", "debug"]) == 2
+    assert "traffic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class WatchedLog(list):
     """An event log a weak reference can follow."""
 
 
 @pytest.mark.parametrize("write_logs", [False, True])
-def test_sweep_frees_each_cell_before_the_next(monkeypatch, write_logs):
+def test_sweep_frees_each_cell_before_the_next(monkeypatch, tmp_path,
+                                               write_logs):
     """No cell's event log is alive while the next cell runs, the collector
-    stays paused through every cell, and the caller's setting comes back."""
+    stays paused through every cell, and the caller's setting comes back.
+    With logs on, each cell's log is on disk once the sweep returns."""
     logs, alive, collecting = [], [], []
     init = World.__init__
 
@@ -503,8 +557,9 @@ def test_sweep_frees_each_cell_before_the_next(monkeypatch, write_logs):
         logs.append(weakref.ref(self.events_log))
 
     monkeypatch.setattr(World, "__init__", watched_init)
+    out = tmp_path / "out"
     sc = Scenario(base={"sim_duration": 0.5, "source_fraction": 0.5},
-                  node_counts=(8,), seeds=(1, 2, 3))
+                  node_counts=(8,), seeds=(1, 2, 3), out=str(out))
     was = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -514,7 +569,10 @@ def test_sweep_frees_each_cell_before_the_next(monkeypatch, write_logs):
             assert gc.isenabled() == enabled
             assert len(table.rows) == len(logs) == 3
             assert all(ref() is None for ref in logs)
-            assert ("events_n8_s3_m0.log" in extras) == write_logs
+            last = out / "events_n8_s3_m0.log"
+            assert last.exists() == write_logs
+            assert not write_logs or "run_start" in last.read_text()
+            assert not any(name.endswith(".log") for name in extras)
     finally:
         (gc.enable if was else gc.disable)()
     assert alive == [0] * 6

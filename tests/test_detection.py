@@ -35,11 +35,16 @@ def test_entries_open_pending():
 
 
 def test_resolve_is_first_writer_wins():
+    """The first resolve files the entry and takes it out of `by_packet`,
+    so a later one finds nothing to resolve."""
     led = SurveillanceLedger()
     led.open_entry(5, 27, res_eng=0.9, rel_mobility=0.0)
-    assert led.resolve(5, ACKED).ack_status == ACKED
+    entry = led.resolve(5, ACKED)
+    assert entry.ack_status == ACKED
+    assert 5 not in led.by_packet
     assert led.resolve(5, TIMEOUT) is None
-    assert led.by_packet[5].ack_status == ACKED
+    assert entry.ack_status == ACKED
+    assert led.resolved[27] == 1 and 27 not in led.timeouts
 
 
 def test_resolve_unknown_packet_is_none():

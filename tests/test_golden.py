@@ -34,7 +34,7 @@ from pathlib import Path
 import pytest
 
 from helpers import desk_config, events_of, legacy_digest, run_world
-from manetsim import adversary
+from manetsim import adversary, detection
 from manetsim.config import SimConfig
 from manetsim.engine import World
 
@@ -258,3 +258,98 @@ def test_digest_independent_of_hash_seed(cell, pin):
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=here,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == pin
+
+
+# every golden cell with an attacker, by test id
+ATTACK_CELLS = {
+    **{f"desk_{kind}": desk_config(adversaries=DESK_ADVERSARIES[kind])
+       for kind in adversary.KINDS if kind != adversary.HONEST},
+    **{f"mobile_{attack}": mobile_config(attack)
+       for attack in MOBILE_DIGESTS},
+    "static_reform": static_reform_config(),
+    "beacon_depletion": beacon_depletion_config(),
+    "by_link": by_link_config(),
+}
+
+
+@pytest.mark.parametrize("cell", ATTACK_CELLS.values(), ids=ATTACK_CELLS.keys())
+def test_ledgers_keep_only_pending_handovers(cell):
+    """A resolved handover leaves its head's `by_packet`: at the end of a
+    cell every entry still there is PENDING, and each head's timeouts are
+    filed under the gateways they name."""
+    world, _ = run_world(cell)
+    for st in world.ch_state.values():
+        led = st.ledger
+        assert all(e.ack_status == detection.PENDING
+                   for e in led.by_packet.values())
+        for gw, timeouts in led.timeouts.items():
+            assert all(e.ack_status == detection.TIMEOUT and e.gateway == gw
+                       for e in timeouts)
+            assert led.resolved[gw] >= len(timeouts)
+
+
+@pytest.mark.parametrize("cell", ATTACK_CELLS.values(), ids=ATTACK_CELLS.keys())
+def test_blacklisted_ids_leave_the_backbone(cell, monkeypatch):
+    """After every backbone refresh no blacklisted id heads a cluster or
+    sits on an edge, as head or as gateway. So the blacklist filter of
+    `protocol.refresh_route_tables` finds no edge to drop in these cells;
+    `tests/test_protocol.py` pins what it does when it does."""
+    refreshes = []
+    refresh = World._refresh_backbone
+
+    def checked(world):
+        refresh(world)
+        banned = world.blacklisted
+        on_edges = {n for pair, gws in world.edges.items() for n in pair + gws}
+        assert banned.isdisjoint(world.clusters), world.now
+        assert banned.isdisjoint(on_edges), world.now
+        refreshes.append(bool(banned))
+
+    monkeypatch.setattr(World, "_refresh_backbone", checked)
+    world, _ = run_world(cell)
+    # a cell that blacklists anyone refreshes with it on the list
+    assert refreshes and any(refreshes) == bool(world.blacklisted)
+
+
+def record_pairs(log, kind):
+    """Each record of one kind as {key: its `(key, value)` pair object}."""
+    return [{pair[0]: pair for pair in data} for _, k, data in log if k == kind]
+
+
+def pair_ids(records, key, by="value"):
+    """{value (or the value of the `by` key): ids of the distinct `key`
+    pair objects} over records from `record_pairs`."""
+    ids = {}
+    for rec in records:
+        owner = rec[key][1] if by == "value" else rec[by][1]
+        ids.setdefault(owner, set()).add(id(rec[key]))
+    return ids
+
+
+@pytest.mark.parametrize("cell", [
+    ATTACK_CELLS["static_reform"], ATTACK_CELLS["desk_slander"],
+    dataclasses.replace(mobile_config(adversary.GREY_HOLE), source_fraction=0.5,
+                        cbr_interval=0.05)],
+    ids=["static_reform", "desk_slander", "mobile_grey_hole_busy"])
+def test_records_share_their_constant_pairs(cell):
+    """The `trust_change` records of one reason share one `("reason", r)`
+    pair; the routed DATA records of one session share its `("session",
+    id)` pair, whichever of its routes they were sent on, and those of one
+    source or destination share its `("src", id)` or `("dst", id)`. (A
+    `data_emit` with no route is logged field by field.)"""
+    world, _ = run_world(cell)
+    log = world.events_log
+    changes = record_pairs(log, "trust_change")
+    emitted = [r for r in record_pairs(log, "data_emit") if r["plan"][1]]
+    delivered = record_pairs(log, "data_delivered")
+    shares = [pair_ids(changes, "reason"), pair_ids(emitted, "session"),
+              pair_ids(delivered, "session"), pair_ids(delivered, "src"),
+              pair_ids(delivered, "dst")]
+    assert all(shares)
+    for ids in shares:
+        assert all(len(one) == 1 for one in ids.values()), ids
+    assert all(ids == shares[1][sid] for sid, ids in shares[2].items())
+    if cell.speed_range[1] > 0:
+        # some session was replanned: its records hold two plans or more
+        plans = pair_ids(emitted, "plan", by="session")
+        assert any(len(one) > 1 for one in plans.values())

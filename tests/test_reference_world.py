@@ -15,7 +15,8 @@ from manetsim import adversary, detection
 from manetsim.config import SimConfig
 from manetsim.engine import World
 from manetsim.errors import ConfigError
-from reference_world import ReferenceWorld
+from reference_world import (ReferenceWorld, keeping_opened_entries,
+                             opened_entries)
 from test_golden import depletion_config
 
 whole_runs = st.builds(
@@ -52,15 +53,24 @@ def batteries(world):
 
 def ledgers(world):
     """What each head wrote down at every handover, residual energy and
-    relative speed of the custodian among it."""
-    return {ch: [(e.packet_id, e.gateway, e.res_eng, e.rel_mobility,
-                  e.ack_status, e.context) for e in st.ledger.by_packet.values()]
+    relative speed of the custodian among it, for a world run under
+    `keeping_opened_entries`, and the packets still pending."""
+    return {ch: ([(e.packet_id, e.gateway, e.res_eng, e.rel_mobility,
+                   e.ack_status, e.context)
+                  for e in opened_entries(st.ledger).values()],
+                 list(st.ledger.by_packet))
             for ch, st in world.ch_state.items()}
+
+
+def run_keeping(world):
+    """Run the world, keeping its ledgers' opened entries."""
+    with keeping_opened_entries():
+        return world.run()
 
 
 def run_both(cfg):
     fast, ref = World(cfg), ReferenceWorld(cfg)
-    return fast, fast.run(), ref, ref.run()
+    return fast, run_keeping(fast), ref, ref.run()
 
 
 # spoofers next to heads, batteries that run dry in HELLO rounds
@@ -124,7 +134,7 @@ def test_head_ejected_between_ticks_reforms_like_the_full_pass():
     and the run must go on exactly as the reference's."""
     cfg = desk_config()
     fast, ref = FastConvicting(cfg), ReferenceConvicting(cfg)
-    m_fast, m_ref = fast.run(), ref.run()
+    m_fast, m_ref = run_keeping(fast), ref.run()
     assert fast.events_log == ref.events_log
     assert m_fast == m_ref
     assert batteries(fast) == batteries(ref)
