@@ -499,5 +499,5 @@ def _flag(world, receiver, sender, claimed):
                       at=receiver.node_id, packet_kind=packets.HELLO)
             world.punish_verdict(
                 detection.Verdict(detection.MALICIOUS, sender.node_id,
-                                  (claimed,), "spoofed_identity"),
+                                  "spoofed_identity"),
                 receiver.node_id)

@@ -8,6 +8,9 @@ from .errors import ConfigError
 
 NODE_COUNT_SWEEP = (20, 40, 60, 80, 100)
 
+# the keys an `adversaries` placement may set
+PLACEMENT_KEYS = ("node", "kind", "peer", "victim", "targets", "rate", "drop_rate")
+
 
 @dataclass
 class SimConfig:
@@ -179,18 +182,31 @@ class SimConfig:
             raise ConfigError(f"malicious_fraction {self.malicious_fraction} plants "
                               f"an odd number of wormholes in {n} nodes, which "
                               f"do not pair up")
+        placed = {}            # node id -> index of its placement
         for i, spec in enumerate(self.adversaries):
             where = f"adversaries[{i}]"
             if not isinstance(spec, dict):
                 raise ConfigError(f"{where} must be a mapping")
+            for key in spec:
+                if key not in PLACEMENT_KEYS:
+                    raise ConfigError(f"{where}.{key} is not a placement key; "
+                                      f"expected {', '.join(PLACEMENT_KEYS)}")
             kind = spec.get("kind")
             if kind not in adversary.KINDS:
                 raise ConfigError(f"{where}.kind {kind!r} is not one of {kinds}")
-            node_id(f"{where}.node", spec.get("node"))
+            nid = spec.get("node")
+            node_id(f"{where}.node", nid)
+            if nid in placed:
+                raise ConfigError(f"{where}.node {nid} is already placed by "
+                                  f"adversaries[{placed[nid]}]")
+            placed[nid] = i
             for key in ("peer", "victim"):
                 if spec.get(key) is not None:
                     node_id(f"{where}.{key}", spec[key])
-            for target in spec.get("targets", ()):
+            targets = spec.get("targets", ())
+            if not isinstance(targets, (list, tuple)):
+                raise ConfigError(f"{where}.targets must be a list of node ids")
+            for target in targets:
                 node_id(f"{where}.targets", target)
             if "rate" in spec:
                 _at_least_zero(f"{where}.rate", spec["rate"])

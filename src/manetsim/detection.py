@@ -1,15 +1,16 @@
 """Cluster-head side misbehavior evidence, judgment and punishment.
 
 Every DATA handover to a gateway leaves a ledger entry at the supervising
-head.  Entries resolve to ACKED when the downstream head confirms the
-packet, or TIMEOUT when no confirmation arrives in time.  A timeout only
-incriminates the custodian if nothing exonerates it: the link was up, its
-battery was comfortably charged and it was not speeding away.  Enough
-culpable timeouts make a MALICIOUS verdict; punishment zeroes trust and
-floods a blacklist notice over the head backbone.
+head.  The entry resolves to ACKED when the downstream head confirms the
+packet, or TIMEOUT when no confirmation arrives in time, and the head then
+keeps only counts per gateway: resolved, timed out, culpable and stingy.
+A timeout only incriminates the custodian if nothing exonerates it: the
+link was up, its battery was comfortably charged and it was not speeding
+away.  Enough culpable timeouts make a MALICIOUS verdict; punishment
+zeroes trust and floods a blacklist notice over the head backbone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import trust
 from .errors import NoEvidence, UnknownLink
@@ -33,125 +34,93 @@ SELFISH_ENERGY_FLOOR = 0.4
 
 @dataclass
 class LedgerEntry:
-    packet_id: int
     gateway: int                # current custodian under suspicion
-    ack_status: str = PENDING
     context: str = LINK_OK
     res_eng: float = 1.0        # custodian battery at handover
     rel_mobility: float | None = None  # custodian radial speed vs the head
     delivered_downstream: bool = False
-    seq: int = 0                # open order within the ledger
 
 
 @dataclass
 class Verdict:
     label: str
     target: int
-    evidence: tuple = ()
     reason: str = ""
 
 
-@dataclass
 class SurveillanceLedger:
-    """One head's watched handovers, indexed by packet and by gateway.
+    """One head's watched handovers and, per gateway, four counts.
 
-    `by_packet` holds only the PENDING entries: `resolve` takes each entry
-    out of it and files it under the gateway holding custody at that
-    moment, where `resolved` counts it and `timeouts` keeps it if it timed
-    out, in resolve order. An ACKED entry is then dropped, since a judgment
-    reads only the count. An entry's gateway and context change only while
-    it is PENDING, so the index stays what a scan of every entry would
-    find, and a packet id missing from `by_packet` is unknown or resolved.
+    `by_packet` holds only the PENDING entries, the ones a hop, an ack or
+    a timeout can still change.  `resolve` takes an entry out of it and
+    counts it under the gateway holding custody at that moment, in
+    `tally[gateway] = [resolved, timeouts, culpable, stingy]`.  A timeout
+    is sorted there, under the run's thresholds, which the ledger takes
+    from the `SimConfig` it is built from:
 
-    `judge_forwarding` sorts each TIMEOUT entry once into culpable,
-    stingy or neither: `sorts` holds, per gateway, how many of its timeouts
-    are sorted and its culpable and stingy ones in resolve order, under the
-    battery and speed thresholds `sorted_by`.  Judging by other thresholds
-    sorts every entry again.
+    - culpable: nothing exonerates it: the link was up, the battery at
+      least `energy_high_threshold` and the custodian's speed known and
+      at most `velocity_low_threshold`;
+    - stingy: the link was up and the battery in the band
+      [SELFISH_ENERGY_FLOOR, energy_high_threshold).
+
+    An entry's gateway and context change only while it is PENDING, so
+    the counts are what a scan of every entry the head opened would find,
+    and a packet id missing from `by_packet` is unknown or resolved.
     """
-    opened: int = 0                                # entries opened so far
-    by_packet: dict = field(default_factory=dict)  # packet id -> PENDING entry
-    resolved: dict = field(default_factory=dict)   # gateway -> resolved entries
-    timeouts: dict = field(default_factory=dict)   # gateway -> its TIMEOUT entries
-    sorted_by: tuple = ()
-    sorts: dict = field(default_factory=dict)      # gateway -> (sorted, culpable, stingy)
+
+    def __init__(self, cfg):
+        self.energy_high_threshold = cfg.energy_high_threshold
+        self.velocity_low_threshold = cfg.velocity_low_threshold
+        self.accusation_threshold = cfg.accusation_threshold
+        self.by_packet = {}     # packet id -> PENDING entry
+        self.tally = {}         # gateway -> [resolved, timeouts, culpable, stingy]
 
     def open_entry(self, packet_id, gateway, res_eng, rel_mobility) -> LedgerEntry:
-        entry = LedgerEntry(packet_id, gateway, res_eng=res_eng,
-                            rel_mobility=rel_mobility, seq=self.opened)
-        self.opened += 1
+        entry = LedgerEntry(gateway, res_eng=res_eng, rel_mobility=rel_mobility)
         self.by_packet[packet_id] = entry
         return entry
 
-    def resolve(self, packet_id, status, context=None):
+    def resolve(self, packet_id, status):
+        """Resolve the packet's PENDING entry as ACKED or TIMEOUT and count
+        it; returns the entry, or None when no entry is pending for it."""
         entry = self.by_packet.pop(packet_id, None)
         if entry is None:
             return None
-        entry.ack_status = status
-        if context is not None:
-            entry.context = context
-        gw = entry.gateway
-        self.resolved[gw] = self.resolved.get(gw, 0) + 1
+        counts = self.tally.get(entry.gateway)
+        if counts is None:
+            counts = self.tally[entry.gateway] = [0, 0, 0, 0]
+        counts[0] += 1
         if status == TIMEOUT:
-            self.timeouts.setdefault(gw, []).append(entry)
+            counts[1] += 1
+            if entry.context == LINK_OK:
+                if entry.res_eng >= self.energy_high_threshold:
+                    mob = entry.rel_mobility
+                    if mob is not None and abs(mob) <= self.velocity_low_threshold:
+                        counts[2] += 1
+                elif entry.res_eng >= SELFISH_ENERGY_FLOOR:
+                    counts[3] += 1
         return entry
 
 
-def _sort_timeouts(ledger, gateway, timeouts, cfg):
-    """The gateway's culpable and stingy timeouts under the run's
-    `SimConfig` cfg, sorting only the timeouts resolved since the last call
-    with the same `energy_high_threshold` and `velocity_low_threshold`.
+def judge_forwarding(ledger: SurveillanceLedger, gateway: int) -> Verdict:
+    """Weigh all resolved evidence against one gateway: its counts in the
+    ledger, under the ledger's `accusation_threshold`.
 
-    Culpable: a timeout nothing exonerates, with the link up, the battery
-    high and the custodian not speeding.  Stingy: the link up and the
-    battery in the band [SELFISH_ENERGY_FLOOR, energy_high_threshold).
+    That many culpable timeouts are malice, that many stingy ones
+    selfishness.  Any other timeout leaves the record inconclusive, and a
+    record of acks alone is normal.
     """
-    high, slow = cfg.energy_high_threshold, cfg.velocity_low_threshold
-    if ledger.sorted_by != (high, slow):
-        ledger.sorted_by, ledger.sorts = (high, slow), {}
-    done, culpable, stingy = ledger.sorts.get(gateway) or (0, [], [])
-    for e in timeouts[done:]:
-        if e.context != LINK_OK:
-            continue
-        if e.res_eng >= high:
-            if e.rel_mobility is not None and abs(e.rel_mobility) <= slow:
-                culpable.append(e)
-        elif e.res_eng >= SELFISH_ENERGY_FLOOR:
-            stingy.append(e)
-    ledger.sorts[gateway] = (len(timeouts), culpable, stingy)
-    return culpable, stingy
-
-
-def _in_open_order(entries) -> tuple:
-    return tuple(e.packet_id for e in sorted(entries, key=lambda e: e.seq))
-
-
-def judge_forwarding(ledger: SurveillanceLedger, gateway: int, cfg) -> Verdict:
-    """Weigh all resolved evidence against one gateway, under the
-    thresholds of the run's `SimConfig` cfg.
-
-    Timeouts with a live link, high battery and low relative speed are
-    culpable; `accusation_threshold` of them is malice.  Timeouts in the battery band just
-    under "high" read as selfishness when recurring.  Anything else that
-    timed out stays inconclusive, and a clean ACKed record is normal.
-    Only the gateway's timeouts can be culpable or stingy, and the ledger
-    keeps them sorted into both lists (`_sort_timeouts`), so a judgment
-    looks only at the timeouts resolved since the last one; evidence lists
-    packets in the order their entries opened.
-    """
-    if not ledger.resolved.get(gateway):
+    counts = ledger.tally.get(gateway)
+    if counts is None:
         raise NoEvidence(f"no resolved entries for node {gateway}")
-    timeouts = ledger.timeouts.get(gateway)
+    _, timeouts, culpable, stingy = counts
+    if culpable >= ledger.accusation_threshold:
+        return Verdict(MALICIOUS, gateway, "culpable_drops")
+    if stingy >= ledger.accusation_threshold:
+        return Verdict(SELFISH, gateway, "recurring_refusal")
     if timeouts:
-        culpable, stingy = _sort_timeouts(ledger, gateway, timeouts, cfg)
-    else:
-        culpable = stingy = ()
-    if len(culpable) >= cfg.accusation_threshold:
-        return Verdict(MALICIOUS, gateway, _in_open_order(culpable), "culpable_drops")
-    if len(stingy) >= cfg.accusation_threshold:
-        return Verdict(SELFISH, gateway, _in_open_order(stingy), "recurring_refusal")
-    if timeouts:
-        return Verdict(INCONCLUSIVE, gateway, reason="exonerated_timeouts")
+        return Verdict(INCONCLUSIVE, gateway, "exonerated_timeouts")
     return Verdict(NORMAL, gateway)
 
 
@@ -165,7 +134,7 @@ def verify_identity(registry, link_id: int, claimed_id: int) -> Verdict:
     if link_id not in registry:
         raise UnknownLink(f"link of node {link_id} never registered")
     if claimed_id != link_id:
-        return Verdict(MALICIOUS, link_id, (claimed_id,), "spoofed_identity")
+        return Verdict(MALICIOUS, link_id, "spoofed_identity")
     return Verdict(NORMAL, link_id)
 
 

@@ -97,8 +97,8 @@ class Node:
 class ChState:
     """Head-local bookkeeping: surveillance, blacklist view, link registry."""
 
-    def __init__(self, ch_id):
-        self.ledger = detection.SurveillanceLedger()
+    def __init__(self, ch_id, cfg):
+        self.ledger = detection.SurveillanceLedger(cfg)
         self.blacklist = set()
         self.registry = {ch_id}      # every id that ever associated here
         self.nuisance = {}           # (reporter, accused) -> report count
@@ -169,7 +169,7 @@ class World:
     def _head_state(self, ch):
         st = self.ch_state.get(ch)
         if st is None:
-            st = self.ch_state[ch] = ChState(ch)
+            st = self.ch_state[ch] = ChState(ch, self.cfg)
         return st
 
     def schedule(self, at, tag, *args):
@@ -469,7 +469,7 @@ class World:
         score now.
 
         The route tables are kept while the heads and the edges stay, and
-        their search trees while the heads and the usable edge pairs stay;
+        their search trees while the heads and the edge pairs stay;
         a head's tree is searched only when its table is first read
         (`protocol.refresh_route_tables`).
         """
@@ -488,7 +488,7 @@ class World:
 
         edges = clustering.designate_gateways(self._gateway_candidates, score_fn)
         self.head_routes = protocol.refresh_route_tables(
-            self.head_routes, self.clusters, edges, self.blacklisted)
+            self.head_routes, self.clusters, edges)
         self.edges = edges
 
     def _sweep_topology(self):
@@ -1032,7 +1032,7 @@ class World:
             return
         st = self.ch_state[ch_id]
         try:
-            verdict = detection.judge_forwarding(st.ledger, gateway, self.cfg)
+            verdict = detection.judge_forwarding(st.ledger, gateway)
         except NoEvidence:
             return
         if verdict.label == detection.MALICIOUS:

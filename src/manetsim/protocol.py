@@ -42,19 +42,16 @@ class RouteTables:
     """Head route tables and what they were built from.
 
     heads   the head ids, in table order
-    pairs   the usable edge pairs, in edge order: those with no
-            blacklisted id among their gateways
     edges   {(ch_a, ch_b): gateways ordered from ch_a's side}, the edges
             the tables take their gateways from
-    out     head -> the heads it has a usable edge to, in ascending order
+    out     head -> the heads it has an edge to, in ascending order
     via     (from head, to head) -> the route entry of that edge
     trees   head -> its table, for the heads whose table was read
     """
-    __slots__ = ("heads", "pairs", "edges", "out", "via", "trees")
+    __slots__ = ("heads", "edges", "out", "via", "trees")
 
-    def __init__(self, heads, pairs, edges, out, via, trees):
+    def __init__(self, heads, edges, out, via, trees):
         self.heads = heads
-        self.pairs = pairs
         self.edges = edges
         self.out = out
         self.via = via
@@ -63,7 +60,7 @@ class RouteTables:
     def table(self, ch):
         """The head's table: {dest: (previous head, gateways into dest)},
         the parent tree of a breadth-first search from the head over the
-        usable edges, in discovery order, with neighbours visited in
+        edges, in discovery order, with neighbours visited in
         ascending id order.  The head itself has no entry.  Searched on
         its first read and kept with the record."""
         routes = self.trees.get(ch)
@@ -82,38 +79,35 @@ class RouteTables:
         return routes
 
 
-def refresh_route_tables(kept, heads, edges, blacklisted):
+def refresh_route_tables(kept, heads, edges):
     """The head route tables as a `RouteTables` record, reusing what an
     earlier record, kept (or None), still holds.
 
-    A head's search tree reads only the heads and the usable pairs, the
-    edge pairs with no blacklisted gateway; the gateways only fill its
+    The edges are the gateway designation's, which leaves every
+    blacklisted id out, so every edge is usable.  A head's search tree
+    reads only the heads and the edge pairs; the gateways only fill its
     entries.  So kept itself is returned while the heads and the edges are
-    its own and the usable pairs unchanged, and the trees it searched are
-    kept, their gateways read again from edges, while only the gateways
-    differ.  A tree is searched when its head's table is first read, so a
-    refresh costs nothing per head that no packet routes from.  Keys and
-    their order are those of a build from scratch either way.
+    its own, and the trees it searched are kept, their gateways read again
+    from edges, while only the gateways differ.  A tree is searched when
+    its head's table is first read, so a refresh costs nothing per head
+    that no packet routes from.  Keys and their order are those of a build
+    from scratch either way.
     """
     heads = tuple(heads)
-    if blacklisted:
-        pairs = tuple(pair for pair, gws in edges.items() if blacklisted.isdisjoint(gws))
-    else:
-        pairs = tuple(edges)
-    if kept is not None and kept.heads == heads and kept.pairs == pairs:
+    if kept is not None and kept.heads == heads and kept.edges.keys() == edges.keys():
         if kept.edges == edges:
             return kept
         via = _hops(edges)
         trees = {ch: {dest: via[prev, dest] for dest, (prev, _) in routes.items()}
                  for ch, routes in kept.trees.items()}
-        return RouteTables(heads, pairs, edges, kept.out, via, trees)
+        return RouteTables(heads, edges, kept.out, via, trees)
     out = {}
-    for a, b in pairs:
+    for a, b in edges:
         out.setdefault(a, []).append(b)
         out.setdefault(b, []).append(a)
     for links in out.values():
         links.sort()
-    return RouteTables(heads, pairs, edges, out, _hops(edges), {})
+    return RouteTables(heads, edges, out, _hops(edges), {})
 
 
 def _hops(edges):
@@ -131,8 +125,8 @@ def discover_route(world, src: int, dst: int):
 
     Returns [(ch, gateways_traversed_into_it)], first entry the source
     head with no gateways.  The path is read back from the source head's
-    route table in `world.head_routes` (see `RouteTables.table`), which
-    already leaves out every edge with a blacklisted gateway.
+    route table in `world.head_routes` (see `RouteTables.table`), whose
+    edges have no blacklisted gateway.
     """
     ch_s = world.nodes[src].cluster
     ch_d = world.nodes[dst].cluster

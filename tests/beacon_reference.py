@@ -64,6 +64,6 @@ def _hear_hello(world, sender, receiver, d):
                       at=receiver.node_id, packet_kind=packets.HELLO)
             world.punish_verdict(
                 detection.Verdict(detection.MALICIOUS, sender.node_id,
-                                  (claimed,), "spoofed_identity"),
+                                  "spoofed_identity"),
                 receiver.node_id)
     return 1

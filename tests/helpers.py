@@ -99,5 +99,4 @@ class StubWorld:
         self.blacklisted = set(blacklisted)
         self.trust_registry = records or {n: trust.init_trust(n) for n in self.nodes}
         self.clusters = {ch: Cluster(ch, set(members)) for ch, members in clusters.items()}
-        self.head_routes = refresh_route_tables(None, self.clusters, self.edges,
-                                                self.blacklisted)
+        self.head_routes = refresh_route_tables(None, self.clusters, self.edges)

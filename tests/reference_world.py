@@ -9,8 +9,9 @@ all kept in `tests/*_reference.py`:
   refresh and a fresh breadth-first route search per packet
   (`topology_reference.py`), no session keeping its last route plan;
 - the forwarding judgment that scans every ledger entry the head opened
-  (`detection_reference.py`), as `keeping_opened_entries` collects them,
-  since the ledger itself lets resolved entries go;
+  (`detection_reference.py`), as `keeping_opened_entries` collects them
+  with the statuses they were resolved with, since the ledger itself
+  keeps only counts of resolved entries;
 - the membership pass on every topology tick, where the engine runs it
   only after a rebuild, an ejection or with a head under the energy floor;
 - every mobility election term worked out afresh from the histories,
@@ -42,23 +43,38 @@ def opened_entries(ledger):
     return ledger.__dict__.setdefault("opened_entries", {})
 
 
+def resolved_statuses(ledger):
+    """The status each packet id was resolved with under
+    `keeping_opened_entries`; an opened entry missing here is PENDING."""
+    return ledger.__dict__.setdefault("resolved_statuses", {})
+
+
 @contextlib.contextmanager
 def keeping_opened_entries():
-    """Keep each ledger's opened entries (`opened_entries`) for the block."""
+    """Keep each ledger's opened entries (`opened_entries`) and the
+    statuses it resolved them with (`resolved_statuses`) for the block."""
     open_entry = detection.SurveillanceLedger.open_entry
+    resolve = detection.SurveillanceLedger.resolve
 
     def keeping(ledger, packet_id, *args, **kwargs):
         entry = open_entry(ledger, packet_id, *args, **kwargs)
         opened_entries(ledger)[packet_id] = entry
         return entry
 
-    with mock.patch.object(detection.SurveillanceLedger, "open_entry", keeping):
+    def recording(ledger, packet_id, status):
+        entry = resolve(ledger, packet_id, status)
+        if entry is not None:
+            resolved_statuses(ledger)[packet_id] = status
+        return entry
+
+    with mock.patch.object(detection.SurveillanceLedger, "open_entry", keeping), \
+            mock.patch.object(detection.SurveillanceLedger, "resolve", recording):
         yield
 
 
-def _judge_by_scan(ledger, gateway, th):
-    return reference_judge_forwarding(list(opened_entries(ledger).values()),
-                                      gateway, th)
+def _judge_by_scan(ledger, gateway):
+    return reference_judge_forwarding(opened_entries(ledger),
+                                      resolved_statuses(ledger), gateway, ledger)
 
 
 class ReferenceWorld(World):
@@ -80,7 +96,7 @@ class ReferenceWorld(World):
         # routes are searched per packet; the tables, built afresh, only
         # size flood logs
         self.head_routes = protocol.refresh_route_tables(
-            None, self.clusters, self.edges, self.blacklisted)
+            None, self.clusters, self.edges)
 
     def _hello_round(self):
         reference_hello_round(self)

@@ -80,7 +80,7 @@ class CheckedWorld(World):
             self.reuse["tables_kept"] += tables_after is tables_before
             self.reuse["trees_kept"] += (tables_after is not tables_before
                                          and tables_after.heads == tables_before.heads
-                                         and tables_after.pairs == tables_before.pairs)
+                                         and tables_after.out is tables_before.out)
         check_backbone(self)
 
     def count_trees(self):
@@ -124,11 +124,11 @@ def check_backbone(world):
     for pair, rival in (candidates.rivals or {}).items():
         width, ids = lists[pair]
         assert rival >= clustering._rival(width, ids, world.edges[pair], scores)
-    tables = reference_route_tables(clusters, edges, world.blacklisted)
+    tables = reference_route_tables(clusters, edges)
     kept = world.head_routes
     assert kept.heads == tuple(tables)
     # the trees searched so far as they are, the others searched in a copy
-    probe = RouteTables(kept.heads, kept.pairs, kept.edges, kept.out, kept.via,
+    probe = RouteTables(kept.heads, kept.edges, kept.out, kept.via,
                         dict(kept.trees))
     for ch in kept.heads:
         assert list(probe.table(ch).items()) == list(tables[ch].items())

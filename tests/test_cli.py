@@ -176,6 +176,12 @@ def test_cli_rejects_single_sample_hello_window(tmp_path, capsys):
     ("adversaries: [{node: 1, kind: wormhole}]\n", [], "peer"),
     ("adversaries: [{node: 1, kind: spoof, victim: -1}]\n", [], "victim"),
     ("adversaries: [{node: 1, kind: slander, targets: [2, 12]}]\n", [], "targets"),
+    ("adversaries: [{node: 1, kind: slander, targets: 3}]\n", [],
+     "adversaries[0].targets"),
+    ("adversaries: [{node: 1, kind: grey_hole, droprate: 0.5}]\n", [],
+     "adversaries[0].droprate"),
+    ("adversaries: [{node: 1, kind: grey_hole}, {node: 1, kind: black_hole}]\n",
+     [], "adversaries[1].node"),
     ("traffic: [[0, 50]]\n", [], "traffic"),
     ("traffic: [[3, 3]]\n", [], "traffic"),
     ("traffic: [[3]]\n", [], "traffic"),
@@ -184,7 +190,7 @@ def test_cli_rejects_single_sample_hello_window(tmp_path, capsys):
     # one wormhole in ten nodes would be planted without a peer
     ("", ["--attack", "wormhole", "--malicious", "0.1"], "malicious_fraction"),
 ], ids=["attack", "kind", "node", "peer", "peer_missing", "victim", "targets",
-        "traffic_range", "traffic_self", "traffic_shape", "energy_overrides",
+        "targets_scalar", "placement_key_typo", "placed_twice", "traffic_range", "traffic_self", "traffic_shape", "energy_overrides",
         "spoof_no_victim", "wormhole_odd"])
 def test_cli_rejects_dangling_references(tmp_path, capsys, extra, flags, key):
     cfg = write_scenario(tmp_path, text=TINY + extra)

@@ -2,60 +2,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detection_reference import reference_judge_forwarding
+from detection_reference import reference_judge_forwarding, reference_tally
 from manetsim import trust
 from manetsim.config import SimConfig
 from manetsim.detection import (ACKED, INCONCLUSIVE, LINK_BROKEN, LINK_OK,
                                 MALICIOUS, NORMAL, PENDING, SELFISH, TIMEOUT,
-                                SurveillanceLedger, handle_route_advert,
-                                handle_trust_report, judge_forwarding, punish,
-                                verify_identity)
+                                SurveillanceLedger, Verdict,
+                                handle_route_advert, handle_trust_report,
+                                judge_forwarding, punish, verify_identity)
 from manetsim.errors import NoEvidence, UnknownLink
 
 TH = SimConfig()
 
 
 def ledger_with(gateway, outcomes):
-    """outcomes: list of (status, context, res_eng, rel_mobility)."""
-    led = SurveillanceLedger()
+    """outcomes: list of (status, context, res_eng, rel_mobility); the
+    context is set while the entry is pending, as `World._hop` and
+    `World._ack_timeout` set it."""
+    led = SurveillanceLedger(TH)
     for pid, (status, ctx, res, mob) in enumerate(outcomes):
-        led.open_entry(pid, gateway, res_eng=res, rel_mobility=mob)
+        entry = led.open_entry(pid, gateway, res_eng=res, rel_mobility=mob)
+        entry.context = ctx
         if status != PENDING:
-            led.resolve(pid, status, ctx)
+            led.resolve(pid, status)
     return led
 
 
 # ---- ledger mechanics ----
 
 def test_entries_open_pending():
-    led = SurveillanceLedger()
+    led = SurveillanceLedger(TH)
     e = led.open_entry(5, gateway=27, res_eng=0.9, rel_mobility=0.0)
-    assert e.ack_status == PENDING
-    assert led.by_packet[5] is e
+    assert led.by_packet == {5: e}
+    assert e.gateway == 27
+    assert led.tally == {}
 
 
 def test_resolve_is_first_writer_wins():
-    """The first resolve files the entry and takes it out of `by_packet`,
+    """The first resolve counts the entry and takes it out of `by_packet`,
     so a later one finds nothing to resolve."""
-    led = SurveillanceLedger()
-    led.open_entry(5, 27, res_eng=0.9, rel_mobility=0.0)
-    entry = led.resolve(5, ACKED)
-    assert entry.ack_status == ACKED
+    led = SurveillanceLedger(TH)
+    opened = led.open_entry(5, 27, res_eng=0.9, rel_mobility=0.0)
+    assert led.resolve(5, ACKED) is opened
     assert 5 not in led.by_packet
     assert led.resolve(5, TIMEOUT) is None
-    assert entry.ack_status == ACKED
-    assert led.resolved[27] == 1 and 27 not in led.timeouts
+    assert led.tally == {27: [1, 0, 0, 0]}
 
 
 def test_resolve_unknown_packet_is_none():
-    assert SurveillanceLedger().resolve(99, ACKED) is None
+    led = SurveillanceLedger(TH)
+    assert led.resolve(99, ACKED) is None
+    assert led.tally == {}
 
 
 def test_resolved_index_excludes_pending():
     led = ledger_with(27, [(ACKED, LINK_OK, 0.9, 0.0), (PENDING, LINK_OK, 0.9, 0.0),
                            (TIMEOUT, LINK_OK, 0.9, 0.0)])
-    assert led.resolved[27] == 2
-    assert [e.packet_id for e in led.timeouts[27]] == [2]
+    assert led.tally == {27: [2, 1, 1, 0]}
+    assert list(led.by_packet) == [1]
+
+
+def test_timeouts_sort_at_resolve():
+    """[resolved, timeouts, culpable, stingy]: only a timeout on a live
+    link is culpable or stingy, by its battery and speed."""
+    led = ledger_with(28, [(TIMEOUT, LINK_OK, 0.9, 0.0),      # culpable
+                           (TIMEOUT, LINK_OK, 0.9, -5.0),     # culpable, at the bound
+                           (TIMEOUT, LINK_OK, 0.5, 0.0),      # culpable, at the bound
+                           (TIMEOUT, LINK_OK, 0.9, 12.0),     # speeding
+                           (TIMEOUT, LINK_OK, 0.9, None),     # speed unknown
+                           (TIMEOUT, LINK_OK, 0.45, 12.0),    # stingy
+                           (TIMEOUT, LINK_OK, 0.4, None),     # stingy, at the floor
+                           (TIMEOUT, LINK_OK, 0.05, 0.0),     # drained
+                           (TIMEOUT, LINK_BROKEN, 0.9, 0.0),  # link down
+                           (ACKED, LINK_OK, 0.9, 0.0)])
+    assert led.tally == {28: [10, 9, 3, 2]}
 
 
 # ---- forwarding judgment ----
@@ -65,74 +85,71 @@ CULPABLE = (TIMEOUT, LINK_OK, 0.9, 0.0)
 
 def test_three_culpable_timeouts_convict():
     led = ledger_with(28, [CULPABLE] * 3)
-    v = judge_forwarding(led, 28, TH)
-    assert v.label == MALICIOUS
-    assert v.evidence == (0, 1, 2)
-    assert v.reason == "culpable_drops"
+    assert judge_forwarding(led, 28) == Verdict(MALICIOUS, 28, "culpable_drops")
 
 
 def test_two_culpable_timeouts_stay_inconclusive():
-    assert judge_forwarding(ledger_with(28, [CULPABLE] * 2), 28, TH).label == INCONCLUSIVE
+    assert judge_forwarding(ledger_with(28, [CULPABLE] * 2), 28).label == INCONCLUSIVE
 
 
 def test_broken_link_exonerates():
     led = ledger_with(28, [(TIMEOUT, LINK_BROKEN, 0.9, 0.0)] * 5)
-    assert judge_forwarding(led, 28, TH).label == INCONCLUSIVE
+    assert judge_forwarding(led, 28).label == INCONCLUSIVE
 
 
 def test_drained_battery_exonerates():
     led = ledger_with(28, [(TIMEOUT, LINK_OK, 0.05, 0.0)] * 5)
-    assert judge_forwarding(led, 28, TH).label == INCONCLUSIVE
+    assert judge_forwarding(led, 28).label == INCONCLUSIVE
 
 
 def test_high_speed_exonerates():
     led = ledger_with(28, [(TIMEOUT, LINK_OK, 0.9, 12.0)] * 5)
-    assert judge_forwarding(led, 28, TH).label == INCONCLUSIVE
+    assert judge_forwarding(led, 28).label == INCONCLUSIVE
 
 
 def test_unknown_mobility_exonerates():
     led = ledger_with(28, [(TIMEOUT, LINK_OK, 0.9, None)] * 5)
-    assert judge_forwarding(led, 28, TH).label == INCONCLUSIVE
+    assert judge_forwarding(led, 28).label == INCONCLUSIVE
 
 
 def test_selfish_battery_band_recurring():
     led = ledger_with(28, [(TIMEOUT, LINK_OK, 0.45, 0.0)] * 3)
-    v = judge_forwarding(led, 28, TH)
-    assert v.label == SELFISH
-    assert v.reason == "recurring_refusal"
+    assert judge_forwarding(led, 28) == Verdict(SELFISH, 28, "recurring_refusal")
 
 
 def test_selfish_band_below_three_is_inconclusive():
     led = ledger_with(28, [(TIMEOUT, LINK_OK, 0.45, 0.0)] * 2)
-    assert judge_forwarding(led, 28, TH).label == INCONCLUSIVE
+    assert judge_forwarding(led, 28).label == INCONCLUSIVE
 
 
 def test_clean_record_is_normal():
     led = ledger_with(28, [(ACKED, LINK_OK, 0.9, 0.0)] * 4)
-    assert judge_forwarding(led, 28, TH).label == NORMAL
+    assert judge_forwarding(led, 28).label == NORMAL
 
 
 def test_no_evidence_raises():
     led = ledger_with(28, [(PENDING, LINK_OK, 0.9, 0.0)])
     with pytest.raises(NoEvidence):
-        judge_forwarding(led, 28, TH)
+        judge_forwarding(led, 28)
 
 
 def test_conviction_counts_per_gateway():
     led = ledger_with(28, [CULPABLE] * 3)
     led.open_entry(50, 29, res_eng=0.9, rel_mobility=0.0)
     led.resolve(50, TIMEOUT)
-    assert judge_forwarding(led, 29, TH).label == INCONCLUSIVE
-    assert judge_forwarding(led, 28, TH).label == MALICIOUS
+    assert led.tally == {28: [3, 3, 3, 0], 29: [1, 1, 1, 0]}
+    assert judge_forwarding(led, 29).label == INCONCLUSIVE
+    assert judge_forwarding(led, 28).label == MALICIOUS
 
 
 # ---- indexed judgment against the full scan (detection_reference.py) ----
 
 GATEWAYS = (3, 4)
 # values on and around the drawn battery and speed thresholds, weighted
-# towards culpable timeouts so that verdicts carry several packets
+# towards culpable timeouts so that they reach the accusation threshold
 RES_ENG = (0.05, 0.4, 0.45, 0.5, 0.9, 0.9)
 MOBILITY = (None, -5.0, 0.0, 0.0, 5.0, 12.0)
+# (status, the context set just before the resolve, if any)
 RESOLUTIONS = (None, (TIMEOUT, None), (TIMEOUT, None), (TIMEOUT, LINK_BROKEN),
                (ACKED, None), (ACKED, LINK_BROKEN))
 
@@ -170,46 +187,57 @@ def outcome(judge, *args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ledger_histories(), thresholds, thresholds)
-def test_indexed_judgment_matches_full_scan(history, th, final_th):
-    """Every judgment, evidence order and NoEvidence included, equals the
-    scan over all entries in open order: after each resolve, as the engine
-    judges, and at the end for every gateway and one never seen."""
+@given(ledger_histories(), thresholds)
+def test_indexed_judgment_matches_full_scan(history, th):
+    """Every judgment, NoEvidence included, and every gateway's counts
+    equal the scan over all entries in open order: after each resolve, as
+    the engine judges, and at the end for every gateway and one never
+    seen.  The ledger holds the drawn thresholds, as a head's ledger holds
+    its run's."""
     plans, order = history
-    led = SurveillanceLedger()
-    entries = {}           # plan index -> entry, in open order
+    led = SurveillanceLedger(th)
+    pids = {}              # plan index -> packet id
+    entries = {}           # packet id -> entry, in open order
+    statuses = {}          # packet id -> the status it was resolved with
     moved = set()          # plan indices whose pending change was applied
     for i in order:
         (gw, res, mob), pending_change, resolution = plans[i]
-        e = entries.get(i)
-        if e is None:
+        pid = pids.get(i)
+        if pid is None:
             # packet ids fall as entries open, so sorting by id is not open order
-            entries[i] = led.open_entry(1000 - len(entries), gw,
-                                        res_eng=res, rel_mobility=mob)
-        elif e.ack_status == PENDING and i not in moved:
+            pid = pids[i] = 1000 - len(entries)
+            entries[pid] = led.open_entry(pid, gw, res_eng=res, rel_mobility=mob)
+            continue
+        e = entries[pid]
+        if i not in moved:
             # what `World._hop` does to a pending entry, once
             moved.add(i)
             if pending_change == "break":
                 e.context = LINK_BROKEN
             elif pending_change is not None:
                 e.gateway, e.res_eng, e.rel_mobility = pending_change
-        elif resolution is not None and led.resolve(e.packet_id, *resolution):
-            assert (outcome(judge_forwarding, led, e.gateway, th)
-                    == outcome(reference_judge_forwarding, list(entries.values()),
+        elif resolution is not None:
+            status, context = resolution
+            if context is not None:
+                # what `World._ack_timeout` does before it resolves
+                e.context = context
+            assert led.resolve(pid, status) is e
+            statuses[pid] = status
+            assert (outcome(judge_forwarding, led, e.gateway)
+                    == outcome(reference_judge_forwarding, entries, statuses,
                                e.gateway, th))
+    assert list(led.by_packet) == [pid for pid in entries if pid not in statuses]
     for gw in GATEWAYS + (9,):
-        assert (outcome(judge_forwarding, led, gw, final_th)
-                == outcome(reference_judge_forwarding, list(entries.values()),
-                           gw, final_th))
+        assert led.tally.get(gw) == reference_tally(entries, statuses, gw, th)
+        assert (outcome(judge_forwarding, led, gw)
+                == outcome(reference_judge_forwarding, entries, statuses, gw, th))
 
 
 # ---- identity checks ----
 
 def test_spoofed_claim_pins_the_link_owner():
-    v = verify_identity({4, 9}, link_id=9, claimed_id=4)
-    assert v.label == MALICIOUS
-    assert v.target == 9
-    assert v.evidence == (4,)
+    assert (verify_identity({4, 9}, link_id=9, claimed_id=4)
+            == Verdict(MALICIOUS, 9, "spoofed_identity"))
 
 
 def test_honest_claim_is_normal():
@@ -274,9 +302,8 @@ class StubWorld:
 
 
 def test_punish_zeroes_trust_and_floods():
-    from manetsim.detection import Verdict
     w = StubWorld()
-    assert punish(w, Verdict(MALICIOUS, 28, (1, 2, 3), "culpable_drops"), issuing_ch=0)
+    assert punish(w, Verdict(MALICIOUS, 28, "culpable_drops"), issuing_ch=0)
     assert trust.trust_value(w.trust_registry[28]) == 0.0
     assert w.changes == [(28, 0.5, 0.0, "culpable_drops")]
     assert w.ejected == [28]
@@ -285,16 +312,14 @@ def test_punish_zeroes_trust_and_floods():
 
 
 def test_punish_is_idempotent():
-    from manetsim.detection import Verdict
     w = StubWorld()
-    v = Verdict(MALICIOUS, 28, (), "culpable_drops")
+    v = Verdict(MALICIOUS, 28, "culpable_drops")
     assert punish(w, v, 0) is True
     assert punish(w, v, 0) is False
     assert len(w.floods) == 1
 
 
 def test_punish_ignores_non_malicious_verdicts():
-    from manetsim.detection import Verdict
     w = StubWorld()
-    assert punish(w, Verdict(SELFISH, 28, (), "recurring_refusal"), 0) is False
+    assert punish(w, Verdict(SELFISH, 28, "recurring_refusal"), 0) is False
     assert w.blacklisted == set()

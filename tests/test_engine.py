@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from helpers import (BRIDGES, HEADS, desk_config, desk_positions, events_of,
                      run_world)
-from manetsim import adversary, beacon, detection, engine
+from manetsim import adversary, beacon, engine
 from manetsim.config import SimConfig
 from manetsim.engine import Node, World, run
 from manetsim.errors import ConfigError
@@ -364,9 +364,9 @@ def test_judge_without_resolved_evidence_returns_quietly():
     head, gateway = HEADS[1], BRIDGES[0]
     ledger = world.ch_state[head].ledger
     ledger.open_entry(1, gateway, res_eng=1.0, rel_mobility=None)
-    assert gateway not in ledger.resolved   # still pending
+    assert gateway not in ledger.tally   # still pending
     assert world._judge(head, gateway) is None
-    assert world.ch_state[head].ledger.by_packet[1].ack_status == detection.PENDING
+    assert 1 in world.ch_state[head].ledger.by_packet
 
 
 # ---- head state ----
@@ -377,9 +377,9 @@ def test_head_state_built_once_per_head(monkeypatch):
     built = []
     init = engine.ChState.__init__
 
-    def counting_init(self, ch_id):
+    def counting_init(self, ch_id, cfg):
         built.append(ch_id)
-        init(self, ch_id)
+        init(self, ch_id, cfg)
 
     monkeypatch.setattr(engine.ChState, "__init__", counting_init)
     world, _ = run_world(SimConfig(

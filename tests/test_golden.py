@@ -29,14 +29,18 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from detection_reference import reference_tally
 from helpers import desk_config, events_of, legacy_digest, run_world
 from manetsim import adversary, detection
 from manetsim.config import SimConfig
 from manetsim.engine import World
+from reference_world import (keeping_opened_entries, opened_entries,
+                             resolved_statuses)
 
 DESK_ADVERSARIES = {
     adversary.HONEST: [],
@@ -273,27 +277,42 @@ ATTACK_CELLS = {
 
 
 @pytest.mark.parametrize("cell", ATTACK_CELLS.values(), ids=ATTACK_CELLS.keys())
-def test_ledgers_keep_only_pending_handovers(cell):
-    """A resolved handover leaves its head's `by_packet`: at the end of a
-    cell every entry still there is PENDING, and each head's timeouts are
-    filed under the gateways they name."""
-    world, _ = run_world(cell)
+def test_ledgers_keep_only_pending_handovers(cell, monkeypatch):
+    """A resolved handover leaves its head's `by_packet` and is counted
+    once: at the end of a cell every head's resolved count and pending
+    entries add up to its `open_entry` calls, the pending entries are the
+    opened ones never resolved, and every gateway's counts equal the scan
+    over the opened entries (`detection_reference.reference_tally`)."""
+    calls = Counter()
+    open_entry = detection.SurveillanceLedger.open_entry
+
+    def counting(ledger, *args, **kwargs):
+        calls[id(ledger)] += 1
+        return open_entry(ledger, *args, **kwargs)
+
+    monkeypatch.setattr(detection.SurveillanceLedger, "open_entry", counting)
+    with keeping_opened_entries():
+        world, _ = run_world(cell)
+    assert sum(calls.values()) > 0
     for st in world.ch_state.values():
         led = st.ledger
-        assert all(e.ack_status == detection.PENDING
-                   for e in led.by_packet.values())
-        for gw, timeouts in led.timeouts.items():
-            assert all(e.ack_status == detection.TIMEOUT and e.gateway == gw
-                       for e in timeouts)
-            assert led.resolved[gw] >= len(timeouts)
+        opened, statuses = opened_entries(led), resolved_statuses(led)
+        assert (sum(counts[0] for counts in led.tally.values())
+                + len(led.by_packet)) == calls[id(led)]
+        assert led.by_packet == {pid: e for pid, e in opened.items()
+                                 if pid not in statuses}
+        gateways = {e.gateway for e in opened.values()}
+        assert led.tally.keys() <= gateways
+        for gw in gateways:
+            assert led.tally.get(gw) == reference_tally(opened, statuses, gw, led)
 
 
 @pytest.mark.parametrize("cell", ATTACK_CELLS.values(), ids=ATTACK_CELLS.keys())
 def test_blacklisted_ids_leave_the_backbone(cell, monkeypatch):
     """After every backbone refresh no blacklisted id heads a cluster or
-    sits on an edge, as head or as gateway. So the blacklist filter of
-    `protocol.refresh_route_tables` finds no edge to drop in these cells;
-    `tests/test_protocol.py` pins what it does when it does."""
+    sits on an edge, as head or as gateway. So
+    `protocol.refresh_route_tables` takes every edge as usable, with no
+    blacklist filter of its own."""
     refreshes = []
     refresh = World._refresh_backbone
 

@@ -59,8 +59,9 @@ def test_reversed_edge_reverses_gateway_order():
 
 
 def test_blacklisted_gateway_disconnects_edge():
-    w = StubWorld(clusters={0: {1, 27}, 7: {27, 22}},
-                  edges={(0, 7): (27,)}, blacklisted=[27])
+    """Heads 0 and 7 share only the blacklisted 27, so the gateway
+    designation gives them no edge, and no route joins them."""
+    w = StubWorld(clusters={0: {1, 27}, 7: {27, 22}}, edges={}, blacklisted=[27])
     with pytest.raises(NoRoute):
         discover_route(w, 1, 22)
 
@@ -99,7 +100,7 @@ def same_tables(got, want):
 
 
 def test_kept_trees_take_new_gateways():
-    kept = refresh_route_tables(None, RING, RING_EDGES, set())
+    kept = refresh_route_tables(None, RING, RING_EDGES)
     # only the trees read so far are searched, and only they are kept
     assert kept.table(0)[14] == (7, (28,))
     assert kept.table(30)[0] == (30, (32, 31))
@@ -107,27 +108,30 @@ def test_kept_trees_take_new_gateways():
     edges = dict(RING_EDGES)
     edges[7, 14] = (40,)
     edges[0, 30] = (41, 42)
-    new = refresh_route_tables(kept, RING, edges, set())
-    assert new.pairs == kept.pairs
+    new = refresh_route_tables(kept, RING, edges)
+    assert new.out is kept.out
     assert sorted(new.trees) == [0, 30]
     assert new.table(0)[14] == (7, (40,))
     assert new.table(30)[0] == (30, (42, 41))
-    assert same_tables(tables_of(new), reference_route_tables(RING, edges, set()))
+    assert same_tables(tables_of(new), reference_route_tables(RING, edges))
     # nothing moved since: the record itself is kept, trees and all
-    assert refresh_route_tables(new, RING, dict(edges), set()) is new
+    assert refresh_route_tables(new, RING, dict(edges)) is new
     assert sorted(new.trees) == sorted(RING)
 
 
 def test_newly_blacklisted_gateway_drops_its_edge():
-    kept = refresh_route_tables(None, RING, RING_EDGES, set())
-    assert same_tables(tables_of(kept), reference_route_tables(RING, RING_EDGES, set()))
-    new = refresh_route_tables(kept, RING, RING_EDGES, {28})
-    assert (7, 14) not in new.pairs
+    """Blacklisting 28 leaves heads 7 and 14 without a gateway, so the
+    designation drops their edge; the kept trees all go, and head 0
+    reaches 14 the long way round."""
+    kept = refresh_route_tables(None, RING, RING_EDGES)
+    assert same_tables(tables_of(kept), reference_route_tables(RING, RING_EDGES))
+    edges = {pair: gws for pair, gws in RING_EDGES.items() if pair != (7, 14)}
+    new = refresh_route_tables(kept, RING, edges)
     assert new.trees == {}
-    assert same_tables(tables_of(new), reference_route_tables(RING, RING_EDGES, {28}))
+    assert same_tables(tables_of(new), reference_route_tables(RING, edges))
     assert new.table(0)[14] == (21, (29,))
-    # a blacklisted id on no edge leaves every tree alone
-    assert refresh_route_tables(kept, RING, RING_EDGES, {99}) is kept
+    # the same edges in another order leave every tree alone
+    assert refresh_route_tables(new, RING, dict(reversed(edges.items()))) is new
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,9 +150,8 @@ def test_refreshed_tables_match_a_build_from_scratch(heads, data):
                 for p in sorted(pairs)}
 
     edges = draw_edges()
-    blacklisted = data.draw(st.sets(st.integers(20, 26), max_size=2))
-    kept = refresh_route_tables(None, heads, edges, blacklisted)
-    want = reference_route_tables(heads, edges, blacklisted)
+    kept = refresh_route_tables(None, heads, edges)
+    want = reference_route_tables(heads, edges)
     for ch in data.draw(st.lists(st.sampled_from(heads), unique=True)):
         assert list(kept.table(ch).items()) == list(want[ch].items())
     kept_trees = dict(kept.trees)
@@ -158,9 +161,8 @@ def test_refreshed_tables_match_a_build_from_scratch(heads, data):
                  for p, gws in edges.items()}
     else:
         edges = draw_edges()
-    blacklisted = blacklisted | data.draw(st.sets(st.integers(20, 26), max_size=1))
-    new = refresh_route_tables(kept, heads, edges, blacklisted)
-    assert same_tables(tables_of(new), reference_route_tables(heads, edges, blacklisted))
+    new = refresh_route_tables(kept, heads, edges)
+    assert same_tables(tables_of(new), reference_route_tables(heads, edges))
     assert same_tables(tables_of(kept), want)
     assert all(kept.trees[ch] is tree for ch, tree in kept_trees.items())
 

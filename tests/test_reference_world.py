@@ -16,7 +16,7 @@ from manetsim.config import SimConfig
 from manetsim.engine import World
 from manetsim.errors import ConfigError
 from reference_world import (ReferenceWorld, keeping_opened_entries,
-                             opened_entries)
+                             opened_entries, resolved_statuses)
 from test_golden import depletion_config
 
 whole_runs = st.builds(
@@ -53,12 +53,16 @@ def batteries(world):
 
 def ledgers(world):
     """What each head wrote down at every handover, residual energy and
-    relative speed of the custodian among it, for a world run under
-    `keeping_opened_entries`, and the packets still pending."""
-    return {ch: ([(e.packet_id, e.gateway, e.res_eng, e.rel_mobility,
-                   e.ack_status, e.context)
-                  for e in opened_entries(st.ledger).values()],
-                 list(st.ledger.by_packet))
+    relative speed of the custodian among it, and the status it resolved
+    the handover with, for a world run under `keeping_opened_entries`;
+    the packets still pending; and the head's counts per gateway."""
+    def written(st):
+        statuses = resolved_statuses(st.ledger)
+        return [(pid, e.gateway, e.res_eng, e.rel_mobility,
+                 statuses.get(pid, detection.PENDING), e.context)
+                for pid, e in opened_entries(st.ledger).items()]
+
+    return {ch: (written(st), list(st.ledger.by_packet), st.ledger.tally)
             for ch, st in world.ch_state.items()}
 
 

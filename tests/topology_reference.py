@@ -203,14 +203,12 @@ def _ch_adjacency(edges):
     return adj
 
 
-def reference_route_tables(heads, edges, blacklisted):
-    """One breadth-first search per head over the usable edges, from
-    scratch: {head: {dest: (previous head, gateways into dest)}} in
-    discovery order, neighbours visited in ascending id order."""
+def reference_route_tables(heads, edges):
+    """One breadth-first search per head over the edges, from scratch:
+    {head: {dest: (previous head, gateways into dest)}} in discovery
+    order, neighbours visited in ascending id order."""
     out = {}
     for (a, b), gws in edges.items():
-        if any(g in blacklisted for g in gws):
-            continue
         out.setdefault(a, []).append((b, gws))
         out.setdefault(b, []).append((a, tuple(reversed(gws))))
     for links in out.values():
