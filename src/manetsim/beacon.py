@@ -484,7 +484,7 @@ def _live_link(world, nid):
     b = nodes[nid].battery
     if not b.spent < b.total:
         return False
-    for nb in world._neighbors.get(nid, ()):
+    for nb in world.adjacency.get(nid, ()):
         c = nodes[nb].battery
         if c.spent < c.total:
             return True

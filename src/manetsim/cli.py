@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Exit status: 0 success, 1 a run panicked (the failing cell is named),
-2 the scenario file or an override did not parse.
+2 the scenario file or an override did not parse, or `out` cannot be a
+directory.
 """
 
 import argparse

@@ -76,7 +76,7 @@ def maintain_membership(clusters, alive, adjacency, metrics_fn, battery,
     """One topology upkeep pass over all clusters, in place.
 
     alive        set of node ids that still have energy
-    adjacency    id -> set of current link-neighbor ids
+    adjacency    id -> the ids linked to it
     metrics_fn   node id -> ElectionMetrics
     battery      id -> residual energy fraction, for the head energy floor
     cfg          the run's `SimConfig`, whose election weights score heads
@@ -205,6 +205,7 @@ class GatewayCandidates:
 def gateway_candidates(clusters, adjacency, excluded):
     """Every way to link each pair of adjacent clusters, before scoring.
 
+    `adjacency` maps id -> the ids linked to it.
     Reads only the links, each head's members and the excluded ids, so a
     caller may keep the result until one of those changes.  Candidates come
     from member links, so only head pairs that have one are visited; a

@@ -34,11 +34,16 @@ SELFISH_ENERGY_FLOOR = 0.4
 
 @dataclass
 class LedgerEntry:
+    """A head's watch on one handover, while it is PENDING.
+
+    `context` turns LINK_BROKEN when something clears the custodian of a
+    timeout: it was seen attempting a hop that failed, or the packet was
+    seen crossing into the downstream head, so only the receipt can go
+    missing. Only a timeout reads it; an ACK's `resolve` ignores it."""
     gateway: int                # current custodian under suspicion
     context: str = LINK_OK
     res_eng: float = 1.0        # custodian battery at handover
     rel_mobility: float | None = None  # custodian radial speed vs the head
-    delivered_downstream: bool = False
 
 
 @dataclass

@@ -95,7 +95,11 @@ class Node:
 
 
 class ChState:
-    """Head-local bookkeeping: surveillance, blacklist view, link registry."""
+    """Head-local bookkeeping: surveillance, blacklist view, link registry.
+
+    Built by the membership pass (`World._sweep_topology`) when the node
+    first heads a cluster, and kept for the rest of the run, across role
+    changes; every other reader indexes `World.ch_state` directly."""
 
     def __init__(self, ch_id, cfg):
         self.ledger = detection.SurveillanceLedger(cfg)
@@ -145,8 +149,7 @@ class World:
         self.trust_registry = {}
         self.blacklisted = set()
         self.sessions = {}
-        self.adjacency = {}
-        self._neighbors = {}         # node id -> its adjacency, in id order
+        self.adjacency = {}          # live node id -> its neighbour ids, in id order
         self._pairs = []             # linked pairs with their estimates, sorted
         self.beacons = beacon.Beacons(self.nodes, cfg.hello_size)
         self._gateway_candidates = None  # see _refresh_backbone
@@ -167,14 +170,24 @@ class World:
     # ---- plumbing ----
 
     def _head_state(self, ch):
-        st = self.ch_state.get(ch)
-        if st is None:
+        """The head's `ChState`, made when it first heads a cluster; only
+        the membership pass calls this."""
+        try:
+            return self.ch_state[ch]
+        except KeyError:
             st = self.ch_state[ch] = ChState(ch, self.cfg)
-        return st
+            return st
 
     def schedule(self, at, tag, *args):
         heapq.heappush(self._heap, (at, self._seq, tag, args))
         self._seq += 1
+
+    def _again(self, interval, tag, *args):
+        """Schedule a periodic event's next run, `interval` from now, unless
+        it would fall past the end of the run."""
+        nxt = self.now + interval
+        if nxt <= self.cfg.sim_duration:
+            self.schedule(nxt, tag, *args)
 
     def log(self, kind, **data):
         data = tuple(sorted(data.items()))
@@ -338,11 +351,10 @@ class World:
         wide plus a part in 1e9, so float rounding at a border cannot put
         an in-range pair two cells apart. Each cell holds an
         `(id, x, y, tx_power)` record per node, so the candidate loop reads
-        no node. `_pairs` is sorted, which makes it and the adjacency sets'
-        insertion order those of an all-pairs scan in id order. Each
-        `_neighbors` list is filled in that pair order and so comes out in
-        id order: a node's smaller neighbours come from its pairs `(a, x)`,
-        which sort before its pairs `(x, b)`.
+        no node. `_pairs` is sorted, as an all-pairs scan in id order would
+        make it. Each `adjacency` list is filled in that pair order and so
+        comes out in id order: a node's smaller neighbours come from its
+        pairs `(a, x)`, which sort before its pairs `(x, b)`.
 
         Nothing is folded here: a node's links and rates stay those of the
         last lay-out until the next round lays the new links out, and
@@ -356,7 +368,7 @@ class World:
         inv_q = 1.0 / q
         min_d = radio.MIN_DISTANCE_M
         width = rng_r * (1 + 1e-9)
-        adj = {nid: set() for nid in nodes if nodes[nid].alive}
+        adj = {nid: [] for nid in nodes if nodes[nid].alive}
         cells = {}
         for nid in adj:
             n = nodes[nid]
@@ -390,14 +402,10 @@ class World:
                             ea, eb = (k * ta / pa) ** inv_q, (k * tb / pb) ** inv_q
                             pairs.append((a, b, ea, eb) if a < b else (b, a, eb, ea))
         pairs.sort()
-        neighbors = {nid: [] for nid in adj}
         for a, b, _, _ in pairs:
-            adj[a].add(b)
-            adj[b].add(a)
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+            adj[a].append(b)
+            adj[b].append(a)
         self.adjacency = adj
-        self._neighbors = neighbors
         self._pairs = pairs
         self.beacons.relink()
         self._gateway_candidates = None
@@ -419,7 +427,7 @@ class World:
         if v_max > 0:
             beacons = self.beacons
             r = beacons.clock.rounds
-            nbs = self._neighbors.get(nid, ())
+            nbs = self.adjacency.get(nid, ())
             kept = self._mobility.get(nid)
             if (kept is not None and kept[0] == r and kept[1] == nbs
                     and not beacons.by_link):
@@ -606,8 +614,7 @@ class World:
 
     def flood_blacklist(self, nid, issuing_ch, reason):
         self.log("blacklist", node=nid, by=issuing_ch, reason=reason)
-        if issuing_ch in self.ch_state:
-            self.ch_state[issuing_ch].blacklist.add(nid)
+        self.ch_state[issuing_ch].blacklist.add(nid)
         self._propagate_blacklist(nid, issuing_ch, reason)
 
     def _propagate_blacklist(self, nid, from_ch, reason):
@@ -616,10 +623,10 @@ class World:
             if from_ch not in pair:
                 continue
             to_ch = pair[0] if pair[1] == from_ch else pair[1]
-            if to_ch in self.ch_state and nid in self.ch_state[to_ch].blacklist:
+            st = self.ch_state[to_ch]
+            if nid in st.blacklist:
                 continue
-            if from_ch in self.nodes:
-                self.consume(self.nodes[from_ch], "tx", self.cfg.control_size)
+            self.consume(self.nodes[from_ch], "tx", self.cfg.control_size)
             self.schedule(self.now + hop_t * (len(gws) + 1), "bl", nid, from_ch, to_ch, reason)
 
     def punish_verdict(self, verdict, issuing_ch):
@@ -678,16 +685,12 @@ class World:
 
     def _topo_tick(self):
         self._sweep_topology()
-        nxt = self.now + self.cfg.topology_interval
-        if nxt <= self.cfg.sim_duration:
-            self.schedule(nxt, "topo")
+        self._again(self.cfg.topology_interval, "topo")
 
     def _hello_round(self):
         """One HELLO round (`beacon.Beacons.round`); schedules the next."""
         self.beacons.round(self)
-        nxt = self.now + self.cfg.hello_interval
-        if nxt <= self.cfg.sim_duration:
-            self.schedule(nxt, "hello")
+        self._again(self.cfg.hello_interval, "hello")
 
     # -- session admission --
 
@@ -711,7 +714,7 @@ class World:
         if ch != src:
             # one-hop broadcast to the head; bystanders overhear it too
             self.consume(node, "tx", self.cfg.control_size)
-            for nb in sorted(self.adjacency.get(src, ())):
+            for nb in self.adjacency.get(src, ()):
                 nbn = self.nodes[nb]
                 if not nbn.alive:
                     continue
@@ -756,7 +759,7 @@ class World:
         came in on; False when the link is unknown or the claim convicts
         the link's owner (who is punished)."""
         try:
-            verdict = detection.verify_identity(self._head_state(ch).registry,
+            verdict = detection.verify_identity(self.ch_state[ch].registry,
                                                 link, claimed)
         except UnknownLink:
             self.log("rreq_unknown_link", link=link, at=ch)
@@ -779,8 +782,6 @@ class World:
         self.log("rrep_rejected", node=attacker, at=ch, claimed_hops=1)
 
     def _drain_admissions(self, ch):
-        if ch not in self.ch_state:
-            return
         st = self.ch_state[ch]
         st.drain_scheduled = False
         pending, st.pending = st.pending, []
@@ -893,9 +894,7 @@ class World:
         entry = None
         if seg is not None:
             # the upstream head's watch on the packet, while it is PENDING
-            st_up = self.ch_state.get(plan[seg[0]])
-            if st_up is not None:
-                entry = st_up.ledger.by_packet.get(pid)
+            entry = self.ch_state[plan[seg[0]]].ledger.by_packet.get(pid)
 
         # `consume` refuses a dead battery and charges it nothing
         size = self.cfg.packet_size
@@ -917,9 +916,8 @@ class World:
                 # handover off the upstream head: open the watch and start
                 # the ack clock, snapshotting what the head knew just now
                 res_eng, rel_mobility = self._watch(self.nodes[up_ch], tn)
-                st = self._head_state(up_ch)
-                st.ledger.open_entry(pid, to, res_eng=res_eng,
-                                     rel_mobility=rel_mobility)
+                self.ch_state[up_ch].ledger.open_entry(
+                    pid, to, res_eng=res_eng, rel_mobility=rel_mobility)
                 self.schedule(self.now + route.timeout_s, "timeout", up_ch, pid)
             elif entry is not None and entry.gateway == frm and idx + 1 < q:
                 # custody moves to the far-side gateway, observed by the
@@ -942,10 +940,11 @@ class World:
                 return
 
         if seg is not None and idx + 1 == seg[1]:
-            # crossed into the downstream head: remember the consult answer
-            # and push the ack back along the same gateways
+            # crossed into the downstream head, which saw it: a timeout now
+            # means only the receipt went missing, so the watch is
+            # exonerated; push the ack back along the same gateways
             if entry is not None:
-                entry.delivered_downstream = True
+                entry.context = detection.LINK_BROKEN
             self._send_ack(plan, seg, pid)
 
         if final:
@@ -1000,10 +999,7 @@ class World:
             self.schedule(self.now + self.control_airtime, "ackhop", ref, aplan,
                           idx + 1)
             return
-        st = self.ch_state.get(to)
-        if st is None:
-            return
-        entry = st.ledger.resolve(ref, detection.ACKED)
+        entry = self.ch_state[to].ledger.resolve(ref, detection.ACKED)
         if entry is not None:
             gw, id_pairs = entry.gateway, self._id_pairs
             # the record `log` would build, its keys already in sorted order
@@ -1013,16 +1009,11 @@ class World:
             self._judge(to, gw)
 
     def _ack_timeout(self, ch_id, packet_id):
-        st = self.ch_state.get(ch_id)
-        if st is None:
-            return
-        entry = st.ledger.by_packet.get(packet_id)
+        ledger = self.ch_state[ch_id].ledger
+        entry = ledger.by_packet.get(packet_id)
         if entry is None:
             return
-        if entry.delivered_downstream:
-            # the far head saw it; only the receipt went missing
-            entry.context = detection.LINK_BROKEN
-        st.ledger.resolve(packet_id, detection.TIMEOUT)
+        ledger.resolve(packet_id, detection.TIMEOUT)
         self.log("ack_timeout", packet=packet_id, at=ch_id,
                  gateway=entry.gateway, context=entry.context)
         self._judge(ch_id, entry.gateway)
@@ -1048,8 +1039,8 @@ class World:
         self.log("tunnel", node=nid, peer=peer, packet=pid,
                  packet_kind=packets.DATA)
         self.acted.add(nid)
-        pn = self.nodes.get(peer)
-        if pn is not None and pn.alive:
+        pn = self.nodes[peer]
+        if pn.alive:
             # far end injects straight at the destination, skipping the
             # heads; the destination only takes data from its own head
             size = self.cfg.packet_size
@@ -1067,8 +1058,8 @@ class World:
         """Wormhole `nid` replays an overheard request at its peer's head."""
         self.log("tunnel", node=nid, peer=peer, packet=rreq_id,
                  packet_kind=packets.RREQ)
-        pn = self.nodes.get(peer)
-        if pn is not None and pn.alive and pn.cluster in self.clusters:
+        pn = self.nodes[peer]
+        if pn.alive and pn.cluster in self.clusters:
             self.consume(pn, "tx", self.cfg.control_size)
             self.consume(self.nodes[pn.cluster], "rx", self.cfg.control_size)
             # a request replayed from a node that was never a member here
@@ -1097,9 +1088,7 @@ class World:
                     self.log("trust_report_selfish", reporter=nid, at=ch)
                     self.acted.add(nid)
                     self.apply_selfish(nid, ch, "baseless_accusations")
-        nxt = self.now + self.cfg.slander_interval
-        if nxt <= self.cfg.sim_duration:
-            self.schedule(nxt, "slander", nid)
+        self._again(self.cfg.slander_interval, "slander", nid)
 
     def _spoof_tick(self, nid):
         node = self.nodes[nid]
@@ -1121,9 +1110,7 @@ class World:
             self.consume(node, "tx", self.cfg.control_size)
             self.consume(self.nodes[ch], "rx", self.cfg.control_size)
             self._rreq_identity_holds(nid, ch, claimed)
-        nxt = self.now + self.cfg.spoof_interval
-        if nxt <= self.cfg.sim_duration:
-            self.schedule(nxt, "spoof", nid)
+        self._again(self.cfg.spoof_interval, "spoof", nid)
 
     def _flood_tick(self, nid):
         node = self.nodes[nid]
@@ -1139,14 +1126,12 @@ class World:
             kept = n if detection.handle_route_advert(from_member=True) else 0
             self.log("advert_burst", node=nid, at=ch, count=n,
                      accepted=kept, table_size=len(self.head_routes.table(ch)))
-        nxt = self.now + self.cfg.flood_interval
-        if nxt <= self.cfg.sim_duration:
-            self.schedule(nxt, "flood", nid)
+        self._again(self.cfg.flood_interval, "flood", nid)
 
     def _blacklist_rx(self, nid, from_ch, to_ch, reason):
         if to_ch not in self.clusters:
             return
-        st = self._head_state(to_ch)
+        st = self.ch_state[to_ch]
         if nid in st.blacklist:
             return
         self.consume(self.nodes[to_ch], "rx", self.cfg.control_size)

@@ -238,8 +238,9 @@ def run_scenario(sc: Scenario, write_logs: bool = False):
     """
     table = ResultsTable()
     digests = []
-    # a cell config that fails validation is a usage error, reported as
-    # such before any cell runs
+    # an `out` that cannot be a directory and a cell config that fails
+    # validation are usage errors, reported as such before any cell runs
+    _check_out(sc.out)
     cells = [(n, seed, frac, sc.config_for(n, seed, frac).validate())
              for n, seed, frac in sc.cells()]
     for n, seed, frac, cfg in cells:
@@ -268,6 +269,17 @@ def run_scenario(sc: Scenario, write_logs: bool = False):
         else:
             extras[f"plot_{metric_name}.txt"] = series
     return table, summary, extras
+
+
+def _check_out(out_dir: str):
+    """A `ConfigError` naming `out` when it cannot be made a directory:
+    it, or a path it lies under, exists and is no directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.isdir(path):
+        if os.path.lexists(path):
+            raise ConfigError(f"out: {out_dir!r} cannot be a directory, "
+                              f"since {path} exists and is not one")
+        path = os.path.dirname(path)
 
 
 def _write_log(out_dir: str, name: str, events):

@@ -84,8 +84,7 @@ class ReferenceWorld(World):
         super()._sweep_topology()
 
     def _rebuild_adjacency(self):
-        self.adjacency, self._neighbors, self._pairs = reference_adjacency(
-            self.nodes, self.cfg)
+        self.adjacency, self._pairs = reference_adjacency(self.nodes, self.cfg)
 
     def _refresh_backbone(self):
         def score_fn(nid):

@@ -542,6 +542,25 @@ def test_debug_usage_error_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("level", ["warning", "debug"])
+@pytest.mark.parametrize("under", [(), ("sub",)])
+def test_cli_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys,
+                                                       monkeypatch, under, level):
+    """An `out` that is a file, or lies under one, exits 2 naming `out`
+    before any cell runs, and the file is left as it was."""
+    ran = []
+    monkeypatch.setattr(engine, "run", lambda cfg: ran.append(cfg))
+    cfg = write_scenario(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("mine\n")
+    out = taken.joinpath(*under)
+    assert main([cfg, "--out", str(out), "--log-level", level]) == 2
+    assert "error: out:" in capsys.readouterr().err
+    assert ran == []
+    assert taken.read_text() == "mine\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.yaml", "taken"]
+
+
 class WatchedLog(list):
     """An event log a weak reference can follow."""
 

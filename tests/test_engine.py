@@ -372,8 +372,8 @@ def test_judge_without_resolved_evidence_returns_quietly():
 # ---- head state ----
 
 def test_head_state_built_once_per_head(monkeypatch):
-    """Topology ticks, handovers, spoof checks and blacklist notices all look
-    up a head's state; only the first lookup may build it."""
+    """Topology ticks, handovers, spoof checks and blacklist notices all read
+    a head's state; it is built once per head."""
     built = []
     init = engine.ChState.__init__
 

@@ -36,7 +36,7 @@ import pytest
 
 from detection_reference import reference_tally
 from helpers import desk_config, events_of, legacy_digest, run_world
-from manetsim import adversary, detection
+from manetsim import adversary, detection, engine
 from manetsim.config import SimConfig
 from manetsim.engine import World
 from reference_world import (keeping_opened_entries, opened_entries,
@@ -305,6 +305,35 @@ def test_ledgers_keep_only_pending_handovers(cell, monkeypatch):
         assert led.tally.keys() <= gateways
         for gw in gateways:
             assert led.tally.get(gw) == reference_tally(opened, statuses, gw, led)
+
+
+@pytest.mark.parametrize("cell", ATTACK_CELLS.values(), ids=ATTACK_CELLS.keys())
+def test_head_books_come_from_the_membership_pass(cell, monkeypatch):
+    """A head's `ChState` is built only inside `World._sweep_topology`, and
+    after every pass each head has one. So the handlers that read a
+    head's books index `ch_state` with no fallback."""
+    sweeping, built, passes = [], [], []
+    init, sweep = engine.ChState.__init__, World._sweep_topology
+
+    def counting_init(st, ch_id, cfg):
+        assert sweeping, ch_id
+        built.append(ch_id)
+        init(st, ch_id, cfg)
+
+    def checked(world):
+        sweeping.append(True)
+        try:
+            sweep(world)
+        finally:
+            sweeping.pop()
+        assert set(world.clusters) <= set(world.ch_state), world.now
+        passes.append(world.now)
+
+    monkeypatch.setattr(engine.ChState, "__init__", counting_init)
+    monkeypatch.setattr(World, "_sweep_topology", checked)
+    world, _ = run_world(cell)
+    assert passes and built
+    assert sorted(built) == sorted(world.ch_state)
 
 
 @pytest.mark.parametrize("cell", ATTACK_CELLS.values(), ids=ATTACK_CELLS.keys())

@@ -88,7 +88,7 @@ def fresh_mobility(world, nid):
     n, cfg = world.nodes[nid], world.cfg
     beacon.fold(n)
     vals = []
-    for nb in world._neighbors.get(nid, ()):
+    for nb in world.adjacency.get(nid, ()):
         hist = n.hello.get(nb)
         if hist is not None and hist.n >= 2:
             vals.append(hist.mobility(cfg.hello_interval))

@@ -41,11 +41,11 @@ def reference_estimate(sender, receiver, cfg):
 
 
 def reference_adjacency(nodes, cfg):
-    """Every pair of live nodes in id order: (adjacency, neighbours in id
-    order, linked pairs as `World._pairs` holds them, each with the
+    """Every pair of live nodes in id order: (each live node's neighbours
+    in id order, linked pairs as `World._pairs` holds them, each with the
     estimate of each direction)."""
     r = cfg.radio_range
-    adj = {nid: set() for nid in nodes if nodes[nid].alive}
+    adj = {nid: [] for nid in nodes if nodes[nid].alive}
     ids = sorted(adj)
     pairs = []
     for i, a in enumerate(ids):
@@ -54,11 +54,11 @@ def reference_adjacency(nodes, cfg):
             nb = nodes[b]
             dx, dy = na.pos.x - nb.pos.x, na.pos.y - nb.pos.y
             if dx * dx + dy * dy <= r * r and reference_link(na, nb, cfg):
-                adj[a].add(b)
-                adj[b].add(a)
+                adj[a].append(b)
+                adj[b].append(a)
                 pairs.append((a, b, reference_estimate(na, nb, cfg),
                               reference_estimate(nb, na, cfg)))
-    return adj, {nid: sorted(nbs) for nid, nbs in adj.items()}, pairs
+    return adj, pairs
 
 
 def reference_designate_gateways(clusters, adjacency, score_fn, excluded):
